@@ -42,22 +42,14 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced sweeps and 10K-reference traces")
 		csv        = flag.Bool("csv", false, "emit CSV instead of markdown")
 		workers    = flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS; clamped when -shards > 1 so workers x shards fits GOMAXPROCS)")
-		shards     = flag.String("shards", "auto", "intra-run shard workers per simulation: auto (spare cores after -workers), serial, or a count (artifacts are byte-identical at any value)")
+		shards     = sweep.ShardsFlag(flag.CommandLine)
 		verbose    = flag.Bool("v", false, "log each simulation run to stderr")
-		benchJSON  = flag.String("bench-json", "", "measure every artifact at benchmark scale and record ns/op, allocs/op and events/sec into this JSON file (see BENCH_core.json)")
-		benchLabel = flag.String("bench-label", "current", "run label for -bench-json/-bench-check (an existing run with the same label is replaced)")
-		benchCheck = flag.String("bench-check", "", "re-measure raw simulator throughput (metrics disabled) and fail if it regresses versus the labelled run in this JSON file (the CI gate)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 		overrides  = config.RegisterOverrides(flag.CommandLine)
 	)
 	flag.Parse()
 
-	shardWorkers, err := sweep.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-		os.Exit(1)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -86,22 +78,8 @@ func main() {
 			}
 		}()
 	}
-	if *benchCheck != "" {
-		if err := runBenchCheck(*benchCheck, *benchLabel); err != nil {
-			fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchLabel); err != nil {
-			fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
-	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Shards: shardWorkers, Overrides: overrides}
+	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Shards: *shards, Overrides: overrides}
 	if *quick && *refs == 0 {
 		opts.RefsPerThread = 10000
 	}

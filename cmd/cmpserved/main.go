@@ -71,7 +71,7 @@ func main() {
 		l1Entries   = flag.Int("l1-entries", 0, "in-memory L1 cache entry bound (0 = default 256)")
 		l1Bytes     = flag.Int64("l1-bytes", 0, "in-memory L1 cache byte bound (0 = default 256 MiB)")
 		workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS; clamped when -shards > 1 so workers x shards fits GOMAXPROCS)")
-		shards      = flag.String("shards", "auto", "intra-run shard workers per simulation: auto (spare cores after -workers), serial, or a count (results and cache keys are identical at any value)")
+		shards      = sweep.ShardsFlag(flag.CommandLine)
 		queueDepth  = flag.Int("queue", 0, "accepted-but-not-running job bound; overflow is rejected with 429 (0 = default 256)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job wall-clock timeout (0 = none)")
 		metricsIval = flag.Int64("metrics-interval", 0, "attach interval metrics at this cycle window to every run (0 = off)")
@@ -88,12 +88,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cmpserved: %v\n", err)
 		os.Exit(1)
 	}
-	shardWorkers, err := sweep.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmpserved: %v\n", err)
-		os.Exit(1)
-	}
-	if _, clamped := sweep.FitWorkers(effectiveWorkerCount(*workers), shardWorkers); clamped {
+	if _, clamped := sweep.FitWorkers(effectiveWorkerCount(*workers), *shards); clamped {
 		fmt.Fprintf(os.Stderr, "cmpserved: clamping worker pool so workers x shards fits GOMAXPROCS=%d\n",
 			runtime.GOMAXPROCS(0))
 	}
@@ -102,7 +97,7 @@ func main() {
 		L1Entries:       *l1Entries,
 		L1Bytes:         *l1Bytes,
 		Workers:         *workers,
-		Shards:          shardWorkers,
+		Shards:          *shards,
 		QueueDepth:      *queueDepth,
 		JobTimeout:      *jobTimeout,
 		MetricsInterval: config.Cycles(*metricsIval),

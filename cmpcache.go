@@ -29,6 +29,15 @@
 // The experiment harness that regenerates every table and figure of the
 // paper's evaluation lives in cmd/cmpbench; see EXPERIMENTS.md for the
 // paper-versus-measured record.
+//
+// # Serial by default
+//
+// Every run is serial unless RunOptions.Workers asks for intra-run
+// shard workers, and the command-line tools' -shards flag defaults to
+// serial too. Sharding never changes results, but on the hosts measured
+// so far it costs wall clock: on a 2-CPU host (nproc = 2) a
+// 960K-reference Trade2 replay takes 3.5 s serially against 6.0 s on 2
+// shard workers.
 package cmpcache
 
 import (
@@ -213,8 +222,8 @@ type RunOptions struct {
 }
 
 // MaxWorkers returns the largest useful intra-run worker count for cfg:
-// one worker per L2 slice, capped by GOMAXPROCS. This is what the
-// cmd-line tools' "-shards auto" resolves to.
+// one worker per L2 slice, capped by GOMAXPROCS. This is what cmpsim's
+// "-shards auto" resolves to.
 func MaxWorkers(cfg *Config) int { return system.MaxWorkers(cfg) }
 
 // RunWith simulates tr with every attachment in opts installed. The

@@ -97,9 +97,6 @@ type Runner struct {
 	opts  Options
 	sim   *sweep.Simulator
 	cache map[runKey]*system.Results
-	// simEvents accumulates engine events fired across fresh (uncached)
-	// simulation runs — the throughput denominator for BENCH_core.json.
-	simEvents uint64
 	// Progress, when non-nil, receives a line per fresh simulation run.
 	// It may be invoked from pool goroutines, but never concurrently.
 	Progress func(string)
@@ -189,14 +186,9 @@ func (r *Runner) prefetch(keys []runKey) error {
 			return fmt.Errorf("experiments: %w", res.Err)
 		}
 		r.cache[fresh[i]] = res.Results
-		r.simEvents += res.Results.EventsFired
 	}
 	return nil
 }
-
-// SimEvents returns total engine events fired across all fresh
-// simulation runs this Runner has executed (cache hits excluded).
-func (r *Runner) SimEvents() uint64 { return r.simEvents }
 
 // result runs (or recalls) one simulation.
 func (r *Runner) result(k runKey) (*system.Results, error) {

@@ -93,10 +93,9 @@ type WBEntry struct {
 }
 
 // mshr tracks one outstanding miss and the accesses coalesced onto it.
-// Nodes are pooled: the waiter slices keep their capacity across
-// reuses, so tracking a miss allocates nothing in steady state.
+// Slots are reused: the waiter slices keep their capacity, so tracking a
+// miss allocates nothing in steady state.
 type mshr struct {
-	key          uint64
 	kind         coherence.TxnKind
 	loadWaiters  []func(config.Cycles)
 	storeWaiters []func(config.Cycles)
@@ -111,8 +110,12 @@ type Cache struct {
 	sliceMask  uint64
 	sliceShift uint
 
-	mshrs    map[uint64]*mshr
-	mshrPool *sim.Pool[mshr]
+	// mshrKeys[i] is the line of live MSHR mshrs[i]. Both slices hold
+	// exactly the live MSHRs, in no meaningful order (a free moves the
+	// last slot into the hole), within capacity preallocated to
+	// MSHRsPerL2; a lookup is a linear scan of the keys.
+	mshrKeys []uint64
+	mshrs    []mshr
 	// drainLoads/drainStores are the reusable buffers TakeWaiters
 	// returns; their contents are valid until the next TakeWaiters call
 	// on this cache.
@@ -138,20 +141,18 @@ func New(id int, cfg *config.Config, agent wbpolicy.Agent) *Cache {
 	for i := range slices {
 		slices[i] = cache.New(sets, cfg.L2Assoc)
 	}
-	c := &Cache{
+	return &Cache{
 		id:         id,
 		cfg:        cfg,
 		slices:     slices,
 		ports:      make([]sim.Server, cfg.L2Slices),
 		sliceMask:  uint64(cfg.L2Slices - 1),
 		sliceShift: uint(bits.TrailingZeros(uint(cfg.L2Slices))),
-		mshrs:      make(map[uint64]*mshr, cfg.MSHRsPerL2),
-		mshrPool:   sim.NewPool(func() *mshr { return &mshr{} }),
+		mshrKeys:   make([]uint64, 0, cfg.MSHRsPerL2),
+		mshrs:      make([]mshr, 0, cfg.MSHRsPerL2),
 		wbq:        newWBDeque(cfg.WBQueueEntries + 1),
 		agent:      agent,
 	}
-	c.mshrPool.Prime(cfg.MSHRsPerL2)
-	return c
 }
 
 // ID returns the cache's agent index.
@@ -268,29 +269,41 @@ func (c *Cache) SetState(key uint64, st coherence.State) {
 
 // --- MSHR management ---
 
-// MSHRFor returns whether key has an outstanding miss.
-func (c *Cache) MSHRFor(key uint64) bool {
-	_, ok := c.mshrs[key]
-	return ok
+// findMSHR returns the slot of key's outstanding miss, or -1.
+func (c *Cache) findMSHR(key uint64) int {
+	for i, k := range c.mshrKeys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
+// MSHRFor returns whether key has an outstanding miss.
+func (c *Cache) MSHRFor(key uint64) bool { return c.findMSHR(key) >= 0 }
+
 // MSHRCount returns the number of live MSHRs.
-func (c *Cache) MSHRCount() int { return len(c.mshrs) }
+func (c *Cache) MSHRCount() int { return len(c.mshrKeys) }
 
 // MSHRFull reports whether a new miss can be tracked.
-func (c *Cache) MSHRFull() bool { return len(c.mshrs) >= c.cfg.MSHRsPerL2 }
+func (c *Cache) MSHRFull() bool { return len(c.mshrKeys) >= c.cfg.MSHRsPerL2 }
 
 // AllocMSHR registers a new outstanding miss. It panics on duplicate
 // allocation (the caller must Attach instead).
 func (c *Cache) AllocMSHR(key uint64, kind coherence.TxnKind) {
-	if _, ok := c.mshrs[key]; ok {
+	if c.findMSHR(key) >= 0 {
 		panic(fmt.Sprintf("l2 %d: duplicate MSHR for %#x", c.id, key))
 	}
-	m := c.mshrPool.Get()
-	m.key, m.kind = key, kind
+	c.mshrKeys = append(c.mshrKeys, key)
+	if n := len(c.mshrs); n < cap(c.mshrs) {
+		c.mshrs = c.mshrs[:n+1] // reuse the retired slot's waiter storage
+	} else {
+		c.mshrs = append(c.mshrs, mshr{})
+	}
+	m := &c.mshrs[len(c.mshrs)-1]
+	m.kind = kind
 	m.loadWaiters = m.loadWaiters[:0]
 	m.storeWaiters = m.storeWaiters[:0]
-	c.mshrs[key] = m
 }
 
 // AttachMSHR registers a completion callback on an outstanding miss,
@@ -299,10 +312,11 @@ func (c *Cache) AllocMSHR(key uint64, kind coherence.TxnKind) {
 // are the caller's concern (CountMSHRAttach): the primary requester
 // attaches through the same path.
 func (c *Cache) AttachMSHR(key uint64, isStore bool, done func(config.Cycles)) bool {
-	m, ok := c.mshrs[key]
-	if !ok {
+	i := c.findMSHR(key)
+	if i < 0 {
 		return false
 	}
+	m := &c.mshrs[i]
 	if isStore {
 		m.storeWaiters = append(m.storeWaiters, done)
 	} else {
@@ -314,26 +328,30 @@ func (c *Cache) AttachMSHR(key uint64, isStore bool, done func(config.Cycles)) b
 // MSHRKind returns the bus transaction kind of key's outstanding miss.
 // It panics when no MSHR exists.
 func (c *Cache) MSHRKind(key uint64) coherence.TxnKind {
-	m, ok := c.mshrs[key]
-	if !ok {
+	i := c.findMSHR(key)
+	if i < 0 {
 		panic(fmt.Sprintf("l2 %d: MSHRKind on absent MSHR %#x", c.id, key))
 	}
-	return m.kind
+	return c.mshrs[i].kind
 }
 
 // TakeWaiters removes key's MSHR and returns its coalesced load and
 // store completion callbacks. It panics when no MSHR exists. The
 // returned slices are reused storage, valid until the next TakeWaiters
-// call on this cache; the MSHR node itself returns to the pool.
+// call on this cache.
 func (c *Cache) TakeWaiters(key uint64) (loads, stores []func(config.Cycles)) {
-	m, ok := c.mshrs[key]
-	if !ok {
+	i := c.findMSHR(key)
+	if i < 0 {
 		panic(fmt.Sprintf("l2 %d: TakeWaiters on absent MSHR %#x", c.id, key))
 	}
-	delete(c.mshrs, key)
+	m := &c.mshrs[i]
 	c.drainLoads = append(c.drainLoads[:0], m.loadWaiters...)
 	c.drainStores = append(c.drainStores[:0], m.storeWaiters...)
-	c.mshrPool.Put(m)
+	last := len(c.mshrKeys) - 1
+	c.mshrKeys[i] = c.mshrKeys[last]
+	c.mshrKeys = c.mshrKeys[:last]
+	c.mshrs[i], c.mshrs[last] = c.mshrs[last], c.mshrs[i]
+	c.mshrs = c.mshrs[:last]
 	return c.drainLoads, c.drainStores
 }
 

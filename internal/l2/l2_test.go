@@ -103,6 +103,38 @@ func TestMSHRLifecycle(t *testing.T) {
 	}
 }
 
+// TestMSHRFreeKeepsOthers frees a middle slot (the last slot moves into
+// the hole) and checks every surviving miss keeps its kind and waiters,
+// and that a reused slot starts with no stale waiters.
+func TestMSHRFreeKeepsOthers(t *testing.T) {
+	c, _ := newL2(t, config.Baseline)
+	kinds := []coherence.TxnKind{coherence.Read, coherence.RWITM, coherence.Upgrade}
+	for i, k := range kinds {
+		key := uint64(10 + i)
+		c.AllocMSHR(key, k)
+		for j := 0; j <= i; j++ {
+			c.AttachMSHR(key, false, func(config.Cycles) {})
+		}
+	}
+	c.TakeWaiters(11)
+	c.AllocMSHR(20, coherence.Read) // reuses the freed slot's storage
+	for _, tc := range []struct {
+		key   uint64
+		kind  coherence.TxnKind
+		loads int
+	}{{10, coherence.Read, 1}, {12, coherence.Upgrade, 3}, {20, coherence.Read, 0}} {
+		if c.MSHRKind(tc.key) != tc.kind {
+			t.Fatalf("key %d: kind %v, want %v", tc.key, c.MSHRKind(tc.key), tc.kind)
+		}
+		if loads, _ := c.TakeWaiters(tc.key); len(loads) != tc.loads {
+			t.Fatalf("key %d: %d load waiters, want %d", tc.key, len(loads), tc.loads)
+		}
+	}
+	if c.MSHRCount() != 0 {
+		t.Fatalf("MSHRCount = %d after draining, want 0", c.MSHRCount())
+	}
+}
+
 func TestMSHRDuplicatePanics(t *testing.T) {
 	c, _ := newL2(t, config.Baseline)
 	c.AllocMSHR(5, coherence.Read)

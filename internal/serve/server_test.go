@@ -61,6 +61,21 @@ func mustDaemon(t *testing.T, opts Options) *Daemon {
 	return d
 }
 
+// settledStats polls the daemon's counters until ok accepts them (or a
+// deadline passes) and returns the last snapshot. A job's done channel
+// closes before its worker tallies the terminal transition, so counters
+// read right after waitDone may still lag by one.
+func settledStats(d *Daemon, ok func(Stats) bool) Stats {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := d.Snapshot()
+		if ok(st) || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitDone(t *testing.T, jobs ...*jobState) {
 	t.Helper()
 	for _, j := range jobs {
@@ -119,8 +134,8 @@ func TestSingleflightCollapse(t *testing.T) {
 			t.Errorf("waiter %d not marked collapsed (%+v)", i, v)
 		}
 	}
-	stats := d.Snapshot()
-	if stats.SimRuns != 1 || stats.Collapsed != n-1 || stats.Completed != n {
+	want := func(st Stats) bool { return st.SimRuns == 1 && st.Collapsed == n-1 && st.Completed == n }
+	if stats := settledStats(d, want); !want(stats) {
 		t.Errorf("stats = %+v, want 1 run, %d collapsed, %d completed", stats, n-1, n)
 	}
 }
@@ -196,7 +211,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if st, _ := running[0].snapshot(); st != JobCanceled {
 		t.Errorf("running job status %s, want canceled", st)
 	}
-	if stats := d.Snapshot(); stats.Canceled != 2 {
+	if stats := settledStats(d, func(st Stats) bool { return st.Canceled == 2 }); stats.Canceled != 2 {
 		t.Errorf("Canceled = %d, want 2", stats.Canceled)
 	}
 }

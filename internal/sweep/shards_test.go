@@ -3,7 +3,10 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"flag"
+	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cmpcache/internal/config"
@@ -22,7 +25,7 @@ func TestParseShards(t *testing.T) {
 		ok   bool
 	}{
 		{"auto", -1, true},
-		{"", -1, true},
+		{"", 1, true},
 		{"AUTO", -1, true},
 		{"serial", 1, true},
 		{"1", 1, true},
@@ -36,6 +39,31 @@ func TestParseShards(t *testing.T) {
 		if tc.ok != (err == nil) || got != tc.want {
 			t.Errorf("ParseShards(%q) = (%d, %v), want (%d, ok=%v)", tc.spec, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// TestShardsFlagDefaultsSerial pins the shared -shards flag: left
+// unset it resolves to the serial engine, and explicit specs parse as
+// ParseShards does, failing Parse on a bad value.
+func TestShardsFlagDefaultsSerial(t *testing.T) {
+	parse := func(args ...string) (int, error) {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		n := ShardsFlag(fs)
+		err := fs.Parse(args)
+		return *n, err
+	}
+	if n, err := parse(); err != nil || n != 1 {
+		t.Errorf("default -shards = (%d, %v), want serial (1)", n, err)
+	}
+	if n, err := parse("-shards", "auto"); err != nil || n != -1 {
+		t.Errorf("-shards auto = (%d, %v), want -1", n, err)
+	}
+	if n, err := parse("-shards", "4"); err != nil || n != 4 {
+		t.Errorf("-shards 4 = (%d, %v), want 4", n, err)
+	}
+	if _, err := parse("-shards", "bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("-shards bogus: err = %v, want one naming the value", err)
 	}
 }
 

@@ -178,12 +178,7 @@ func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, up
 	}
 	cache.SetState(key, st)
 	loads, stores := cache.TakeWaiters(key)
-	for _, w := range loads {
-		w(now)
-	}
-	for _, w := range stores {
-		w(now)
-	}
+	s.wakeWaiters(cache.ID(), now, loads, stores)
 }
 
 // fillState decides the requester's installed state per the POWER4-style
@@ -255,7 +250,7 @@ func (s *System) fillDataReady(d sim.EventData) {
 		s.lat.DemandSourceReady(cache.ID(), d.Key, s.engine.Now())
 	}
 	dStart := s.ring.ReserveData(s.engine.Now())
-	s.shards[cache.ID()].engine.AtCall(dStart+s.cfg.DataRingOccupancy, s.hCompleteFill, d)
+	s.atShard(cache.ID(), dStart+s.cfg.DataRingOccupancy, s.hCompleteFill, d)
 }
 
 // handleVictimGlobal routes an evicted line through the Section 2

@@ -32,8 +32,9 @@ import (
 //     each at its own recorded cycle.
 //  4. Serial phase — fire global events in time order while they
 //     precede every pending shard event and the next window boundary.
-//     Before each, all shard clocks advance to the event's cycle so
-//     waiter wake-ups that re-enter shard code observe the right Now.
+//     A global event that wakes waiters first advances the woken
+//     shard's parked clock to its cycle, so re-entered shard code
+//     observes the right Now.
 //
 // Every merge order above is a pure function of simulated time and
 // shard index, and the phases never overlap, so the complete execution
@@ -42,9 +43,9 @@ import (
 // round structure inline; that *is* the serial engine.
 
 // ShardingStats records the round-coordinator's execution shape for a
-// run, answering the scaling question BENCH_core.json could not: not
-// just that a sharded run is slow, but *why* — which constraint limited
-// each parallel horizon, and how long shard results sat at the barrier.
+// run, answering not just whether a sharded run is slow but *why* —
+// which constraint limited each parallel horizon, and how long shard
+// results sat at the barrier.
 //
 // The counters (Rounds, ParallelRounds, Horizon*) are pure functions of
 // simulated time: workers only change which goroutine executes a shard,
@@ -53,8 +54,7 @@ import (
 // metrics probe and windowed latency collector schedule their own
 // wake-ups, adding rounds — so the whole record stays out of Results
 // JSON (Results.Sharding is json:"-", preserving the observation-only
-// result-byte contract) and is read in process: cmpbench surfaces it as
-// separate BENCH_core.json columns. The wall-clock fields (Workers,
+// result-byte contract) and is read in process. The wall-clock fields (Workers,
 // BarrierWaitNs, BarrierDrainNs) additionally vary by host and worker
 // count.
 type ShardingStats struct {
@@ -152,8 +152,9 @@ func (s *System) runRounds(ctx context.Context) error {
 
 	windowed := s.lat != nil && s.lat.Windowed()
 	serialBudget := 0
+	s.shardNext = s.minShardTime()
 	for {
-		minLocal := s.minShardTime()
+		minLocal := s.shardNext
 		tg := s.engine.NextTime()
 		tNext := minLocal
 		if tg < tNext {
@@ -223,21 +224,22 @@ func (s *System) runRounds(ctx context.Context) error {
 					}
 					s.drainBarrier(h)
 				}
+				s.shardNext = s.minShardTime()
 			}
 		}
 
 		// (4) Serial phase: global events that precede every pending
-		// shard event and the next window boundary.
+		// shard event and the next window boundary. Shard wheels do not
+		// fire here, so the earliest shard event can only move earlier,
+		// and only through atShard/wakeWaiters — which keep shardNext
+		// exact without a rescan per event.
 		for {
 			g := s.engine.NextTime()
-			if g >= boundary || g >= s.minShardTime() {
+			if g >= boundary || g >= s.shardNext {
 				break
 			}
 			if s.auditor != nil {
 				s.auditor.AdvanceEvents(g, 1)
-			}
-			for _, sh := range s.shards {
-				sh.engine.AdvanceTo(g)
 			}
 			s.engine.Step()
 			if serialBudget++; serialBudget >= cancelCheckEvery {
@@ -248,8 +250,11 @@ func (s *System) runRounds(ctx context.Context) error {
 			}
 		}
 
-		if err := ctx.Err(); err != nil {
-			return err
+		if serialBudget++; serialBudget >= cancelCheckEvery {
+			serialBudget = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -264,6 +269,34 @@ func (s *System) minShardTime() config.Cycles {
 		}
 	}
 	return m
+}
+
+// atShard schedules h on shard idx's wheel from serial-phase context,
+// keeping shardNext exact.
+func (s *System) atShard(idx int, t config.Cycles, h sim.Handler, d sim.EventData) {
+	s.shards[idx].engine.AtCall(t, h, d)
+	if t < s.shardNext {
+		s.shardNext = t
+	}
+}
+
+// wakeWaiters completes a bus commit's coalesced waiters on shard idx
+// from serial-phase context. They re-enter the shard's front end (a
+// completion may issue the thread's next access), so the parked shard
+// clock first advances to now, and whatever they schedule on the shard
+// wheel is folded into shardNext.
+func (s *System) wakeWaiters(idx int, now config.Cycles, loads, stores []func(config.Cycles)) {
+	wheel := s.shards[idx].engine
+	wheel.AdvanceTo(now)
+	for _, w := range loads {
+		w(now)
+	}
+	for _, w := range stores {
+		w(now)
+	}
+	if t := wheel.NextTime(); t < s.shardNext {
+		s.shardNext = t
+	}
 }
 
 // drainBarrier is the rendezvous after a parallel phase: observation

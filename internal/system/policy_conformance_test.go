@@ -94,7 +94,7 @@ func TestPolicyConformanceAuditSoak(t *testing.T) {
 
 // TestPolicyHooksZeroAlloc pins the observation hooks of every
 // registered policy to zero steady-state allocations, the property the
-// cmpbench bench-check throughput gate depends on: hooks fire per bus
+// detached-run allocation pin (TestDetachedRunAllocs) depends on: hooks fire per bus
 // event, so a single allocation per call would dominate the allocs/op
 // budget. Tables are warmed first — cold-path allocation (building a
 // sketch row, inserting a score entry) is allowed.

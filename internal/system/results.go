@@ -144,8 +144,7 @@ type Results struct {
 	ResidualL3QueueTokens int
 
 	// EventsFired counts discrete events executed by the engine during
-	// the run — the denominator for the events/sec throughput metric
-	// tracked in BENCH_core.json.
+	// the run — the denominator for events/sec throughput figures.
 	EventsFired uint64
 
 	// Sharding describes the round-coordinator's execution shape: how
@@ -156,7 +155,7 @@ type Results struct {
 	// metrics probe, windowed latency) add rounds, so the whole record is
 	// engine telemetry, not simulated outcome: it stays out of the JSON
 	// (result bytes keep the observation-only contract) and is read in
-	// process — cmpbench lifts it into BENCH_core.json measurements.
+	// process.
 	Sharding ShardingStats `json:"-"`
 
 	// Metrics is the per-interval time series collected when a metrics

@@ -9,9 +9,17 @@ import "cmpcache/internal/stats"
 // separately, since the paper reports reuse as a percentage of both.
 // It also accumulates the per-line re-reference-after-write-back counts
 // behind the paper's Figure 4 discussion ("many lines in Trade2 are
-// written back and then re-referenced more than 300 times").
+// written back and then re-referenced more than 300 times"), and
+// whether the line has ever completed an L3 insert (the clean-write-back
+// split of Table 1's diagnostics).
+//
+// The per-line records live by value in one open-addressed table
+// (linear probing, power-of-two size), so each hook costs a single probe
+// sequence and tracking a line allocates nothing beyond table growth.
 type reuseTracker struct {
-	lines map[uint64]*lineReuse
+	slots []lineReuse
+	used  int
+	shift uint // 64 - log2(len(slots)): the hash keeps the top bits
 
 	attempted      uint64
 	accepted       uint64
@@ -20,56 +28,120 @@ type reuseTracker struct {
 }
 
 type lineReuse struct {
-	pendingAttempt  bool
-	pendingAccepted bool
-	everWrittenBack bool
-	rerefs          uint32 // demand misses after the first write back
+	key    uint64
+	rerefs uint32 // demand misses after the first write back
+	flags  uint8  // lineUsed marks an occupied slot
 }
+
+const (
+	lineUsed uint8 = 1 << iota
+	linePendingAttempt
+	linePendingAccepted
+	lineEverWrittenBack
+	lineEverInL3
+)
+
+// reuseInitialLog is log2 of the table's starting slot count.
+const reuseInitialLog = 12
 
 func newReuseTracker() *reuseTracker {
-	return &reuseTracker{lines: make(map[uint64]*lineReuse)}
+	return &reuseTracker{slots: make([]lineReuse, 1<<reuseInitialLog), shift: 64 - reuseInitialLog}
 }
 
-func (r *reuseTracker) line(key uint64) *lineReuse {
-	l := r.lines[key]
-	if l == nil {
-		l = &lineReuse{}
-		r.lines[key] = l
+// home is key's first probe slot (Fibonacci hashing).
+func (r *reuseTracker) home(key uint64) uint64 { return (key * 0x9E3779B97F4A7C15) >> r.shift }
+
+// find returns key's record, or nil when the line was never tracked.
+func (r *reuseTracker) find(key uint64) *lineReuse {
+	mask := uint64(len(r.slots) - 1)
+	for i := r.home(key); ; i = (i + 1) & mask {
+		l := &r.slots[i]
+		if l.flags == 0 {
+			return nil
+		}
+		if l.key == key {
+			return l
+		}
 	}
-	return l
+}
+
+// line returns key's record, inserting an empty one when absent.
+func (r *reuseTracker) line(key uint64) *lineReuse {
+	mask := uint64(len(r.slots) - 1)
+	for i := r.home(key); ; i = (i + 1) & mask {
+		l := &r.slots[i]
+		if l.flags == 0 {
+			if 4*(r.used+1) > 3*len(r.slots) {
+				r.grow()
+				return r.line(key)
+			}
+			r.used++
+			*l = lineReuse{key: key, flags: lineUsed}
+			return l
+		}
+		if l.key == key {
+			return l
+		}
+	}
+}
+
+// grow doubles the table and reinserts every record.
+func (r *reuseTracker) grow() {
+	old := r.slots
+	r.slots = make([]lineReuse, 2*len(old))
+	r.shift--
+	mask := uint64(len(r.slots) - 1)
+	for _, l := range old {
+		if l.flags == 0 {
+			continue
+		}
+		i := r.home(l.key)
+		for r.slots[i].flags != 0 {
+			i = (i + 1) & mask
+		}
+		r.slots[i] = l
+	}
 }
 
 // recordAttempt notes a write back entering an L2 write-back queue.
 func (r *reuseTracker) recordAttempt(key uint64) {
 	r.attempted++
-	l := r.line(key)
-	l.pendingAttempt = true
-	l.everWrittenBack = true
+	r.line(key).flags |= linePendingAttempt | lineEverWrittenBack
 }
 
 // recordAccepted notes a write back absorbed by the L3.
 func (r *reuseTracker) recordAccepted(key uint64) {
 	r.accepted++
-	r.line(key).pendingAccepted = true
+	r.line(key).flags |= linePendingAccepted
 }
 
 // recordDemandMiss scores a demand miss against pending write backs.
 func (r *reuseTracker) recordDemandMiss(key uint64) {
-	l := r.lines[key]
+	l := r.find(key)
 	if l == nil {
 		return
 	}
-	if l.pendingAttempt {
-		l.pendingAttempt = false
+	if l.flags&linePendingAttempt != 0 {
 		r.reusedAttempt++
 	}
-	if l.pendingAccepted {
-		l.pendingAccepted = false
+	if l.flags&linePendingAccepted != 0 {
 		r.reusedAccepted++
 	}
-	if l.everWrittenBack {
+	l.flags &^= linePendingAttempt | linePendingAccepted
+	if l.flags&lineEverWrittenBack != 0 {
 		l.rerefs++
 	}
+}
+
+// recordL3Insert notes that key completed an insert into the L3 array.
+func (r *reuseTracker) recordL3Insert(key uint64) {
+	r.line(key).flags |= lineEverInL3
+}
+
+// everInL3 reports whether key has ever completed an L3 insert.
+func (r *reuseTracker) everInL3(key uint64) bool {
+	l := r.find(key)
+	return l != nil && l.flags&lineEverInL3 != 0
 }
 
 // ReuseStats is the Table 2 output plus the re-reference histogram.
@@ -88,8 +160,8 @@ func (r *reuseTracker) snapshot() ReuseStats {
 		ReusedAttempt:  r.reusedAttempt,
 		ReusedAccepted: r.reusedAccepted,
 	}
-	for _, l := range r.lines {
-		if l.everWrittenBack {
+	for i := range r.slots {
+		if l := &r.slots[i]; l.flags&lineEverWrittenBack != 0 {
 			out.Rerefs.Observe(uint64(l.rerefs))
 		}
 	}

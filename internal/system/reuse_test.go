@@ -62,6 +62,33 @@ func TestReuseTrackerRerefHistogram(t *testing.T) {
 	}
 }
 
+// TestReuseTrackerGrowKeepsRecords drives the per-line table through
+// several doublings and checks every record survives rehashing.
+func TestReuseTrackerGrowKeepsRecords(t *testing.T) {
+	r := newReuseTracker()
+	const lines = 20000
+	for k := uint64(0); k < lines; k++ {
+		r.recordAttempt(k * 64)
+		if k%2 == 0 {
+			r.recordL3Insert(k * 64)
+		}
+	}
+	for k := uint64(0); k < lines; k++ {
+		r.recordDemandMiss(k * 64)
+		if got := r.everInL3(k * 64); got != (k%2 == 0) {
+			t.Fatalf("line %d: everInL3 = %v", k, got)
+		}
+	}
+	if r.everInL3(lines * 64) {
+		t.Fatal("untracked line reported in L3")
+	}
+	s := r.snapshot()
+	if s.ReusedAttempt != lines || s.Rerefs.Count() != lines || s.Rerefs.Max() != 1 {
+		t.Fatalf("reused %d, reref lines %d, max %d; want %d, %d, 1",
+			s.ReusedAttempt, s.Rerefs.Count(), s.Rerefs.Max(), lines, lines)
+	}
+}
+
 // Property: reused counts never exceed their denominators regardless of
 // event interleaving.
 func TestReuseTrackerBoundsProperty(t *testing.T) {

@@ -19,7 +19,11 @@
 // global wheel that a deterministic round coordinator interleaves with
 // the shards (see parallel.go and DESIGN.md §15). Results are
 // bit-identical at every worker count; SetWorkers only changes wall
-// clock.
+// clock. A System runs serially (one worker executing the round
+// structure inline) unless SetWorkers asks for more, and serial is the
+// fastest choice measured so far: on a 2-CPU host a 960K-reference
+// Trade2 replay takes 3.5 s serially against 6.0 s on 2 workers, since
+// the barrier costs more than the short parallel phases earn.
 package system
 
 import (
@@ -65,6 +69,10 @@ type System struct {
 	// execution of the identical round structure).
 	workers int
 
+	// shardNext is the earliest pending event time across the shard
+	// wheels, maintained by the round coordinator (see atShard).
+	shardNext config.Cycles
+
 	// pstats accumulates the round coordinator's execution-shape
 	// counters and (pool mode only) wall-clock barrier attribution;
 	// copied into Results.Sharding at the end of the run.
@@ -72,7 +80,14 @@ type System struct {
 
 	wbInFlight []bool // one write-back bus transaction at a time per L2
 
-	reuse *reuseTracker
+	// reuse is the per-line write-back history: Table 2's reuse scoring
+	// and, for Table 1's diagnostics, whether a line has ever completed
+	// an L3 insert — splitting non-redundant clean write backs into
+	// first-time writes (cleanWBFirst) vs. lines the L3 has since lost
+	// (cleanWBLost).
+	reuse        *reuseTracker
+	cleanWBFirst uint64
+	cleanWBLost  uint64
 
 	// responses is the reused snoop-response buffer for combine events
 	// (the collector never retains it).
@@ -88,13 +103,6 @@ type System struct {
 	hWBArriveL3     sim.Handler
 	hRetireL3Write  sim.Handler
 	hReleaseL3Token sim.Handler
-
-	// everInL3 tracks lines that have ever completed an L3 insert,
-	// splitting non-redundant clean write backs into first-time writes
-	// vs. lines the L3 has since lost (diagnostics for Table 1).
-	everInL3     map[uint64]struct{}
-	cleanWBFirst uint64
-	cleanWBLost  uint64
 
 	// probe, when attached, samples the interval metrics series; tracer
 	// is its per-transaction event trace (nil unless tracing). Both are
@@ -145,7 +153,6 @@ func newCore(cfg config.Config) *System {
 		collector: coherence.NewCollector(),
 		rswitch:   core.NewRetrySwitch(cfg.WBHT),
 		reuse:     newReuseTracker(),
-		everInL3:  make(map[uint64]struct{}),
 		workers:   1,
 	}
 	s.policy = wbpolicy.New(&s.cfg)
@@ -278,9 +285,9 @@ func (s *System) Run() *Results {
 	return s.finish()
 }
 
-// cancelCheckEvery is how many serial-phase events RunContext lets pass
-// between context polls (the coordinator also polls once per round).
-// Polling happens outside the event stream — nothing is scheduled,
+// cancelCheckEvery is how many serial-phase events and coordinator
+// rounds RunContext lets pass between context polls. Polling happens
+// outside the event stream — nothing is scheduled,
 // Fired does not move, the simulation is bit-identical to Run — so the
 // granularity only bounds cancellation latency.
 const cancelCheckEvery = 8192

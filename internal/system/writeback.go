@@ -65,7 +65,7 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 
 	l3resp := s.l3.SnoopWB(key, kind)
 	if kind == coherence.CleanWB && l3resp != coherence.RespWBRedundant {
-		if _, ok := s.everInL3[key]; ok {
+		if s.reuse.everInL3(key) {
 			s.cleanWBLost++
 		} else {
 			s.cleanWBFirst++
@@ -303,7 +303,7 @@ func (s *System) retireL3Write(key uint64, kind coherence.TxnKind) {
 	if s.lat != nil {
 		s.lat.WBRetired(key, s.engine.Now())
 	}
-	s.everInL3[key] = struct{}{}
+	s.reuse.recordL3Insert(key)
 	co, castout := s.l3.Insert(key, kind)
 	if s.auditor != nil {
 		s.auditor.OnL3Retire(key, kind, co.Key, castout)

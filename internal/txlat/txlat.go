@@ -30,8 +30,8 @@
 // collector is observation-only: hooks never schedule events or touch
 // simulation state, so attached and detached runs are bit-identical in
 // event sequence and results. A system without a collector pays one nil
-// check per hook site (the cmpbench -bench-check gate enforces this
-// stays free).
+// check per hook site (the detached-run allocation pin,
+// TestDetachedRunAllocs, enforces this stays free).
 package txlat
 
 import (
