@@ -248,75 +248,215 @@ func (h *refQueue) Pop() any         { old := *h; n := len(old); ev := old[n-1];
 func (h *refQueue) popMin() refEvent { return heap.Pop(h).(refEvent) }
 func (h *refQueue) add(ev refEvent)  { heap.Push(h, ev) }
 
+// refEngine runs refQueue with the engine's clock contract — Step, Run,
+// RunUntil, AdvanceTo and Stop — so a test can drive it call for call
+// beside the engine.
+type refEngine struct {
+	q       refQueue
+	now     Time
+	seq     uint64
+	fired   uint64
+	stopped bool
+	fire    func(id int)
+}
+
+func (r *refEngine) at(t Time, id int) {
+	r.q.add(refEvent{at: t, seq: r.seq, id: id})
+	r.seq++
+}
+
+func (r *refEngine) nextTime() Time {
+	if len(r.q) == 0 {
+		return Forever
+	}
+	return r.q[0].at
+}
+
+func (r *refEngine) step() bool {
+	if len(r.q) == 0 {
+		return false
+	}
+	ev := r.q.popMin()
+	r.now = ev.at
+	r.fired++
+	r.fire(ev.id)
+	return true
+}
+
+func (r *refEngine) run() {
+	r.stopped = false
+	for !r.stopped && r.step() {
+	}
+}
+
+func (r *refEngine) runUntil(deadline Time) {
+	r.stopped = false
+	for !r.stopped && r.nextTime() <= deadline {
+		r.step()
+	}
+}
+
+// horizon is the delay, in cycles, at and beyond which a calendar-wheel
+// queue keeps an event out of its per-cycle slots. The reference test
+// aims its delays and collisions at both sides of it.
+const horizon = 1024
+
+// firing is one executed event: its id and the cycle it ran at.
+type firing struct {
+	id int
+	at Time
+}
+
+// refChildren is an event's deterministic plan, a pure function of its
+// id so the engine and the reference agree: short child delays, the
+// three delays straddling the horizon, or none. The expected child
+// count per event is 5/6, so every schedule drains.
+func refChildren(id int) []Time {
+	switch id % 6 {
+	case 0:
+		return []Time{Time(id % 7), Time(id % 11)}
+	case 3:
+		return []Time{horizon - 1, horizon, horizon + 1}
+	}
+	return nil
+}
+
+// refStops reports whether event id stops the run that fires it.
+func refStops(id int) bool { return id%17 == 5 }
+
 // TestEngineMatchesReferenceQueue drives the engine and the reference
-// queue with identical randomized schedules — including events that
-// schedule further events — and asserts the firing order, firing times,
-// Fired() count and final Now() are identical. This is the bit-exact
-// determinism contract every experiment golden rests on: same-cycle
-// events fire in FIFO scheduling order.
+// queue with identical randomized schedules — events that schedule
+// further events, root delays across three horizons, child delays of
+// horizon-1, horizon and horizon+1, and events aimed at the very cycle
+// of an event scheduled a horizon or more earlier — while RunUntil,
+// AdvanceTo, Step and handler-issued Stop interleave on both. After
+// every call the clocks, Pending, NextTime and Fired must agree, and the
+// two firing logs must be identical. This is the bit-exact determinism
+// contract every experiment golden rests on: events fire in (time,
+// scheduling order), so same-cycle events fire in FIFO scheduling order.
 func TestEngineMatchesReferenceQueue(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		ref := refQueue{}
-		var refSeq uint64
-		nextID := 0
+		ref := &refEngine{}
+		var eLog, rLog []firing
+		var eNext, rNext int
+		// farTargets holds the cycles of events scheduled a horizon or
+		// more ahead, so the driver can aim later events at them.
+		var farTargets []Time
 
-		var engineOrder, refOrder []int
-		var engineTimes []Time
-
-		// Some events reschedule children; the child plan is derived
-		// deterministically from the parent id so both sides agree.
-		children := func(id int) []Time {
-			if id%3 != 0 {
-				return nil
-			}
-			return []Time{Time(id % 7), Time(id % 11)}
-		}
 		var h Handler
 		h = func(d EventData) {
 			id := int(d.Key)
-			engineOrder = append(engineOrder, id)
-			engineTimes = append(engineTimes, e.Now())
-			for _, delay := range children(id) {
-				e.ScheduleCall(delay, h, EventData{Key: uint64(nextID)})
-				ref.add(refEvent{at: e.Now() + delay, seq: refSeq, id: nextID})
-				refSeq++
-				nextID++
+			eLog = append(eLog, firing{id, e.Now()})
+			for _, delay := range refChildren(id) {
+				if delay >= horizon {
+					farTargets = append(farTargets, e.Now()+delay)
+				}
+				e.ScheduleCall(delay, h, EventData{Key: uint64(eNext)})
+				eNext++
+			}
+			if refStops(id) {
+				e.Stop()
+			}
+		}
+		ref.fire = func(id int) {
+			rLog = append(rLog, firing{id, ref.now})
+			for _, delay := range refChildren(id) {
+				ref.at(ref.now+delay, rNext)
+				rNext++
+			}
+			if refStops(id) {
+				ref.stopped = true
+			}
+		}
+		both := func(at Time) {
+			if at-e.Now() >= horizon {
+				farTargets = append(farTargets, at)
+			}
+			e.AtCall(at, h, EventData{Key: uint64(eNext)})
+			eNext++
+			ref.at(at, rNext)
+			rNext++
+		}
+		check := func(step string) {
+			t.Helper()
+			if e.Now() != ref.now || e.Pending() != len(ref.q) ||
+				e.NextTime() != ref.nextTime() || e.Fired() != ref.fired {
+				t.Fatalf("seed %d, %s: engine now %d pending %d next %d fired %d; reference %d %d %d %d",
+					seed, step, e.Now(), e.Pending(), e.NextTime(), e.Fired(),
+					ref.now, len(ref.q), ref.nextTime(), ref.fired)
 			}
 		}
 
 		for i := 0; i < 200; i++ {
-			delay := Time(rng.Intn(50))
-			e.ScheduleCall(delay, h, EventData{Key: uint64(nextID)})
-			ref.add(refEvent{at: delay, seq: refSeq, id: nextID})
-			refSeq++
-			nextID++
+			both(Time(rng.Intn(3 * horizon)))
 		}
-		e.Run()
+		check("roots")
+		for round := 0; round < 80; round++ {
+			var step string
+			switch rng.Intn(5) {
+			case 0:
+				step = "RunUntil"
+				deadline := e.Now() + Time(rng.Intn(horizon))
+				e.RunUntil(deadline)
+				ref.runUntil(deadline)
+			case 1:
+				step = "AdvanceTo"
+				to := e.Now() + Time(rng.Intn(horizon/2))
+				if next := e.NextTime(); to > next {
+					to = next
+				}
+				e.AdvanceTo(to)
+				ref.now = to
+			case 2:
+				step = "Step"
+				for j := rng.Intn(8); j > 0; j-- {
+					if e.Step() != ref.step() {
+						t.Fatalf("seed %d: Step availability diverged", seed)
+					}
+				}
+			case 3:
+				// Same-cycle collisions: every far target now less than
+				// a horizon away gets a second event on its cycle,
+				// scheduled long after the first.
+				step = "collide"
+				kept := farTargets[:0]
+				for _, at := range farTargets {
+					switch {
+					case at < e.Now():
+					case at-e.Now() < horizon:
+						both(at)
+					default:
+						kept = append(kept, at)
+					}
+				}
+				farTargets = kept
+			case 4:
+				step = "roots"
+				for j := 0; j < 10; j++ {
+					both(e.Now() + Time(rng.Intn(3*horizon)))
+				}
+			}
+			check(step)
+		}
+		// Handler-issued Stops cut runs short; resume until both drain.
+		for e.Pending() > 0 {
+			e.Run()
+		}
+		for len(ref.q) > 0 {
+			ref.run()
+		}
+		check("drain")
 
-		// Drain the reference queue in its (container/heap) order. The
-		// reference's firing times also must match the engine's.
-		for i := 0; ref.Len() > 0; i++ {
-			ev := ref.popMin()
-			refOrder = append(refOrder, ev.id)
-			if i < len(engineTimes) && engineTimes[i] != ev.at {
-				t.Fatalf("seed %d: event %d fired at %d, reference says %d",
-					seed, i, engineTimes[i], ev.at)
+		if len(eLog) != len(rLog) {
+			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(eLog), len(rLog))
+		}
+		for i := range rLog {
+			if eLog[i] != rLog[i] {
+				t.Fatalf("seed %d: firing order diverges at event %d: engine %+v, reference %+v",
+					seed, i, eLog[i], rLog[i])
 			}
-		}
-		if len(engineOrder) != len(refOrder) {
-			t.Fatalf("seed %d: engine fired %d events, reference %d",
-				seed, len(engineOrder), len(refOrder))
-		}
-		for i := range refOrder {
-			if engineOrder[i] != refOrder[i] {
-				t.Fatalf("seed %d: firing order diverges at event %d: engine %d, reference %d",
-					seed, i, engineOrder[i], refOrder[i])
-			}
-		}
-		if e.Fired() != uint64(len(refOrder)) {
-			t.Fatalf("seed %d: Fired = %d, want %d", seed, e.Fired(), len(refOrder))
 		}
 	}
 }
@@ -373,7 +513,11 @@ func TestEngineScheduleStepAllocationFree(t *testing.T) {
 }
 
 // TestEngineDeepQueueAllocationFree exercises the same contract with a
-// standing population of pending events, so both sift directions run.
+// standing population of 1000 pending events that straddles the
+// horizon: some are due within it, some beyond, and each measured cycle
+// schedules one of each kind in turn. A first burst of 1100 events
+// beyond the horizon, drained before measuring, lets any queue that
+// grows on demand reach the capacity this population can need.
 func TestEngineDeepQueueAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
@@ -381,15 +525,27 @@ func TestEngineDeepQueueAllocationFree(t *testing.T) {
 	e := NewEngine()
 	e.Grow(4096)
 	h := func(d EventData) {}
-	for i := 0; i < 1000; i++ {
-		e.ScheduleCall(Time(1+i%97), h, EventData{Key: uint64(i)})
+	for i := 0; i < 1100; i++ {
+		e.ScheduleCall(Time(horizon+i), h, EventData{})
 	}
+	e.Run()
+	for i := 0; i < 1000; i++ {
+		e.ScheduleCall(Time(1+i*7%(3*horizon)), h, EventData{Key: uint64(i)})
+	}
+	far := false
 	avg := testing.AllocsPerRun(500, func() {
-		e.ScheduleCall(Time(1+e.Now()%89), h, EventData{})
+		delay := Time(1 + e.Now()%89)
+		if far = !far; far {
+			delay += horizon
+		}
+		e.ScheduleCall(delay, h, EventData{})
 		e.Step()
 	})
 	if avg != 0 {
 		t.Fatalf("deep-queue ScheduleCall+Step allocates %.1f objects per cycle, want 0", avg)
+	}
+	if e.Pending() != 1000 {
+		t.Fatalf("Pending = %d, want the standing 1000", e.Pending())
 	}
 }
 
@@ -483,4 +639,63 @@ func TestEngineAdvanceTo(t *testing.T) {
 	if !fired || e.Now() != 10 {
 		t.Fatalf("drain after AdvanceTo: fired %v now %d, want true and 10", fired, e.Now())
 	}
+}
+
+// BenchmarkEngineScheduleStep is the event engine's layer benchmark. It
+// fires events from a standing population shaped like a trace replay's
+// event wheel: 26 to 100 events pending (about 30 on average), delays
+// mostly 16–64 cycles with a tail to 512, and about one event in six
+// firing on the same cycle as the event before it. Each fired event
+// schedules zero, one or two successors (one on average at the floor of
+// 26), so one b.N iteration is one Step plus about one ScheduleCall;
+// ns/event is their cost.
+func BenchmarkEngineScheduleStep(b *testing.B) {
+	const plan = 1 << 12
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Time, plan)
+	kids := make([]uint8, plan)
+	for i := range delays {
+		if rng.Intn(100) < 85 {
+			delays[i] = Time(16 + rng.Intn(49))
+		} else {
+			delays[i] = Time(65 + rng.Intn(448))
+		}
+		switch r := rng.Intn(20); {
+		case r < 6:
+			kids[i] = 0
+		case r < 15:
+			kids[i] = 1
+		default:
+			kids[i] = 2
+		}
+	}
+	e := NewEngine()
+	e.Grow(256)
+	next := 0
+	var h Handler
+	schedule := func() {
+		e.ScheduleCall(delays[next%plan], h, EventData{Key: uint64(next)})
+		next++
+	}
+	h = func(d EventData) {
+		k := int(kids[d.Key%plan])
+		switch p := e.Pending(); {
+		case p < 26:
+			k = 2
+		case p >= 100:
+			k = 0
+		}
+		for ; k > 0; k-- {
+			schedule()
+		}
+	}
+	for i := 0; i < 64; i++ {
+		schedule()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -321,6 +324,105 @@ func TestOpenShardedRejectsCorruption(t *testing.T) {
 	})
 }
 
+// craftShard replaces dir's single-batch shard file with one whose
+// framing declares count records for thread 0 and carries payload as
+// the batch's compressed bytes, so the framing scans cleanly whatever
+// the payload holds.
+func craftShard(t *testing.T, dir string, count int, payload []byte) {
+	t.Helper()
+	var b []byte
+	b = append(b, shardMagic...)
+	b = binary.AppendUvarint(b, shardVersion)
+	b = binary.AppendUvarint(b, uint64(len("crafted")))
+	b = append(b, "crafted"...)
+	for _, v := range []uint64{1, 0, 1, 1, 0, uint64(count), uint64(len(payload))} {
+		b = binary.AppendUvarint(b, v) // threads, shard, shards, batches, thread, count, clen
+	}
+	b = append(b, payload...)
+	if err := os.WriteFile(filepath.Join(dir, ShardFileName(0)), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deflate compresses raw the way WriteSharded compresses a batch.
+func deflate(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestShardedNextChunkRejectsCraftedPayloads: a batch whose framing is
+// sound but whose payload decodes to something no writer produces must
+// fail NextChunk with the batch named, never yield records.
+func TestShardedNextChunkRejectsCraftedPayloads(t *testing.T) {
+	const count = 3
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	good := uv(uint64(Load), zigzag(4096), 7)
+	two := append(append([]byte(nil), good...), good...)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	overlong := append(bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64), 0x01)
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"invalid op", deflate(t, join(two, uv(uint64(numOps), 0, 0)))},
+		{"gap above uint32", deflate(t, join(two, uv(0, 0, 1<<32)))},
+		{"truncated varint", deflate(t, join(two, uv(0, 0), []byte{0x80}))},
+		{"overlong varint", deflate(t, join(two, uv(0), overlong, uv(0)))},
+		{"too few records", deflate(t, two)},
+		{"payload longer than its record count", deflate(t, join(two, good, good))},
+		{"one stray byte past the records", deflate(t, join(two, good, []byte{0}))},
+		{"not a deflate stream", []byte{0xff, 0xff, 0xff, 0xff}},
+		{"truncated deflate stream", deflate(t, join(two, good))[:4]},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, _ := writeShardedT(t, synth("crafted", 1, count), ShardOptions{Shards: 1, BatchRecords: count})
+			craftShard(t, dir, count, tc.payload)
+			sh, err := OpenSharded(dir)
+			if err != nil {
+				t.Fatalf("framing rejected at open: %v", err)
+			}
+			defer sh.Close()
+			chunk, err := sh.Stream(0).NextChunk()
+			if err == nil {
+				t.Fatalf("NextChunk accepted the payload: %d records", len(chunk))
+			}
+			if !strings.Contains(err.Error(), "thread 0 batch 0") {
+				t.Fatalf("error %q does not name the batch", err)
+			}
+		})
+	}
+	// The same framing around a well-formed payload decodes.
+	dir, _ := writeShardedT(t, synth("crafted", 1, count), ShardOptions{Shards: 1, BatchRecords: count})
+	craftShard(t, dir, count, deflate(t, join(two, good)))
+	sh, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	chunk, err := sh.Stream(0).NextChunk()
+	if err != nil || len(chunk) != count || chunk[2] != (Record{Op: Load, Addr: 3 * 4096, Gap: 7}) {
+		t.Fatalf("well-formed crafted batch: %v, %+v", err, chunk)
+	}
+}
+
 func TestIsShardedDirFalseCases(t *testing.T) {
 	if IsShardedDir(filepath.Join(t.TempDir(), "missing")) {
 		t.Fatal("missing path reported as sharded dir")
@@ -376,4 +478,38 @@ func TestMemSourceMatchesTrace(t *testing.T) {
 			t.Fatalf("thread %d: stream did not end after one chunk", tid)
 		}
 	}
+}
+
+// BenchmarkShardedDecode is the trace layer's decode benchmark: each
+// iteration drains every thread of a 4-shard capture (16 threads of
+// about 20,000 records, default 4096-record batches) through fresh
+// streams, as one replay does. ns/record is the decode cost per record.
+func BenchmarkShardedDecode(b *testing.B) {
+	tr := synth("decode", 16, 20000)
+	dir := filepath.Join(b.TempDir(), "capture.cmps")
+	if _, err := WriteSharded(dir, tr, ShardOptions{Shards: 4}); err != nil {
+		b.Fatal(err)
+	}
+	sh, err := OpenSharded(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sh.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for tid := 0; tid < sh.Threads(); tid++ {
+			st := sh.Stream(tid)
+			for {
+				chunk, err := st.NextChunk()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if chunk == nil {
+					break
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*sh.Records()), "ns/record")
 }

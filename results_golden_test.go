@@ -25,14 +25,19 @@ var update = flag.Bool("update", false, "rewrite testdata/results.sha256 from th
 // path see traffic, short enough that the matrix stays a tier-1 test.
 const goldenRefs = 3000
 
+// bigchipRefs is the per-thread trace length of the bigchip golden run,
+// whose 128 threads make each reference cost more wall time; it keeps
+// that entry's serial and 2-worker runs together under about a second.
+const bigchipRefs = 400
+
 const goldenFile = "testdata/results.sha256"
 
 var goldenMechanisms = []string{"base", "wbht", "snarf", "combined", "reusedist", "hybridui"}
 
 // TestResultsGolden is the behaviour lock: it pins the SHA-256 of the
 // marshalled Results JSON for every built-in workload under every
-// write-back policy, plus one streamed sharded capture, each run serially
-// and at 2 shard workers. Any change to a simulated bit — an event
+// write-back policy, plus one streamed sharded capture and the 64-core
+// bigchip configuration, each run serially and at 2 shard workers. Any change to a simulated bit — an event
 // reordered, a counter moved — changes a hash. A refactor that claims to
 // be behaviour-preserving must leave this file untouched; a change that
 // means to alter results regenerates it with
@@ -96,6 +101,28 @@ func TestResultsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		record("stream/tp/wbht", res, workers)
+	}
+
+	// bigchip: the 64-core scaling configuration of BenchmarkBigChipShards
+	// (tp over 128 threads and 32 L2 slices, so 33 event wheels).
+	p, err := cmpcache.WorkloadByName("tp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Threads = 128
+	p.RefsPerThread = bigchipRefs
+	big, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigCfg := cmpcache.DefaultConfig()
+	bigCfg.Cores = 64
+	for _, workers := range []int{1, 2} {
+		res, err := cmpcache.RunWith(bigCfg, big, cmpcache.RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		record("bigchip/tp/base", res, workers)
 	}
 
 	if *update {
