@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -577,18 +578,30 @@ func (s *Sharded) Stream(tid int) Stream {
 	return &shardStream{s: s, tid: uint16(tid), refs: s.perThread[tid]}
 }
 
-// shardStream decodes one thread's batches on demand. The decode buffer
-// is reused across chunks (per the Stream contract), so a draining
-// replay holds one batch per thread.
+// shardStream decodes one thread's batches on demand. Every buffer and
+// the decompressor are the stream's own and reused across chunks (per
+// the Stream contract), so a draining replay holds one batch per thread
+// and a batch after the first allocates nothing in the stream itself.
 type shardStream struct {
 	s       *Sharded
 	tid     uint16
 	refs    []batchRef
 	next    int
 	lastLen int64
-	cbuf    []byte   // compressed payload buffer, reused
-	recs    []Record // decode buffer, reused
+	cbuf    []byte        // compressed payload buffer, for the largest batch
+	comp    bytes.Reader  // reads cbuf into the decompressor
+	fr      io.ReadCloser // DEFLATE decompressor, reset per batch
+	recs    []Record      // decode buffer, for the largest batch
+
+	// win[lo:hi] is inflated payload not yet decoded; eof marks the end
+	// of the batch's payload.
+	win    [4096]byte
+	lo, hi int
+	eof    bool
 }
+
+// maxRecordBytes is the longest encoding of one record: three varints.
+const maxRecordBytes = 3 * binary.MaxVarintLen64
 
 func (st *shardStream) NextChunk() ([]Record, error) {
 	st.s.account(-st.lastLen)
@@ -596,53 +609,113 @@ func (st *shardStream) NextChunk() ([]Record, error) {
 	if st.next >= len(st.refs) {
 		return nil, nil
 	}
+	if st.next == 0 {
+		// Size the buffers once, for the stream's largest batch.
+		var clen int64
+		var count int
+		for _, r := range st.refs {
+			clen, count = max(clen, r.clen), max(count, r.count)
+		}
+		st.cbuf = make([]byte, clen)
+		st.recs = make([]Record, count)
+	}
 	ref := st.refs[st.next]
 	st.next++
-	if int64(cap(st.cbuf)) < ref.clen {
-		st.cbuf = make([]byte, ref.clen)
-	}
 	buf := st.cbuf[:ref.clen]
 	if _, err := st.s.files[ref.file].ReadAt(buf, ref.off); err != nil {
-		return nil, fmt.Errorf("trace: thread %d batch %d: %w", st.tid, st.next-1, err)
+		return nil, st.errorf("%w", err)
 	}
-	if cap(st.recs) < ref.count {
-		st.recs = make([]Record, ref.count)
+	st.comp.Reset(buf)
+	if st.fr == nil {
+		st.fr = flate.NewReader(&st.comp)
+	} else if err := st.fr.(flate.Resetter).Reset(&st.comp, nil); err != nil {
+		return nil, st.errorf("%w", err)
 	}
+	st.lo, st.hi, st.eof = 0, 0, false
 	recs := st.recs[:ref.count]
-	fr := flate.NewReader(bytes.NewReader(buf))
-	br := bufio.NewReader(fr)
 	prev := uint64(0)
 	for i := range recs {
-		op, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: thread %d batch %d record %d op: %w", st.tid, st.next-1, i, err)
+		if st.hi-st.lo < maxRecordBytes && !st.eof {
+			if err := st.refill(); err != nil {
+				return nil, st.errorf("%w", err)
+			}
 		}
+		b := st.win[st.lo:st.hi]
+		op, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, st.fieldError(i, "op", n)
+		}
+		b = b[n:]
 		if op >= uint64(numOps) {
-			return nil, fmt.Errorf("trace: thread %d batch %d record %d invalid op %d", st.tid, st.next-1, i, op)
+			return nil, st.errorf("record %d invalid op %d", i, op)
 		}
-		deltaRaw, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: thread %d batch %d record %d addr: %w", st.tid, st.next-1, i, err)
+		deltaRaw, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, st.fieldError(i, "addr", n)
 		}
+		b = b[n:]
 		addr := uint64(int64(prev) + unzigzag(deltaRaw))
 		prev = addr
-		gap, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: thread %d batch %d record %d gap: %w", st.tid, st.next-1, i, err)
+		gap, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, st.fieldError(i, "gap", n)
 		}
+		b = b[n:]
 		if gap > 1<<32-1 {
-			return nil, fmt.Errorf("trace: thread %d batch %d record %d gap %d overflows uint32", st.tid, st.next-1, i, gap)
+			return nil, st.errorf("record %d gap %d overflows uint32", i, gap)
 		}
+		st.lo = st.hi - len(b)
 		recs[i] = Record{Thread: st.tid, Op: Op(op), Addr: addr, Gap: uint32(gap)}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("trace: thread %d batch %d: payload larger than declared %d records", st.tid, st.next-1, ref.count)
+	if st.lo == st.hi && !st.eof {
+		if err := st.refill(); err != nil {
+			return nil, st.errorf("%w", err)
+		}
 	}
-	fr.Close()
+	if st.lo != st.hi {
+		return nil, st.errorf("payload larger than declared %d records", ref.count)
+	}
 	st.lastLen = int64(len(recs))
 	st.s.account(st.lastLen)
 	return recs, nil
 }
+
+// refill moves the undecoded bytes to the front of the window and
+// inflates into the rest until it is full or the payload ends.
+func (st *shardStream) refill() error {
+	st.hi = copy(st.win[:], st.win[st.lo:st.hi])
+	st.lo = 0
+	for st.hi < len(st.win) {
+		n, err := st.fr.Read(st.win[st.hi:])
+		st.hi += n
+		if err == io.EOF {
+			st.eof = true
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errorf reports a decode failure in the stream's current batch.
+func (st *shardStream) errorf(format string, args ...any) error {
+	return fmt.Errorf("trace: thread %d batch %d: "+format, append([]any{st.tid, st.next - 1}, args...)...)
+}
+
+// fieldError reports a record field whose varint binary.Uvarint
+// rejected with n: the payload ended inside it (n == 0) or it overflows
+// 64 bits (n < 0).
+func (st *shardStream) fieldError(i int, field string, n int) error {
+	err := io.ErrUnexpectedEOF
+	if n < 0 {
+		err = errVarintOverflow
+	}
+	return st.errorf("record %d %s: %w", i, field, err)
+}
+
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
 // account adjusts the resident-record counter and tracks its high-water
 // mark.

@@ -324,31 +324,39 @@ func TestOpenShardedRejectsCorruption(t *testing.T) {
 	})
 }
 
-// craftShard replaces dir's single-batch shard file with one whose
-// framing declares count records for thread 0 and carries payload as
-// the batch's compressed bytes, so the framing scans cleanly whatever
-// the payload holds.
-func craftShard(t *testing.T, dir string, count int, payload []byte) {
+// craftShard replaces dir's shard file with one whose framing declares
+// one batch of count records for thread 0 per payload and carries each
+// payload as that batch's compressed bytes, so the framing scans cleanly
+// whatever the payloads hold. dir must hold a 1-shard, 1-thread capture
+// of count*len(payloads) records.
+func craftShard(t *testing.T, dir string, count int, payloads ...[]byte) {
 	t.Helper()
 	var b []byte
 	b = append(b, shardMagic...)
 	b = binary.AppendUvarint(b, shardVersion)
 	b = binary.AppendUvarint(b, uint64(len("crafted")))
 	b = append(b, "crafted"...)
-	for _, v := range []uint64{1, 0, 1, 1, 0, uint64(count), uint64(len(payload))} {
-		b = binary.AppendUvarint(b, v) // threads, shard, shards, batches, thread, count, clen
+	for _, v := range []uint64{1, 0, 1, uint64(len(payloads))} {
+		b = binary.AppendUvarint(b, v) // threads, shard, shards, batches
 	}
-	b = append(b, payload...)
+	for _, p := range payloads {
+		for _, v := range []uint64{0, uint64(count), uint64(len(p))} {
+			b = binary.AppendUvarint(b, v) // thread, count, clen
+		}
+		b = append(b, p...)
+	}
 	if err := os.WriteFile(filepath.Join(dir, ShardFileName(0)), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // deflate compresses raw the way WriteSharded compresses a batch.
-func deflate(t *testing.T, raw []byte) []byte {
+func deflate(t *testing.T, raw []byte) []byte { return deflateLevel(t, raw, flate.BestSpeed) }
+
+func deflateLevel(t *testing.T, raw []byte, level int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	fw, err := flate.NewWriter(&buf, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +367,64 @@ func deflate(t *testing.T, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestShardedDecodeAllocationFree is the decode hot-path contract:
+// after a stream's first batch has sized its buffers and decompressor,
+// further batches allocate nothing, so draining a 64-batch stream
+// allocates exactly as often as draining a 4-batch one. The batches are
+// stored (uncompressed) DEFLATE blocks, which isolates the stream from
+// compress/flate's Huffman decoder: that allocates link tables for every
+// dynamic block whose codes run past 9 bits, which reusing the
+// decompressor cannot avoid.
+func TestShardedDecodeAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	const batch = 256
+	drainAllocs := func(batches int) float64 {
+		tr := synth("crafted", 1, batches*batch)
+		dir, _ := writeShardedT(t, tr, ShardOptions{Shards: 1, BatchRecords: batch})
+		payloads := make([][]byte, batches)
+		for i := range payloads {
+			var raw []byte
+			prev := uint64(0)
+			for _, r := range tr.Records[i*batch : (i+1)*batch] {
+				raw = binary.AppendUvarint(raw, uint64(r.Op))
+				raw = binary.AppendUvarint(raw, zigzag(int64(r.Addr)-int64(prev)))
+				raw = binary.AppendUvarint(raw, uint64(r.Gap))
+				prev = r.Addr
+			}
+			payloads[i] = deflateLevel(t, raw, flate.NoCompression)
+		}
+		craftShard(t, dir, batch, payloads...)
+		sh, err := OpenSharded(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Close()
+		return testing.AllocsPerRun(10, func() {
+			st := sh.Stream(0)
+			for i := 0; ; i++ {
+				chunk, err := st.NextChunk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if chunk == nil {
+					if i != batches {
+						t.Fatalf("drained %d batches, want %d", i, batches)
+					}
+					return
+				}
+				if chunk[batch-1] != tr.Records[(i+1)*batch-1] {
+					t.Fatalf("batch %d decoded %+v, want %+v", i, chunk[batch-1], tr.Records[(i+1)*batch-1])
+				}
+			}
+		})
+	}
+	if few, many := drainAllocs(4), drainAllocs(64); few != many {
+		t.Fatalf("draining 4 batches allocates %.0f times, 64 batches %.0f: batches after the first allocate", few, many)
+	}
 }
 
 // TestShardedNextChunkRejectsCraftedPayloads: a batch whose framing is
