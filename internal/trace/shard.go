@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 )
 
@@ -324,6 +325,12 @@ type Sharded struct {
 
 	buffered    atomic.Int64
 	maxBuffered atomic.Int64
+
+	// idle holds the inflaters no stream is using. Streams take one per
+	// batch and return it, so the store keeps one per stream decoding
+	// at once — one in a serial replay — rather than one per stream.
+	mu   sync.Mutex
+	idle []*inflater
 }
 
 // IsShardedDir reports whether path is a sharded trace directory (a
@@ -578,23 +585,29 @@ func (s *Sharded) Stream(tid int) Stream {
 	return &shardStream{s: s, tid: uint16(tid), refs: s.perThread[tid]}
 }
 
-// shardStream decodes one thread's batches on demand. Every buffer and
-// the decompressor are the stream's own and reused across chunks (per
-// the Stream contract), so a draining replay holds one batch per thread
-// and a batch after the first allocates nothing in the stream itself.
+// shardStream decodes one thread's batches on demand. Its buffers are
+// reused across chunks (per the Stream contract), so a draining replay
+// holds one batch per thread, and a batch after the first allocates
+// nothing in the stream.
 type shardStream struct {
 	s       *Sharded
 	tid     uint16
 	refs    []batchRef
 	next    int
 	lastLen int64
-	cbuf    []byte        // compressed payload buffer, for the largest batch
-	comp    bytes.Reader  // reads cbuf into the decompressor
-	fr      io.ReadCloser // DEFLATE decompressor, reset per batch
-	recs    []Record      // decode buffer, for the largest batch
+	cbuf    []byte   // compressed payload buffer, for the largest batch
+	recs    []Record // decode buffer, for the largest batch
+}
+
+// inflater inflates one batch payload at a time: a DEFLATE decompressor
+// reset through flate.Resetter, and a window the records are decoded
+// from with binary.Uvarint.
+type inflater struct {
+	comp bytes.Reader // reads the payload into fr
+	fr   io.ReadCloser
 
 	// win[lo:hi] is inflated payload not yet decoded; eof marks the end
-	// of the batch's payload.
+	// of the payload.
 	win    [4096]byte
 	lo, hi int
 	eof    bool
@@ -625,22 +638,20 @@ func (st *shardStream) NextChunk() ([]Record, error) {
 	if _, err := st.s.files[ref.file].ReadAt(buf, ref.off); err != nil {
 		return nil, st.errorf("%w", err)
 	}
-	st.comp.Reset(buf)
-	if st.fr == nil {
-		st.fr = flate.NewReader(&st.comp)
-	} else if err := st.fr.(flate.Resetter).Reset(&st.comp, nil); err != nil {
+	inf := st.s.takeInflater()
+	defer st.s.returnInflater(inf)
+	if err := inf.reset(buf); err != nil {
 		return nil, st.errorf("%w", err)
 	}
-	st.lo, st.hi, st.eof = 0, 0, false
 	recs := st.recs[:ref.count]
 	prev := uint64(0)
 	for i := range recs {
-		if st.hi-st.lo < maxRecordBytes && !st.eof {
-			if err := st.refill(); err != nil {
+		if inf.hi-inf.lo < maxRecordBytes && !inf.eof {
+			if err := inf.refill(); err != nil {
 				return nil, st.errorf("%w", err)
 			}
 		}
-		b := st.win[st.lo:st.hi]
+		b := inf.win[inf.lo:inf.hi]
 		op, n := binary.Uvarint(b)
 		if n <= 0 {
 			return nil, st.fieldError(i, "op", n)
@@ -664,15 +675,15 @@ func (st *shardStream) NextChunk() ([]Record, error) {
 		if gap > 1<<32-1 {
 			return nil, st.errorf("record %d gap %d overflows uint32", i, gap)
 		}
-		st.lo = st.hi - len(b)
+		inf.lo = inf.hi - len(b)
 		recs[i] = Record{Thread: st.tid, Op: Op(op), Addr: addr, Gap: uint32(gap)}
 	}
-	if st.lo == st.hi && !st.eof {
-		if err := st.refill(); err != nil {
+	if inf.lo == inf.hi && !inf.eof {
+		if err := inf.refill(); err != nil {
 			return nil, st.errorf("%w", err)
 		}
 	}
-	if st.lo != st.hi {
+	if inf.lo != inf.hi {
 		return nil, st.errorf("payload larger than declared %d records", ref.count)
 	}
 	st.lastLen = int64(len(recs))
@@ -680,16 +691,47 @@ func (st *shardStream) NextChunk() ([]Record, error) {
 	return recs, nil
 }
 
+// takeInflater hands out an idle inflater, or a new one if none is idle.
+func (s *Sharded) takeInflater() *inflater {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.idle)
+	if n == 0 {
+		return new(inflater)
+	}
+	inf := s.idle[n-1]
+	s.idle = s.idle[:n-1]
+	return inf
+}
+
+// returnInflater makes inf available to the store's streams again.
+func (s *Sharded) returnInflater(inf *inflater) {
+	s.mu.Lock()
+	s.idle = append(s.idle, inf)
+	s.mu.Unlock()
+}
+
+// reset points the inflater at a new payload.
+func (inf *inflater) reset(payload []byte) error {
+	inf.comp.Reset(payload)
+	inf.lo, inf.hi, inf.eof = 0, 0, false
+	if inf.fr == nil {
+		inf.fr = flate.NewReader(&inf.comp)
+		return nil
+	}
+	return inf.fr.(flate.Resetter).Reset(&inf.comp, nil)
+}
+
 // refill moves the undecoded bytes to the front of the window and
 // inflates into the rest until it is full or the payload ends.
-func (st *shardStream) refill() error {
-	st.hi = copy(st.win[:], st.win[st.lo:st.hi])
-	st.lo = 0
-	for st.hi < len(st.win) {
-		n, err := st.fr.Read(st.win[st.hi:])
-		st.hi += n
+func (inf *inflater) refill() error {
+	inf.hi = copy(inf.win[:], inf.win[inf.lo:inf.hi])
+	inf.lo = 0
+	for inf.hi < len(inf.win) {
+		n, err := inf.fr.Read(inf.win[inf.hi:])
+		inf.hi += n
 		if err == io.EOF {
-			st.eof = true
+			inf.eof = true
 			return nil
 		}
 		if err != nil {

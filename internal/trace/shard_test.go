@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -159,6 +161,45 @@ func TestShardedBoundedMemory(t *testing.T) {
 	if sh.BufferedRecords() != 0 {
 		t.Fatalf("BufferedRecords = %d after full drain, want 0", sh.BufferedRecords())
 	}
+}
+
+// TestShardedConcurrentStreams drains every thread's stream on its own
+// goroutine at once, as sharded replay does, so the streams share the
+// store's file handles and idle inflaters concurrently; each must still
+// decode exactly its thread's records.
+func TestShardedConcurrentStreams(t *testing.T) {
+	orig := synth("concurrent", 8, 2000)
+	dir, _ := writeShardedT(t, orig, ShardOptions{Shards: 3, BatchRecords: 128})
+	sh, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	want := orig.PerThread()
+	var wg sync.WaitGroup
+	for tid := 0; tid < orig.Threads; tid++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := sh.Stream(tid)
+			var got []Record
+			for {
+				chunk, err := st.NextChunk()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if chunk == nil {
+					break
+				}
+				got = append(got, chunk...)
+			}
+			if !slices.Equal(got, want[tid]) {
+				t.Errorf("thread %d: decoded %d records that differ from its %d", tid, len(got), len(want[tid]))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestShardedWriterDeterministic(t *testing.T) {
@@ -370,9 +411,10 @@ func deflateLevel(t *testing.T, raw []byte, level int) []byte {
 }
 
 // TestShardedDecodeAllocationFree is the decode hot-path contract:
-// after a stream's first batch has sized its buffers and decompressor,
-// further batches allocate nothing, so draining a 64-batch stream
-// allocates exactly as often as draining a 4-batch one. The batches are
+// after a stream's first batch has sized its buffers, further batches
+// allocate nothing — they reuse those buffers and the store's idle
+// inflater — so draining a 64-batch stream allocates exactly as often as
+// draining a 4-batch one. The batches are
 // stored (uncompressed) DEFLATE blocks, which isolates the stream from
 // compress/flate's Huffman decoder: that allocates link tables for every
 // dynamic block whose codes run past 9 bits, which reusing the
