@@ -6,16 +6,16 @@
 // cycle fire in FIFO order of scheduling, which keeps simulations
 // deterministic for a fixed input.
 //
-// The pending set is a calendar wheel: an event due less than
-// wheelSlots cycles after Now goes into that cycle's FIFO slot, so
-// scheduling and firing it are O(1). Events due further ahead wait in a
-// 4-ary min-heap, the far heap; a trace replay's event wheel almost
-// never uses it. The engine's hot path is allocation-free in steady
-// state: slot entries are nodes of a recycled slab, and the (Handler,
-// EventData) event form lets components schedule work through handlers
-// bound once at construction instead of allocating a closure per
-// event. The classic closure form (Schedule/At with a func()) remains
-// available for cold paths and tests.
+// The pending set is a calendar wheel: an event due less than 1024
+// cycles after Now goes into that cycle's FIFO slot, so scheduling and
+// firing it are O(1). Events due further ahead wait in a 4-ary min-heap,
+// the far heap, which Trade2 and TP replays never reach. The engine's
+// hot path is allocation-free in steady state: slot entries are nodes of
+// a recycled slab, and the (Handler, EventData) event form lets
+// components schedule work through handlers bound once at construction
+// instead of allocating a closure per event. The classic closure form
+// (Schedule/At with a func()) remains available for cold paths and
+// tests.
 package sim
 
 import (
@@ -55,10 +55,10 @@ type EventData struct {
 
 // wheelSlots is the calendar wheel's span in cycles: an event due less
 // than wheelSlots cycles after Now goes into a per-cycle slot, a later
-// one into the far heap. Trace replays schedule 89% of their events at
-// most 64 cycles ahead and none 1024 or more ahead, so every replay
-// event takes the O(1) path. A power of two, so a time's slot is its
-// low bits.
+// one into the far heap. 960K-reference Trade2 and TP replays schedule
+// 78-89% of their events at most 64 cycles ahead and none 1024 or more
+// ahead (DESIGN.md §10), so every one of their events takes the O(1)
+// path. A power of two, so a time's slot is its low bits.
 const (
 	wheelSlots = 1 << 10
 	wheelMask  = wheelSlots - 1
@@ -86,8 +86,8 @@ func (a *scheduledEvent) before(b *scheduledEvent) bool {
 // node is one wheel-slot entry in the engine's node slab. A slot is a
 // circular singly linked list threaded through next, reached from its
 // tail, so appending and taking the head are both O(1). Nodes do not
-// record their time: the wheel spans fewer than wheelSlots cycles, so a
-// slot holds events of one cycle only.
+// record their time: wheel events span fewer than wheelSlots
+// consecutive cycles, so a slot holds events of one cycle only.
 type node struct {
 	h    Handler
 	d    EventData
