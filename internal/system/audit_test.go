@@ -361,11 +361,19 @@ func TestRequeueWBOrderingAcrossRetrySwitchFlip(t *testing.T) {
 
 // TestAuditorCleanOnWorkloads runs every built-in workload under every
 // mechanism with the full differential auditor attached: the invariant
-// set must hold on all the configurations the experiments report.
+// set must hold on all the configurations the experiments report. One
+// more input runs tp on a 32-core chip, whose 16 L2 slices put holder
+// bits past the first byte of the auditor's holder masks.
 func TestAuditorCleanOnWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by the fuzz soak in short mode")
 	}
+	type input struct {
+		name string
+		cfg  config.Config
+		p    workload.Profile
+	}
+	var inputs []input
 	for _, name := range workload.Names() {
 		for _, mech := range []config.Mechanism{config.Baseline, config.WBHT, config.Snarf, config.Combined} {
 			p, err := workload.ByName(name)
@@ -373,21 +381,36 @@ func TestAuditorCleanOnWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.RefsPerThread = 1200
-			tr, err := p.Generate()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			cfg := config.Default().WithMechanism(mech)
-			s, err := New(cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := audit.New(audit.Config{Differential: true, SweepEvery: 1024})
-			s.AttachAuditor(a)
-			s.Run()
-			if !a.Ok() {
-				t.Errorf("%s/%s: %s", name, mech, a.Summary())
-			}
+			inputs = append(inputs, input{name + "/" + mech.String(), config.Default().WithMechanism(mech), p})
+		}
+	}
+	big := config.Default().WithMechanism(config.Combined)
+	big.Cores = 32
+	p, err := workload.ByName("tp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Threads = 64
+	p.RefsPerThread = 120
+	inputs = append(inputs, input{"tp/combined/32-core", big, p})
+
+	for _, in := range inputs {
+		tr, err := in.p.Generate()
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		s, err := New(in.cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := audit.New(audit.Config{Differential: true, SweepEvery: 1024})
+		s.AttachAuditor(a)
+		s.Run()
+		if !a.Ok() {
+			t.Errorf("%s: %s", in.name, a.Summary())
+		}
+		if a.Sweeps() == 0 {
+			t.Errorf("%s: auditor never swept", in.name)
 		}
 	}
 }
