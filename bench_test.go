@@ -10,7 +10,6 @@ package cmpcache_test
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"testing"
 
@@ -73,35 +72,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(tr.Records)*b.N)/b.Elapsed().Seconds(), "refs/s")
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(float64(cycles), "sim-cycles")
-}
-
-// BenchmarkBigChipShards times the 64-core scaling configuration (32 L2
-// slices, 128 threads, tp at 2000 refs/thread) serially and at 2 and 4
-// shard workers: the measurement that decides whether intra-run
-// sharding pays (EXPERIMENTS.md, "Shard-count scaling"). Worker counts
-// above GOMAXPROCS clamp to it, so run on a host with at least 4 cores.
-func BenchmarkBigChipShards(b *testing.B) {
-	p, err := cmpcache.WorkloadByName("tp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Threads = 128
-	p.RefsPerThread = benchRefs / 2
-	tr, err := p.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cmpcache.DefaultConfig()
-	cfg.Cores = 64
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cmpcache.RunWith(cfg, tr, cmpcache.RunOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // benchSweepGrid runs a real multi-configuration grid (2 workloads x

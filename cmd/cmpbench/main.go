@@ -32,7 +32,6 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/experiments"
-	"cmpcache/internal/sweep"
 )
 
 func main() {
@@ -41,8 +40,7 @@ func main() {
 		refs       = flag.Int("refs", 0, "references per thread (0 = workload default)")
 		quick      = flag.Bool("quick", false, "reduced sweeps and 10K-reference traces")
 		csv        = flag.Bool("csv", false, "emit CSV instead of markdown")
-		workers    = flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS; clamped when -shards > 1 so workers x shards fits GOMAXPROCS)")
-		shards     = sweep.ShardsFlag(flag.CommandLine)
+		workers    = flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 		verbose    = flag.Bool("v", false, "log each simulation run to stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
@@ -79,7 +77,7 @@ func main() {
 		}()
 	}
 
-	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Shards: *shards, Overrides: overrides}
+	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Overrides: overrides}
 	if *quick && *refs == 0 {
 		opts.RefsPerThread = 10000
 	}

@@ -26,7 +26,6 @@ import (
 	"cmpcache"
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
-	"cmpcache/internal/sweep"
 	"cmpcache/internal/trace"
 )
 
@@ -49,7 +48,6 @@ func main() {
 		latOut       = flag.String("lat-out", "", "attach the latency collector and write the stage-attributed report as JSON to this file (- for stdout); feed it to cmpreport")
 		latTopK      = flag.Int("lat-topk", 0, "slowest-transactions reservoir size for -lat-out (0 = default 16)")
 		latInterval  = flag.Int64("lat-interval", 0, "also bin latency quantiles into windows of this many cycles for -lat-out (0 = off)")
-		shards       = sweep.ShardsFlag(flag.CommandLine)
 		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile   = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	)
@@ -151,7 +149,7 @@ func main() {
 
 	// Every attachment is observation-only, so all of them compose onto
 	// one run.
-	opts := cmpcache.RunOptions{Workers: *shards}
+	var opts cmpcache.RunOptions
 	if *auditRun {
 		opts.Auditor = cmpcache.NewAuditor(cmpcache.AuditConfig{Differential: *auditDiff})
 	}

@@ -49,8 +49,7 @@ func main() {
 		tableSizes   = flag.String("table-sizes", "", "table-entry axis for the active mechanism, e.g. 512,2048,8192 (empty = paper defaults)")
 		overrides    = config.RegisterOverrides(flag.CommandLine)
 		refs         = flag.Int("refs", 0, "references per thread (0 = workload default)")
-		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS; clamped when -shards > 1 so workers x shards fits GOMAXPROCS)")
-		shards       = sweep.ShardsFlag(flag.CommandLine)
+		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 		jsonOut      = flag.String("json", "", "write full results as JSON to this file (- for stdout)")
 		csvOut       = flag.String("csv", "", "write result rows as CSV to this file (- for stdout)")
@@ -141,8 +140,6 @@ func main() {
 	opts := sweep.Options{
 		Workers: *workers,
 		Timeout: *timeout,
-		Shards:  *shards,
-		Log:     func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 	}
 	if *metricsOut != "" {
 		opts.MetricsInterval = config.Cycles(*metricsIval)

@@ -29,15 +29,6 @@
 // The experiment harness that regenerates every table and figure of the
 // paper's evaluation lives in cmd/cmpbench; see EXPERIMENTS.md for the
 // paper-versus-measured record.
-//
-// # Serial by default
-//
-// Every run is serial unless RunOptions.Workers asks for intra-run
-// shard workers, and the command-line tools' -shards flag defaults to
-// serial too. Sharding never changes results, but on the hosts measured
-// so far it costs wall clock: on a 2-CPU host (nproc = 2) a
-// 960K-reference Trade2 replay takes 3.5 s serially against 6.0 s on 2
-// shard workers.
 package cmpcache
 
 import (
@@ -97,14 +88,6 @@ func OpenTraceDir(path string) (*ShardedTrace, error) { return trace.OpenSharded
 // Results carries every statistic a run produces, including the derived
 // metrics behind each of the paper's tables.
 type Results = system.Results
-
-// ShardingStats is the round-coordinator record in Results.Sharding:
-// how many rounds the event loop ran, why the parallel horizon was
-// limited each round (next global event, ring credit, or conflict
-// window), and — for sharded runs — how much wall clock the barrier
-// cost. The counters are deterministic and identical at every worker
-// count; only the wall-clock fields (excluded from JSON) vary.
-type ShardingStats = system.ShardingStats
 
 // WorkloadProfile describes a synthetic workload; see
 // internal/workload.Profile for the region mixture model.
@@ -209,22 +192,7 @@ type RunOptions struct {
 	Probe   *MetricsProbe
 	Auditor *Auditor
 	Latency *LatencyCollector
-
-	// Workers sets the intra-run parallelism: the simulated chip is
-	// sharded by L2 slice and the shard event wheels execute on this
-	// many goroutines, synchronized at the bus (see DESIGN.md §15).
-	// 0 leaves the run serial, < 0 selects auto (MaxWorkers), and
-	// explicit counts clamp to MaxWorkers. Results are bit-identical
-	// at every worker count — including the probe series, latency
-	// report, event trace and audit verdict — so this knob trades
-	// nothing but wall clock.
-	Workers int
 }
-
-// MaxWorkers returns the largest useful intra-run worker count for cfg:
-// one worker per L2 slice, capped by GOMAXPROCS. This is what cmpsim's
-// "-shards auto" resolves to.
-func MaxWorkers(cfg *Config) int { return system.MaxWorkers(cfg) }
 
 // RunWith simulates tr with every attachment in opts installed. The
 // simulated outcome is identical to Run — all attachments are
@@ -244,9 +212,6 @@ func RunWith(cfg Config, tr *Trace, opts RunOptions) (*Results, error) {
 	}
 	if opts.Latency != nil {
 		s.AttachLatency(opts.Latency)
-	}
-	if opts.Workers != 0 {
-		s.SetWorkers(opts.Workers)
 	}
 	return s.Run(), nil
 }
@@ -268,9 +233,6 @@ func RunSourceWith(cfg Config, src TraceSource, opts RunOptions) (*Results, erro
 	}
 	if opts.Latency != nil {
 		s.AttachLatency(opts.Latency)
-	}
-	if opts.Workers != 0 {
-		s.SetWorkers(opts.Workers)
 	}
 	return s.Run(), nil
 }

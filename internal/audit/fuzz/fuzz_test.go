@@ -1,11 +1,6 @@
 package fuzz
 
-import (
-	"bytes"
-	"encoding/json"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestAuditSoak runs a fixed-seed randomized campaign: every seed must
 // complete with zero invariant violations and zero reference-model
@@ -56,50 +51,4 @@ func FuzzAudit(f *testing.F) {
 			t.Fatalf("seed %d: %s", seed, a.Summary())
 		}
 	})
-}
-
-// TestAuditSoakSharded re-runs a slice of the campaign at several
-// intra-run worker counts and demands bit-identical outcomes: same
-// marshalled Results, same audit verdict, zero violations. The CI
-// sharded-soak job runs this race-built with GOMAXPROCS raised, so the
-// coordinator's phase discipline is exercised under the race detector
-// across the randomized configuration corners (tiny queues, every
-// mechanism, 1-6 outstanding).
-func TestAuditSoakSharded(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	seeds := 20
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		a1, res1, err := RunSeed(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ref, err := json.Marshal(res1)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, workers := range []int{2, 4} {
-			aw, resw, err := RunSeedWorkers(seed, workers)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if !aw.Ok() {
-				t.Errorf("seed %d workers %d: %s", seed, workers, aw.Summary())
-			}
-			got, err := json.Marshal(resw)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if !bytes.Equal(got, ref) {
-				t.Errorf("seed %d workers %d: results diverged from serial", seed, workers)
-			}
-			if aw.Summary() != a1.Summary() {
-				t.Errorf("seed %d workers %d: audit summary diverged:\nserial: %s\nsharded: %s",
-					seed, workers, a1.Summary(), aw.Summary())
-			}
-		}
-	}
 }

@@ -83,11 +83,10 @@ func (s *RetrySwitch) advance(now config.Cycles) {
 }
 
 // AdvanceTo rolls the sampling window forward to cover now without
-// recording anything. The sharded coordinator calls it once per round so
+// recording anything. The round coordinator calls it once per round so
 // that shard-context consumers can read ActiveNow — the pure form —
 // instead of the mutating Active, keeping the window sequence a function
-// of round boundaries (deterministic) rather than of which worker
-// happened to ask first.
+// of round boundaries rather than of which shard happened to ask first.
 func (s *RetrySwitch) AdvanceTo(now config.Cycles) {
 	if s.window == 0 {
 		return

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/sweep"
@@ -49,11 +48,6 @@ type Options struct {
 	// Workers bounds concurrent simulation runs (0 = GOMAXPROCS). The
 	// rendered artifacts are byte-identical at any worker count.
 	Workers int
-	// Shards sets each run's intra-run parallelism (sweep.Options
-	// conventions: 0 = serial, < 0 = auto, N = N shard workers).
-	// Artifacts are byte-identical at any shard count; an explicit
-	// N > 1 clamps Workers so workers x shards fits GOMAXPROCS.
-	Shards int
 	// Overrides, when non-nil, applies the shared command-line policy
 	// knob overrides (config.RegisterOverrides) to every simulation the
 	// experiments dispatch, including explicit zeros — a knob zeroed on
@@ -104,23 +98,9 @@ type Runner struct {
 
 // NewRunner returns a Runner with an empty cache.
 func NewRunner(opts Options) *Runner {
-	// The runner supplies its own RunFunc to every sweep (for the shared
-	// trace cache), so the worker/shard budget is arbitrated here rather
-	// than in sweep.Run: explicit shard counts clamp the pool, auto
-	// gives each run the spare cores.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers, _ = sweep.FitWorkers(workers, opts.Shards)
-	opts.Workers = workers
-	sim := sweep.NewSimulator()
-	if sim.Shards = opts.Shards; sim.Shards < 0 {
-		sim.Shards = sweep.AutoShards(workers)
-	}
 	return &Runner{
 		opts:  opts,
-		sim:   sim,
+		sim:   sweep.NewSimulator(),
 		cache: make(map[runKey]*system.Results),
 	}
 }

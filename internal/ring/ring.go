@@ -42,7 +42,7 @@ func (r *Ring) ReserveAddress(now config.Cycles) config.Cycles {
 
 // AddressNextFree returns the cycle at which the address ring's
 // arbitration pipeline next becomes idle. Observation only — the
-// sharded coordinator folds it into its round horizon so that a bus
+// round loop folds it into its round horizon so that a bus
 // request posted anywhere in a round combines no earlier than the
 // horizon itself.
 func (r *Ring) AddressNextFree() config.Cycles { return r.addr.NextFree() }

@@ -253,7 +253,7 @@ func (e *Engine) NextTime() Time {
 
 // AdvanceTo moves the clock forward to t without firing events. t must
 // not precede Now and must not skip over a pending event — the past
-// stays immutable and no event may be jumped. The sharded coordinator
+// stays immutable and no event may be jumped. The round coordinator
 // uses it to keep parked shard wheels in step with the global wheel, so
 // handlers invoked synchronously from global events (waiter wake-ups)
 // read the correct Now.

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -211,58 +210,4 @@ func ParseWorkloads(spec string) ([]string, error) {
 		return nil, fmt.Errorf("sweep: empty workload spec %q", spec)
 	}
 	return out, nil
-}
-
-// ParseShards parses a -shards flag value: "serial" (or "") selects the
-// single-wheel serial engine, "auto" one shard worker per L2 slice
-// capped by the cores the pool leaves spare, and any explicit count
-// N >= 1 exactly that many (clamped to the useful maximum at run time).
-// The returned convention matches Options.Shards / Simulator.Shards:
-// -1 = auto, N >= 1 = N.
-func ParseShards(spec string) (int, error) {
-	s := strings.TrimSpace(spec)
-	switch strings.ToLower(s) {
-	case "", "serial":
-		return 1, nil
-	case "auto":
-		return -1, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("sweep: shards spec %q: want serial, auto, or a count >= 1", spec)
-	}
-	return n, nil
-}
-
-// ShardsFlag registers the -shards flag shared by every simulating tool
-// on fs and returns the parsed count (ParseShards convention), serial by
-// default. A bad spec fails fs.Parse with a message naming the value.
-func ShardsFlag(fs *flag.FlagSet) *int {
-	n := 1
-	fs.Var(shardsValue{&n}, "shards", "intra-run shard `workers` per simulation: serial, auto (the cores a run pool leaves spare), or a count; results are bit-identical at any value")
-	return &n
-}
-
-// shardsValue adapts a ParseShards count to flag.Value.
-type shardsValue struct{ n *int }
-
-func (v shardsValue) String() string {
-	switch {
-	case v.n == nil:
-		return "" // flag's zero-value probe; the registered default prints as serial
-	case *v.n == -1:
-		return "auto"
-	case *v.n == 1:
-		return "serial"
-	}
-	return strconv.Itoa(*v.n)
-}
-
-func (v shardsValue) Set(spec string) error {
-	n, err := ParseShards(spec)
-	if err != nil {
-		return err
-	}
-	*v.n = n
-	return nil
 }

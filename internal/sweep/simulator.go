@@ -32,13 +32,6 @@ type Simulator struct {
 	// worker count. Set before the sweep starts.
 	Latency *txlat.Config
 
-	// Shards sets each run's intra-run parallelism (system.SetWorkers):
-	// 0 leaves runs serial, < 0 selects auto (one worker per L2 slice,
-	// capped by GOMAXPROCS), and explicit counts clamp likewise. Runs
-	// are bit-identical at every shard count, so this is not part of
-	// any result-cache key. Set before the sweep starts.
-	Shards int
-
 	// SourceOpens / SourceHits count trace-source container opens and
 	// source-cache hits. Nil-safe telemetry instruments: leave nil for
 	// zero-cost detachment. Set before the sweep starts.
@@ -195,9 +188,6 @@ func (s *Simulator) Run(ctx context.Context, j Job) (*system.Results, error) {
 	}
 	if s.Latency != nil {
 		sys.AttachLatency(txlat.New(*s.Latency))
-	}
-	if s.Shards != 0 {
-		sys.SetWorkers(s.Shards)
 	}
 	return sys.RunContext(ctx)
 }

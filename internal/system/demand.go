@@ -48,8 +48,7 @@ func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind,
 //
 // Combine events fire only in the coordinator's serial phase, after
 // every shard wheel has drained strictly past this cycle — so the tag
-// state a snoop observes is exactly the state at the combine cycle,
-// regardless of worker count.
+// state a snoop observes is exactly the state at the combine cycle.
 func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKind) {
 	now := s.engine.Now()
 	isLoad := kind == coherence.Read

@@ -9,7 +9,7 @@ import "cmpcache/internal/metrics"
 // carry the completed interval series. Attaching a probe never perturbs
 // the simulation — sampling is observation-only (see internal/metrics)
 // and windows close only at round boundaries, after every event
-// strictly before the window's end has fired at any worker count.
+// strictly before the window's end has fired.
 func (s *System) Attach(p *metrics.Probe) {
 	s.probe = p
 	s.tracer = p.Trace()

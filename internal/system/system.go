@@ -13,23 +13,18 @@
 // the cycle cost of in-flight windows is preserved, only their
 // observability is collapsed.
 //
-// Execution is sharded by L2 slice: each slice's front end (threads,
-// tag probes, MSHRs, write-back queue) runs on its own event wheel,
-// and the bus FIFO — the chip's only global ordering point — lives on a
-// global wheel that a deterministic round coordinator interleaves with
-// the shards (see parallel.go and DESIGN.md §15). Results are
-// bit-identical at every worker count; SetWorkers only changes wall
-// clock. A System runs serially (one worker executing the round
-// structure inline) unless SetWorkers asks for more, and serial is the
-// fastest choice measured so far: on a 2-CPU host a 960K-reference
-// Trade2 replay takes 3.5 s serially against 6.0 s on 2 workers, since
-// the barrier costs more than the short parallel phases earn.
+// Execution is partitioned by L2 slice: each slice's front end
+// (threads, tag probes, MSHRs, write-back queue) runs on its own event
+// wheel, and the bus FIFO — the chip's only global ordering point —
+// lives on a global wheel. A round loop interleaves the wheels and
+// merges the slices' bus posts and observations in (time, slice) order,
+// which fixes the event order every Results byte depends on (see
+// rounds.go and DESIGN.md §15).
 package system
 
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"cmpcache/internal/audit"
 	"cmpcache/internal/coherence"
@@ -65,18 +60,9 @@ type System struct {
 	// bus combine events (serial phase).
 	policy wbpolicy.Chip
 
-	// workers is the parallel-phase goroutine count (1 = fully serial
-	// execution of the identical round structure).
-	workers int
-
 	// shardNext is the earliest pending event time across the shard
 	// wheels, maintained by the round coordinator (see atShard).
 	shardNext config.Cycles
-
-	// pstats accumulates the round coordinator's execution-shape
-	// counters and (pool mode only) wall-clock barrier attribution;
-	// copied into Results.Sharding at the end of the run.
-	pstats ShardingStats
 
 	wbInFlight []bool // one write-back bus transaction at a time per L2
 
@@ -153,7 +139,6 @@ func newCore(cfg config.Config) *System {
 		collector: coherence.NewCollector(),
 		rswitch:   core.NewRetrySwitch(cfg.WBHT),
 		reuse:     newReuseTracker(),
-		workers:   1,
 	}
 	s.policy = wbpolicy.New(&s.cfg)
 	for i := 0; i < cfg.NumL2(); i++ {
@@ -379,33 +364,4 @@ func (s *System) eventsFired() uint64 {
 		n += sh.engine.Fired()
 	}
 	return n
-}
-
-// DebugWatchdog installs a periodic progress probe: every hundred
-// thousand cycles, cb receives the current cycle, total events fired,
-// pending event count and a one-line system snapshot. Diagnostics only.
-func (s *System) DebugWatchdog(cb func(cycles int64, fired uint64, pending int, extra string)) {
-	var probe func()
-	probe = func() {
-		var wbq, mshr strings.Builder
-		for i, c := range s.l2s {
-			if i > 0 {
-				wbq.WriteByte(' ')
-				mshr.WriteByte(' ')
-			}
-			fmt.Fprintf(&wbq, "%d", c.WBQueueLen())
-			fmt.Fprintf(&mshr, "%d", c.MSHRCount())
-		}
-		extra := fmt.Sprintf("outstanding=%d wbq=[%s] inflight=%v mshr=[%s] l3tok=%d",
-			s.threadsOutstanding(), wbq.String(), s.wbInFlight, mshr.String(), s.l3.QueueInUse())
-		pending := s.engine.Pending()
-		for _, sh := range s.shards {
-			pending += sh.engine.Pending()
-		}
-		cb(int64(s.engine.Now()), s.eventsFired(), pending, extra)
-		if !s.threadsDone() {
-			s.engine.Schedule(100_000, probe)
-		}
-	}
-	s.engine.Schedule(0, probe)
 }

@@ -266,8 +266,8 @@ func (c *Collector) Tick(now config.Cycles) {
 }
 
 // NextBoundary returns the end of the currently open window, or a time
-// later than any reachable cycle when windowing is disabled. The sharded
-// coordinator caps each round's horizon strictly below it so windows
+// later than any reachable cycle when windowing is disabled. The round
+// loop caps each round's horizon strictly below it so windows
 // close only at round boundaries, after every preceding event has fired.
 func (c *Collector) NextBoundary() config.Cycles {
 	if c.interval <= 0 {

@@ -10,7 +10,7 @@
 // A policy splits into two halves:
 //
 //   - Agent: the per-L2 half. Its hooks run wherever that L2's events
-//     run — including a shard's event wheel during the parallel phase —
+//     run — including a shard's event wheel during the shard phase —
 //     so an Agent may touch only its own state plus read-only
 //     configuration. One Agent instance serves exactly one L2.
 //
@@ -23,9 +23,10 @@
 // clocks, map iteration order, or randomness; any state an Agent reads
 // must be owned by its L2 or mutated only in the serial phase; and a
 // detached policy (every hook a no-op) must not perturb the event
-// sequence. The conformance suite in internal/system enforces all three
-// for every registered policy (serial-vs-sharded bit-identity, auditor
-// soak, zero-alloc observation).
+// sequence. The conformance suite in internal/system runs every
+// registered policy under the differential auditor and pins its hooks
+// to zero allocations; TestResultsGolden pins each policy's Results
+// bytes.
 package wbpolicy
 
 import (

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -27,7 +26,7 @@ const goldenRefs = 3000
 
 // bigchipRefs is the per-thread trace length of the bigchip golden run,
 // whose 128 threads make each reference cost more wall time; it keeps
-// that entry's serial and 2-worker runs together under about a second.
+// that entry's run under about half a second.
 const bigchipRefs = 400
 
 const goldenFile = "testdata/results.sha256"
@@ -37,7 +36,7 @@ var goldenMechanisms = []string{"base", "wbht", "snarf", "combined", "reusedist"
 // TestResultsGolden is the behaviour lock: it pins the SHA-256 of the
 // marshalled Results JSON for every built-in workload under every
 // write-back policy, plus one streamed sharded capture and the 64-core
-// bigchip configuration, each run serially and at 2 shard workers. Any change to a simulated bit — an event
+// bigchip configuration. Any change to a simulated bit — an event
 // reordered, a counter moved — changes a hash. A refactor that claims to
 // be behaviour-preserving must leave this file untouched; a change that
 // means to alter results regenerates it with
@@ -45,23 +44,15 @@ var goldenMechanisms = []string{"base", "wbht", "snarf", "combined", "reusedist"
 //	go test -run TestResultsGolden -update .
 func TestResultsGolden(t *testing.T) {
 	got := map[string]string{}
-	record := func(name string, res *cmpcache.Results, workers int) {
+	record := func(name string, res *cmpcache.Results) {
 		t.Helper()
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(b)
-		h := hex.EncodeToString(sum[:])
-		if prev, ok := got[name]; ok && prev != h {
-			t.Errorf("%s: %d shard workers hash %s, serial %s", name, workers, h, prev)
-			return
-		}
-		got[name] = h
+		got[name] = hex.EncodeToString(sum[:])
 	}
-
-	prev := runtime.GOMAXPROCS(2) // let the 2-worker runs start a real pool
-	defer runtime.GOMAXPROCS(prev)
 
 	for _, w := range cmpcache.Workloads() {
 		tr, err := cmpcache.GenerateWorkloadSized(w, goldenRefs)
@@ -69,14 +60,11 @@ func TestResultsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range goldenMechanisms {
-			cfg := mechanismConfig(t, m)
-			for _, workers := range []int{1, 2} {
-				res, err := cmpcache.RunWith(cfg, tr, cmpcache.RunOptions{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				record(w+"/"+m, res, workers)
+			res, err := cmpcache.Run(mechanismConfig(t, m), tr)
+			if err != nil {
+				t.Fatal(err)
 			}
+			record(w+"/"+m, res)
 		}
 	}
 
@@ -90,21 +78,19 @@ func TestResultsGolden(t *testing.T) {
 	if _, err := trace.WriteSharded(dir, tr, trace.ShardOptions{Shards: 3, BatchRecords: 256}); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		src, err := cmpcache.OpenTraceDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := cmpcache.RunSourceWith(mechanismConfig(t, "wbht"), src, cmpcache.RunOptions{Workers: workers})
-		src.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		record("stream/tp/wbht", res, workers)
+	src, err := cmpcache.OpenTraceDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := cmpcache.RunSourceWith(mechanismConfig(t, "wbht"), src, cmpcache.RunOptions{})
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	record("stream/tp/wbht", res)
 
-	// bigchip: the 64-core scaling configuration of BenchmarkBigChipShards
-	// (tp over 128 threads and 32 L2 slices, so 33 event wheels).
+	// bigchip: the 64-core scaling configuration (tp over 128 threads
+	// and 32 L2 slices, so 33 event wheels).
 	p, err := cmpcache.WorkloadByName("tp")
 	if err != nil {
 		t.Fatal(err)
@@ -117,13 +103,10 @@ func TestResultsGolden(t *testing.T) {
 	}
 	bigCfg := cmpcache.DefaultConfig()
 	bigCfg.Cores = 64
-	for _, workers := range []int{1, 2} {
-		res, err := cmpcache.RunWith(bigCfg, big, cmpcache.RunOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		record("bigchip/tp/base", res, workers)
+	if res, err = cmpcache.Run(bigCfg, big); err != nil {
+		t.Fatal(err)
 	}
+	record("bigchip/tp/base", res)
 
 	if *update {
 		writeGolden(t, got)
