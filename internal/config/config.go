@@ -411,6 +411,9 @@ func (c Config) Validate() error {
 	case c.MemBanks <= 0:
 		return fmt.Errorf("config: MemBanks = %d, must be positive", c.MemBanks)
 	}
+	if err := c.validateTiming(); err != nil {
+		return err
+	}
 	if c.Mechanism == WBHT || c.Mechanism == Combined {
 		if err := validateTable("WBHT", c.WBHT.Entries, c.WBHT.Assoc); err != nil {
 			return err
@@ -441,6 +444,41 @@ func (c Config) Validate() error {
 		}
 		if c.HybridUI.UpdateThreshold <= 0 {
 			return fmt.Errorf("config: HybridUI UpdateThreshold = %d, must be positive", c.HybridUI.UpdateThreshold)
+		}
+	}
+	return nil
+}
+
+// validateTiming rejects latencies and occupancies that would schedule
+// an event in the past or re-poll a stalled miss at the same cycle
+// forever: the stall backoff and every occupancy must be positive, the
+// core-side latencies non-negative, and each source latency must cover
+// the data-ring transfer it ends with.
+func (c Config) validateTiming() error {
+	for _, f := range []struct {
+		name    string
+		v, min  Cycles
+		minName string // names min when it is another field
+	}{
+		{"RetryBackoff", c.RetryBackoff, 1, ""},
+		{"AddrRingOccupancy", c.AddrRingOccupancy, 1, ""},
+		{"DataRingOccupancy", c.DataRingOccupancy, 1, ""},
+		{"L2PortOccupancy", c.L2PortOccupancy, 1, ""},
+		{"L3SliceOccupancy", c.L3SliceOccupancy, 1, ""},
+		{"MemBankOccupancy", c.MemBankOccupancy, 1, ""},
+		{"CoreToL2", c.CoreToL2, 0, ""},
+		{"L2Access", c.L2Access, 0, ""},
+		{"AddressPhase", c.AddressPhase, 0, ""},
+		{"PeerSourceLatency", c.PeerSourceLatency, c.DataRingOccupancy, "DataRingOccupancy"},
+		{"L3SourceLatency", c.L3SourceLatency, c.DataRingOccupancy, "DataRingOccupancy"},
+		{"MemSourceLatency", c.MemSourceLatency, c.DataRingOccupancy, "DataRingOccupancy"},
+	} {
+		switch {
+		case f.v >= f.min:
+		case f.minName != "":
+			return fmt.Errorf("config: %s = %d, must be at least %s = %d", f.name, f.v, f.minName, f.min)
+		default:
+			return fmt.Errorf("config: %s = %d, must be at least %d", f.name, f.v, f.min)
 		}
 	}
 	return nil
