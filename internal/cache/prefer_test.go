@@ -91,7 +91,7 @@ func TestInsertPreferInvariants(t *testing.T) {
 			})
 		}
 		seen := map[uint64]int{}
-		c.ForEach(func(l Line) { seen[l.Key]++ })
+		c.ForEach(1, func(l Line) { seen[l.Key]++ })
 		for _, n := range seen {
 			if n > 1 {
 				return false

@@ -16,8 +16,6 @@
 package l3
 
 import (
-	"math/bits"
-
 	"cmpcache/internal/cache"
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
@@ -38,12 +36,14 @@ type Castout struct {
 
 // Cache is the L3 victim cache controller.
 type Cache struct {
-	cfg        *config.Config
-	slices     []*cache.Cache
-	servers    []sim.Server // one per slice: off-chip array bandwidth
-	queue      *sim.TokenQueue
-	sliceMask  uint64
-	sliceShift uint
+	cfg *config.Config
+	// tags is the whole L3's tag array. Its slice bits are the low bits
+	// of the set index, so each slice's sets interleave and the array
+	// holds chip-wide keys; servers model each slice's bandwidth.
+	tags      *cache.Cache
+	servers   []sim.Server // one per slice: off-chip array bandwidth
+	queue     *sim.TokenQueue
+	sliceMask uint64
 
 	demandLookups    uint64
 	demandHits       uint64
@@ -63,42 +63,25 @@ type Cache struct {
 
 // New builds the L3 from cfg.
 func New(cfg *config.Config) *Cache {
-	linesPerSlice := cfg.L3Lines() / cfg.L3Slices
-	sets := linesPerSlice / cfg.L3Assoc
-	slices := make([]*cache.Cache, cfg.L3Slices)
-	for i := range slices {
-		slices[i] = cache.New(sets, cfg.L3Assoc)
-	}
 	return &Cache{
-		cfg:        cfg,
-		slices:     slices,
-		servers:    make([]sim.Server, cfg.L3Slices),
-		queue:      sim.NewTokenQueue(cfg.L3QueueEntries),
-		sliceMask:  uint64(cfg.L3Slices - 1),
-		sliceShift: uint(bits.TrailingZeros(uint(cfg.L3Slices))),
+		cfg:       cfg,
+		tags:      cache.New(cfg.L3Lines()/cfg.L3Assoc, cfg.L3Assoc),
+		servers:   make([]sim.Server, cfg.L3Slices),
+		queue:     sim.NewTokenQueue(cfg.L3QueueEntries),
+		sliceMask: uint64(cfg.L3Slices - 1),
 	}
-}
-
-// slice returns the slice array and the slice-local key for a line key.
-func (c *Cache) slice(key uint64) (*cache.Cache, int, uint64) {
-	idx := int(key & c.sliceMask)
-	return c.slices[idx], idx, key >> c.sliceShift
 }
 
 // Contains reports (without perturbing stats or recency) whether key is
 // valid in the L3 — the oracle peek the paper uses to score WBHT
 // decisions.
-func (c *Cache) Contains(key uint64) bool {
-	s, _, k := c.slice(key)
-	return s.Contains(k)
-}
+func (c *Cache) Contains(key uint64) bool { return c.tags.Contains(key) }
 
 // PeekLine reports (without perturbing stats or recency) whether key is
 // valid in the L3 and whether that copy is dirty. Shadow checkers use
 // it for dirty-line conservation.
 func (c *Cache) PeekLine(key uint64) (present, dirty bool) {
-	s, _, k := c.slice(key)
-	if l, ok := s.Peek(k); ok {
+	if l, ok := c.tags.Peek(key); ok {
 		return true, l.State == stDirty
 	}
 	return false, false
@@ -114,9 +97,7 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind, isLoad bool) coh
 	if isLoad {
 		c.loadLookups++
 	}
-	s, _, k := c.slice(key)
-	line := s.LookupTouch(k)
-	if line == nil {
+	if c.tags.LookupTouch(key) == nil {
 		return coherence.RespNull
 	}
 	c.demandHits++
@@ -124,7 +105,7 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind, isLoad bool) coh
 		c.loadHits++
 	}
 	if kind == coherence.RWITM || kind == coherence.Upgrade {
-		s.Invalidate(k)
+		c.tags.Invalidate(key)
 		c.invalidations++
 		if kind == coherence.Upgrade {
 			// Ownership claims carry no data; the directory hit only
@@ -143,14 +124,13 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind, isLoad bool) coh
 // once the data transfer and array write complete.
 func (c *Cache) SnoopWB(key uint64, kind coherence.TxnKind) coherence.Response {
 	c.wbSnooped++
-	s, _, k := c.slice(key)
-	present := s.Contains(k)
+	present := c.tags.Contains(key)
 	if kind == coherence.CleanWB {
 		c.cleanWBSnooped++
 		if present {
 			c.cleanWBRedundant++
 			c.wbSquashed++
-			s.Touch(k)
+			c.tags.Touch(key)
 			return coherence.RespWBRedundant
 		}
 	}
@@ -183,24 +163,22 @@ func (c *Cache) ReleaseToken() { c.queue.Release() }
 // MRU. A line already present is updated in place (dirty data overwrite).
 func (c *Cache) Insert(key uint64, kind coherence.TxnKind) (Castout, bool) {
 	c.inserts++
-	s, idx, k := c.slice(key)
 	state := stClean
 	if kind == coherence.DirtyWB {
 		state = stDirty
 	}
-	if l := s.Lookup(k); l != nil {
+	if l := c.tags.LookupTouch(key); l != nil {
 		if state == stDirty {
 			l.State = stDirty
 		}
-		s.Touch(k)
 		return Castout{}, false
 	}
-	evicted, did := s.Insert(k, state, 0, true)
+	evicted, did := c.tags.Insert(key, state, 0, true)
 	if did {
 		c.evictions++
 		if evicted.State == stDirty {
 			c.castouts++
-			return Castout{Key: evicted.Key<<c.sliceShift | uint64(idx)}, true
+			return Castout{Key: evicted.Key}, true
 		}
 	}
 	return Castout{}, false
@@ -212,8 +190,7 @@ func (c *Cache) Evictions() uint64 { return c.evictions }
 // ReserveSlice books off-chip array bandwidth on key's slice beginning
 // at or after now, returning the access start cycle.
 func (c *Cache) ReserveSlice(key uint64, now config.Cycles) config.Cycles {
-	_, idx, _ := c.slice(key)
-	return c.servers[idx].Reserve(now, c.cfg.L3SliceOccupancy)
+	return c.servers[key&c.sliceMask].Reserve(now, c.cfg.L3SliceOccupancy)
 }
 
 // QueueInUse exposes current incoming-queue occupancy (tests/diagnostics).
@@ -252,13 +229,7 @@ func (c *Cache) LoadHitRate() float64 {
 }
 
 // Occupancy returns the number of valid lines across all slices.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, s := range c.slices {
-		n += s.CountValid()
-	}
-	return n
-}
+func (c *Cache) Occupancy() int { return c.tags.CountValid() }
 
 // QueueStats exposes the incoming queue's token accounting for
 // diagnostics: successful acquisitions, rejections (retries at the

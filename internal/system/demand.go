@@ -3,6 +3,7 @@ package system
 import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/l2"
 	"cmpcache/internal/sim"
 )
 
@@ -17,7 +18,8 @@ type pendingAccess struct {
 	issued  config.Cycles
 	done    func(config.Cycles) // thread completion (cpu doneFn)
 	isStore bool
-	count   bool // false on re-attempts after a structural stall
+	count   bool       // false on re-attempts after a structural stall
+	stall   l2.StallID // registration while stalled (see shard.repoll)
 
 	// completeFn is this node's completion callback: it observes the
 	// fill latency, releases the node and calls done. It is what gets

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"fmt"
+
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/cpu"
@@ -45,6 +47,7 @@ type shard struct {
 	fillLatency stats.Histogram
 
 	hResolve sim.Handler
+	hRepoll  sim.Handler
 
 	obs   []obsRec
 	posts []busPost
@@ -112,6 +115,7 @@ func newShardCore(s *System, idx int) *shard {
 		return p
 	})
 	sh.hResolve = func(d sim.EventData) { sh.resolve(d.Ptr.(*pendingAccess)) }
+	sh.hRepoll = func(d sim.EventData) { sh.repoll(d.Ptr.(*pendingAccess)) }
 	return sh
 }
 
@@ -289,11 +293,8 @@ func (sh *shard) resolve(p *pendingAccess) {
 		// chip: cancel the write back and put the line home.
 		e, ok := cache.CancelWB(key)
 		if !ok {
-			// The in-flight write back combined in this same cycle;
-			// treat as a plain miss on re-resolution.
-			p.count = false
-			sh.resolve(p)
-			return
+			// Probe has just found the live entry, and nothing ran since.
+			panic(fmt.Sprintf("system: L2 %d lost the write-back entry for %#x between Probe and CancelWB", cache.ID(), key))
 		}
 		sh.logWBReinstall(now, e)
 		if !e.InFlight {
@@ -332,9 +333,10 @@ func (sh *shard) resolve(p *pendingAccess) {
 		if cache.WBQueueFull() || cache.MSHRFull() {
 			// Structural stall: the miss blocks until a slot opens
 			// ("misses to the L2 cache will be blocked and will have to
-			// wait for an open slot").
+			// wait for an open slot"), re-polling every RetryBackoff.
 			p.count = false
-			sh.engine.ScheduleCall(s.cfg.RetryBackoff, sh.hResolve, sim.EventData{Ptr: p})
+			p.stall = cache.Stall(key)
+			sh.engine.ScheduleCall(s.cfg.RetryBackoff, sh.hRepoll, sim.EventData{Ptr: p})
 			return
 		}
 		kind := coherence.Read
@@ -347,6 +349,26 @@ func (sh *shard) resolve(p *pendingAccess) {
 		sh.logDemandIssued(now, key, p.issued)
 		sh.postDemandTxn(now, key, kind)
 	}
+}
+
+// repoll re-attempts a stalled miss. While its registration is
+// unchanged and the cache is still full, the full probe would stall
+// again with no side effect (it runs uncounted, and a tag miss updates
+// no recency), so the re-poll only reschedules itself. The event still
+// fires every RetryBackoff cycles, so event counts and same-cycle order
+// are those of a full re-poll. Any other re-poll drops the registration
+// and resolves as usual.
+func (sh *shard) repoll(p *pendingAccess) {
+	cache := sh.cache
+	if !cache.StallChanged(p.stall) && (cache.WBQueueFull() || cache.MSHRFull()) {
+		if check := sh.sys.repollCheck; check != nil {
+			check(cache, p.key)
+		}
+		sh.engine.ScheduleCall(sh.sys.cfg.RetryBackoff, sh.hRepoll, sim.EventData{Ptr: p})
+		return
+	}
+	cache.Unstall(p.stall)
+	sh.resolve(p)
 }
 
 // completeFill delivers the arrived data to the coalesced waiters and

@@ -107,6 +107,11 @@ type System struct {
 	// collector (nil in normal runs — hook sites pay one nil check each).
 	lat *txlat.Collector
 
+	// repollCheck, set only by tests, is called on every re-poll that
+	// skips the probe (see shard.repoll) to check that the full probe
+	// would have stalled.
+	repollCheck func(c *l2.Cache, key uint64)
+
 	// System-level counters (component-level ones live in the
 	// components).
 	fillsFromPeer   uint64

@@ -26,7 +26,7 @@ import (
 // (retaining producer-consumer history) or reset on an invalidation
 // (the sharer set is gone).
 type hybridChip struct {
-	score     *cache.Cache // score lives in Line.Flags
+	score     *cache.Cache // score lives in Meta.Flags
 	threshold uint8
 	agents    []hybridAgent
 	stats     Stats
