@@ -130,11 +130,6 @@ type Engine struct {
 	// far events in scheduling order.
 	far []scheduledEvent
 	seq uint64
-
-	// tick, when non-nil, observes every event's timestamp just before
-	// its handler runs (the metrics probe's window clock). Observation
-	// only: it must not schedule events or mutate simulation state.
-	tick func(Time)
 }
 
 // NewEngine returns an empty engine positioned at cycle zero.
@@ -145,12 +140,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// SetTick installs fn as the per-event time observer (nil uninstalls
-// it). fn sees each event's timestamp after Now has advanced to it and
-// before the event's handler executes, so a sampler driven by it reads
-// the state the simulation had strictly before the observed cycle.
-func (e *Engine) SetTick(fn func(Time)) { e.tick = fn }
 
 // Grow pre-sizes the node slab so that n events due within the wheel's
 // span can be pending without reallocating, avoiding growth copies
@@ -253,8 +242,8 @@ func (e *Engine) NextTime() Time {
 
 // AdvanceTo moves the clock forward to t without firing events. t must
 // not precede Now and must not skip over a pending event — the past
-// stays immutable and no event may be jumped. The round coordinator
-// uses it to keep parked shard wheels in step with the global wheel, so
+// stays immutable and no event may be jumped. The round loop uses it to
+// bring the slice wheel's clock up to a global event's cycle, so
 // handlers invoked synchronously from global events (waiter wake-ups)
 // read the correct Now.
 func (e *Engine) AdvanceTo(t Time) {
@@ -280,29 +269,30 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single earliest pending event and reports whether one
 // was available.
 func (e *Engine) Step() bool {
-	var h Handler
-	var d EventData
 	switch {
-	case e.nearLen > 0 && (len(e.far) == 0 || e.nearNext < e.far[0].at):
-		h, d = e.popNear()
+	case e.nearFirst(Forever):
+		e.fireNear()
 	case len(e.far) > 0:
 		ev := e.pop()
 		e.now = ev.at
-		h, d = ev.h, ev.d
+		e.fired++
+		ev.h(ev.d)
 	default:
 		return false
 	}
-	e.fired++
-	if e.tick != nil {
-		e.tick(e.now)
-	}
-	h(d)
 	return true
 }
 
-// popNear removes the wheel's first event, advances Now to its cycle
-// and returns its handler and payload.
-func (e *Engine) popNear() (Handler, EventData) {
+// nearFirst reports whether the wheel's first event is due by deadline
+// and fires before the far heap's minimum (which wins a tie).
+func (e *Engine) nearFirst(deadline Time) bool {
+	return e.nearLen > 0 && e.nearNext <= deadline && (len(e.far) == 0 || e.nearNext < e.far[0].at)
+}
+
+// fireNear removes the wheel's first event, advances Now to its cycle
+// and runs it. The handler and payload are copied out first: the node
+// is recycled before the handler can schedule into it.
+func (e *Engine) fireNear() {
 	at := e.nearNext
 	s := int(at) & wheelMask
 	tail := e.slots[s]
@@ -321,7 +311,8 @@ func (e *Engine) popNear() (Handler, EventData) {
 	if e.nearLen--; e.nearLen > 0 && e.slots[s] == 0 {
 		e.nearNext = e.scan(at)
 	}
-	return h, d
+	e.fired++
+	h(d)
 }
 
 // scan returns the earliest wheel event time at or after from, a cycle
@@ -358,8 +349,14 @@ func (e *Engine) Run() Time {
 // simulation time, which never exceeds deadline.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped && e.NextTime() <= deadline {
-		e.Step()
+	for !e.stopped {
+		if e.nearFirst(deadline) {
+			e.fireNear()
+		} else if e.NextTime() <= deadline {
+			e.Step()
+		} else {
+			break
+		}
 	}
 	if e.now > deadline {
 		panic("sim: time ran past deadline") // unreachable: guarded above

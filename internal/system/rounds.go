@@ -10,35 +10,40 @@ import (
 // This file is the round loop that fixes the simulator's event order
 // (DESIGN.md §15).
 //
-// The simulated chip is partitioned by L2 slice into shards, each with
-// its own event wheel, plus one global wheel holding every bus-combine
-// event and everything behind it (ring, L3, memory). Execution proceeds
-// in rounds:
+// Events run on two wheels. The slice wheel, shared by every shard,
+// holds each L2 slice's front-end events: thread issues, probes,
+// re-polls and fill deliveries. The global wheel holds every
+// bus-combine event and everything behind it (ring, L3, memory).
+// Execution proceeds in rounds:
 //
 //  1. Boundary tick — close observability windows up to the next event
 //     time and advance the retry switch's sampling window. After this,
 //     shard context may only *read* the switch (ActiveNow).
-//  2. Shard phase — every shard runs its wheel up to a horizon H, one
-//     shard after another. H is chosen so no shard event can causally
-//     precede any global event: H never exceeds the next global event
-//     time, never reaches an observability window boundary, and never
-//     exceeds the earliest cycle a freshly posted bus request could
-//     combine (min over shards of next-event time, floored by the
-//     address ring's free cycle, plus the address phase).
-//  3. Barrier — replay the shards' observation logs into the
-//     attachments in canonical (time, shard) order, then execute the
-//     deferred bus posts in canonical (time, shard) order, arbitrating
-//     each at its own recorded cycle.
+//  2. Shard phase — the slice wheel runs up to a horizon H. H is chosen
+//     so no shard event can causally precede any global event: H never
+//     exceeds the next global event time, never reaches an
+//     observability window boundary, and never exceeds the earliest
+//     cycle a freshly posted bus request could combine (the slice
+//     wheel's next event time, floored by the address ring's free
+//     cycle, plus the address phase).
+//  3. Barrier — replay the observation log into the attachments, then
+//     execute the deferred bus posts, arbitrating each at its own
+//     recorded cycle. Both logs are kept in (time, slice, append) order
+//     as records arrive (see logStamp).
 //  4. Serial phase — fire global events in time order while they
-//     precede every pending shard event and the next window boundary.
-//     A global event that wakes waiters first advances the woken
-//     shard's parked clock to its cycle, so re-entered shard code
-//     observes the right Now.
+//     precede every pending slice event and the next window boundary.
+//     A global event that wakes waiters first advances the slice
+//     wheel's clock to its cycle, so re-entered shard code observes the
+//     right Now.
 //
-// Every merge order above is a pure function of simulated time and
-// shard index. Same-cycle bus posts from different slices arbitrate in
-// slice order, not in the order their events fired, and every golden
-// Results hash depends on that order.
+// A shard event touches only its own slice's state, so firing the
+// slices' events interleaved in (time, scheduling order) is exact: each
+// slice sees its own events in the same order as on a wheel of its own.
+// The only cross-slice effects are the posts and observations, and they
+// reach the global side in (time, slice, append) order. Same-cycle bus
+// posts from different slices arbitrate in slice order, not in the
+// order their events fired, and every golden Results hash depends on
+// that order.
 
 // runRounds executes the workload to completion (or ctx cancellation)
 // using the round structure above.
@@ -49,16 +54,12 @@ func (s *System) runRounds(ctx context.Context) error {
 
 	windowed := s.lat != nil && s.lat.Windowed()
 	serialBudget := 0
-	s.shardNext = s.minShardTime()
 	for {
-		minLocal := s.shardNext
+		minLocal := s.sliceWheel.NextTime()
 		tg := s.engine.NextTime()
-		tNext := minLocal
-		if tg < tNext {
-			tNext = tg
-		}
+		tNext := min(minLocal, tg)
 		if tNext == sim.Forever {
-			break // every wheel is empty: the run is complete
+			break // both wheels are empty: the run is complete
 		}
 
 		// (1) Boundary tick: windows ending at or before the next event
@@ -75,44 +76,23 @@ func (s *System) runRounds(ctx context.Context) error {
 			boundary = s.probe.NextBoundary()
 		}
 		if windowed {
-			if b := s.lat.NextBoundary(); b < boundary {
-				boundary = b
-			}
+			boundary = min(boundary, s.lat.NextBoundary())
 		}
 
 		// (2) Horizon: the largest cycle shards may run to freely.
-		h := tg
 		if minLocal != sim.Forever {
-			look := minLocal
-			if nf := s.ring.AddressNextFree(); nf > look {
-				look = nf
-			}
-			look += s.cfg.AddressPhase
-			if look < h {
-				h = look
-			}
-			if boundary-1 < h {
-				h = boundary - 1
-			}
-			if minLocal <= h {
-				for _, sh := range s.shards {
-					if sh.engine.NextTime() <= h {
-						sh.engine.RunUntil(h)
-					}
-				}
+			look := max(minLocal, s.ring.AddressNextFree()) + s.cfg.AddressPhase
+			if h := min(tg, look, boundary-1); minLocal <= h {
+				s.sliceWheel.RunUntil(h)
 				s.drainBarrier(h)
-				s.shardNext = s.minShardTime()
 			}
 		}
 
 		// (4) Serial phase: global events that precede every pending
-		// shard event and the next window boundary. Shard wheels do not
-		// fire here, so the earliest shard event can only move earlier,
-		// and only through atShard/wakeWaiters — which keep shardNext
-		// exact without a rescan per event.
+		// slice event and the next window boundary.
 		for {
 			g := s.engine.NextTime()
-			if g >= boundary || g >= s.shardNext {
+			if g >= boundary || g >= s.sliceWheel.NextTime() {
 				break
 			}
 			if s.auditor != nil {
@@ -137,88 +117,38 @@ func (s *System) runRounds(ctx context.Context) error {
 	return nil
 }
 
-// minShardTime returns the earliest pending shard event time.
-func (s *System) minShardTime() config.Cycles {
-	m := sim.Forever
-	for _, sh := range s.shards {
-		if t := sh.engine.NextTime(); t < m {
-			m = t
-		}
-	}
-	return m
-}
-
-// atShard schedules h on shard idx's wheel from serial-phase context,
-// keeping shardNext exact.
-func (s *System) atShard(idx int, t config.Cycles, h sim.Handler, d sim.EventData) {
-	s.shards[idx].engine.AtCall(t, h, d)
-	if t < s.shardNext {
-		s.shardNext = t
-	}
-}
-
-// wakeWaiters completes a bus commit's coalesced waiters on shard idx
-// from serial-phase context. They re-enter the shard's front end (a
-// completion may issue the thread's next access), so the parked shard
-// clock first advances to now, and whatever they schedule on the shard
-// wheel is folded into shardNext.
-func (s *System) wakeWaiters(idx int, now config.Cycles, loads, stores []func(config.Cycles)) {
-	wheel := s.shards[idx].engine
-	wheel.AdvanceTo(now)
+// wakeWaiters completes a bus commit's coalesced waiters from
+// serial-phase context. They re-enter their shard's front end (a
+// completion may issue the thread's next access), so the slice wheel's
+// clock first advances to now.
+func (s *System) wakeWaiters(now config.Cycles, loads, stores []func(config.Cycles)) {
+	s.sliceWheel.AdvanceTo(now)
 	for _, w := range loads {
 		w(now)
 	}
 	for _, w := range stores {
 		w(now)
 	}
-	if t := wheel.NextTime(); t < s.shardNext {
-		s.shardNext = t
-	}
 }
 
-// drainBarrier is the rendezvous after a shard phase: observation
-// logs replay in (time, shard) order, the auditor's event clock catches
-// up to the horizon, and the deferred bus posts arbitrate in (time,
-// shard) order at their recorded cycles.
+// drainBarrier is the rendezvous after a shard phase: the observation
+// log replays, the auditor's event clock catches up to the horizon, and
+// the deferred bus posts arbitrate at their recorded cycles, each log
+// front to back.
 func (s *System) drainBarrier(h config.Cycles) {
-	var fired uint64
-	for {
-		var best *shard
-		bestAt := sim.Forever
-		for _, sh := range s.shards {
-			if sh.obsNext < len(sh.obs) && sh.obs[sh.obsNext].at < bestAt {
-				best, bestAt = sh, sh.obs[sh.obsNext].at
-			}
-		}
-		if best == nil {
-			break
-		}
-		s.replayObs(best, &best.obs[best.obsNext])
-		best.obsNext++
+	if len(s.obs) == 0 && len(s.posts) == 0 && s.auditor == nil {
+		return
+	}
+	for i := range s.obs {
+		s.replayObs(&s.obs[i])
 	}
 	if s.auditor != nil {
-		for _, sh := range s.shards {
-			fired += sh.engine.Fired()
-		}
+		fired := s.sliceWheel.Fired()
 		s.auditor.AdvanceEvents(h, fired-s.auditedFired)
 		s.auditedFired = fired
 	}
-	for {
-		var best *shard
-		bestAt := sim.Forever
-		for _, sh := range s.shards {
-			if sh.postNext < len(sh.posts) && sh.posts[sh.postNext].when < bestAt {
-				best, bestAt = sh, sh.posts[sh.postNext].when
-			}
-		}
-		if best == nil {
-			break
-		}
-		s.executePost(best, &best.posts[best.postNext])
-		best.postNext++
+	for i := range s.posts {
+		s.executePost(&s.posts[i])
 	}
-	for _, sh := range s.shards {
-		sh.obs, sh.obsNext = sh.obs[:0], 0
-		sh.posts, sh.postNext = sh.posts[:0], 0
-	}
+	s.obs, s.posts = s.obs[:0], s.posts[:0]
 }

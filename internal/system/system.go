@@ -13,13 +13,13 @@
 // the cycle cost of in-flight windows is preserved, only their
 // observability is collapsed.
 //
-// Execution is partitioned by L2 slice: each slice's front end
-// (threads, tag probes, MSHRs, write-back queue) runs on its own event
-// wheel, and the bus FIFO — the chip's only global ordering point —
-// lives on a global wheel. A round loop interleaves the wheels and
-// merges the slices' bus posts and observations in (time, slice) order,
-// which fixes the event order every Results byte depends on (see
-// rounds.go and DESIGN.md §15).
+// Execution is partitioned by L2 slice: every slice's front end
+// (threads, tag probes, MSHRs, write-back queue) runs on one shared
+// slice wheel, and the bus FIFO — the chip's only global ordering point
+// — lives on a global wheel. A round loop interleaves the two wheels
+// and hands the slices' bus posts and observations to the global side
+// in (time, slice) order, which fixes the event order every Results
+// byte depends on (see rounds.go and DESIGN.md §15).
 package system
 
 import (
@@ -43,10 +43,17 @@ import (
 
 // System is one fully wired simulated chip.
 type System struct {
-	cfg    config.Config
-	engine *sim.Engine // global wheel: bus combines and everything behind them
+	cfg        config.Config
+	engine     *sim.Engine // global wheel: bus combines and everything behind them
+	sliceWheel *sim.Engine // every shard's front-end events
 
 	shards []*shard // one per L2 slice; shards[i] owns l2s[i]
+
+	// obs and posts are the shards' deferred observations and bus
+	// requests, each in (time, slice, append) order, drained at the
+	// round barrier (see logStamp).
+	obs   []obsRec
+	posts []busPost
 
 	l2s       []*l2.Cache
 	l3        *l3.Cache
@@ -59,10 +66,6 @@ type System struct {
 	// per-L2 agents live inside the l2.Caches. All chip hooks run at
 	// bus combine events (serial phase).
 	policy wbpolicy.Chip
-
-	// shardNext is the earliest pending event time across the shard
-	// wheels, maintained by the round coordinator (see atShard).
-	shardNext config.Cycles
 
 	wbInFlight []bool // one write-back bus transaction at a time per L2
 
@@ -98,7 +101,7 @@ type System struct {
 
 	// auditor, when attached, is the shadow invariant checker (nil in
 	// normal runs — hook sites pay one nil check each). auditedFired
-	// tracks how many shard events have been credited to its sweep
+	// tracks how many slice-wheel events have been credited to its sweep
 	// cadence.
 	auditor      *audit.Auditor
 	auditedFired uint64
@@ -136,14 +139,15 @@ type System struct {
 // and the bound event handlers. New and NewStream attach the shards.
 func newCore(cfg config.Config) *System {
 	s := &System{
-		cfg:       cfg,
-		engine:    sim.NewEngine(),
-		l3:        l3.New(&cfg),
-		mem:       mem.New(&cfg),
-		ring:      ring.New(&cfg),
-		collector: coherence.NewCollector(),
-		rswitch:   core.NewRetrySwitch(cfg.WBHT),
-		reuse:     newReuseTracker(),
+		cfg:        cfg,
+		engine:     sim.NewEngine(),
+		sliceWheel: sim.NewEngine(),
+		l3:         l3.New(&cfg),
+		mem:        mem.New(&cfg),
+		ring:       ring.New(&cfg),
+		collector:  coherence.NewCollector(),
+		rswitch:    core.NewRetrySwitch(cfg.WBHT),
+		reuse:      newReuseTracker(),
 	}
 	s.policy = wbpolicy.New(&s.cfg)
 	for i := 0; i < cfg.NumL2(); i++ {
@@ -189,14 +193,18 @@ func New(cfg config.Config, tr *trace.Trace) (*System, error) {
 		streams = append(streams, nil)
 	}
 	tpl := cfg.ThreadsPerL2()
+	sliceEvents := 0
 	for i := 0; i < cfg.NumL2(); i++ {
 		sub := streams[i*tpl : (i+1)*tpl]
 		recs := 0
 		for _, st := range sub {
 			recs += len(st)
 		}
-		s.shards = append(s.shards, newShard(s, i, sub, recs))
+		sh := newShard(s, i, sub)
+		sliceEvents += sh.size(recs)
+		s.shards = append(s.shards, sh)
 	}
+	s.sliceWheel.Grow(sliceEvents)
 
 	// Pre-size the global event queue from the workload: its high-water
 	// mark tracks in-flight bus transactions, bounded by what the trace
@@ -236,6 +244,7 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 		return int(n)
 	}
 	tpl := cfg.ThreadsPerL2()
+	sliceEvents := 0
 	for i := 0; i < cfg.NumL2(); i++ {
 		streams := make([]trace.Stream, tpl)
 		var recs int64
@@ -246,12 +255,14 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 				recs += src.ThreadRecords(tid)
 			}
 		}
-		sh, err := newShardStream(s, i, streams, clamp(recs))
+		sh, err := newShardStream(s, i, streams)
 		if err != nil {
 			return nil, err
 		}
+		sliceEvents += sh.size(clamp(recs))
 		s.shards = append(s.shards, sh)
 	}
+	s.sliceWheel.Grow(sliceEvents)
 
 	events := cfg.Threads()*cfg.MaxOutstanding*4 + 64
 	if limit := 2*clamp(src.Records()) + 64; events > limit {
@@ -306,16 +317,10 @@ func (s *System) finish() *Results {
 	return s.results()
 }
 
-// lastTime returns the latest clock across all wheels — the time the
+// lastTime returns the later of the two wheels' clocks — the time the
 // simulation ended.
 func (s *System) lastTime() config.Cycles {
-	t := s.engine.Now()
-	for _, sh := range s.shards {
-		if n := sh.engine.Now(); n > t {
-			t = n
-		}
-	}
-	return t
+	return max(s.engine.Now(), s.sliceWheel.Now())
 }
 
 // --- thread-complex aggregation across shards ---
@@ -364,9 +369,5 @@ func (s *System) finishTime() config.Cycles {
 }
 
 func (s *System) eventsFired() uint64 {
-	n := s.engine.Fired()
-	for _, sh := range s.shards {
-		n += sh.engine.Fired()
-	}
-	return n
+	return s.engine.Fired() + s.sliceWheel.Fired()
 }
