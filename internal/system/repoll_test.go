@@ -20,8 +20,8 @@ import (
 // write-back queue or the MSHRs full. The check uses only
 // non-perturbing queries. It runs over the inputs of the root package's
 // TestResultsGolden (every workload under every policy, a streamed
-// sharded capture, the 64-core bigchip) and the configurations and
-// workloads of the TestAuditSoak seeds.
+// sharded capture, the 64-core bigchip, the small-cache stall run) and
+// the configurations and workloads of the TestAuditSoak seeds.
 func TestRepollShortPathExact(t *testing.T) {
 	skipped, input := 0, ""
 	check := func(c *l2.Cache, key uint64) {
@@ -79,6 +79,11 @@ func TestRepollShortPathExact(t *testing.T) {
 	big.Cores = 64
 	s, err = system.New(big, generate(t, "tp", 128, 400))
 	run("bigchip/tp/base", s, err)
+
+	stall := config.Default()
+	stall.L2SliceKB, stall.L3SliceMB, stall.WBQueueEntries = 16, 1, 2
+	s, err = system.New(stall, generate(t, "trade2", 0, 3000))
+	run("stall/trade2/base", s, err)
 
 	seeds := 40
 	if testing.Short() {
