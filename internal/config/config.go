@@ -389,18 +389,26 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: ThreadsPerCore = %d, must be positive", c.ThreadsPerCore)
 	case c.CoresPerL2 <= 0 || c.Cores%c.CoresPerL2 != 0:
 		return fmt.Errorf("config: CoresPerL2 = %d must evenly divide Cores = %d", c.CoresPerL2, c.Cores)
-	case c.LineBytes <= 0 || bits.OnesCount(uint(c.LineBytes)) != 1:
+	case !positivePow2(c.LineBytes):
 		return fmt.Errorf("config: LineBytes = %d, must be a positive power of two", c.LineBytes)
-	case c.L2Slices <= 0 || bits.OnesCount(uint(c.L2Slices)) != 1:
+	case !positivePow2(c.L2Slices):
 		return fmt.Errorf("config: L2Slices = %d, must be a positive power of two", c.L2Slices)
-	case c.L3Slices <= 0 || bits.OnesCount(uint(c.L3Slices)) != 1:
+	case !positivePow2(c.L3Slices):
 		return fmt.Errorf("config: L3Slices = %d, must be a positive power of two", c.L3Slices)
+	case c.L2SliceKB <= 0:
+		return fmt.Errorf("config: L2SliceKB = %d, must be positive", c.L2SliceKB)
+	case c.L3SliceMB <= 0:
+		return fmt.Errorf("config: L3SliceMB = %d, must be positive", c.L3SliceMB)
 	case c.L2Assoc <= 0 || c.L3Assoc <= 0:
 		return fmt.Errorf("config: associativities must be positive")
 	case c.L2Lines()/c.L2Slices%c.L2Assoc != 0:
 		return fmt.Errorf("config: L2 slice lines (%d) not divisible by associativity %d", c.L2Lines()/c.L2Slices, c.L2Assoc)
 	case c.L3Lines()/c.L3Slices%c.L3Assoc != 0:
 		return fmt.Errorf("config: L3 slice lines (%d) not divisible by associativity %d", c.L3Lines()/c.L3Slices, c.L3Assoc)
+	case !positivePow2(c.L2Lines() / c.L2Assoc):
+		return fmt.Errorf("config: L2SliceKB = %d, L2 sets = %d, must be a positive power of two", c.L2SliceKB, c.L2Lines()/c.L2Assoc)
+	case !positivePow2(c.L3Lines() / c.L3Assoc):
+		return fmt.Errorf("config: L3SliceMB = %d, L3 sets = %d, must be a positive power of two", c.L3SliceMB, c.L3Lines()/c.L3Assoc)
 	case c.MaxOutstanding <= 0:
 		return fmt.Errorf("config: MaxOutstanding = %d, must be positive", c.MaxOutstanding)
 	case c.WBQueueEntries <= 0 || c.L3QueueEntries <= 0 || c.MemQueueEntries <= 0:
@@ -418,7 +426,7 @@ func (c Config) Validate() error {
 		if err := validateTable("WBHT", c.WBHT.Entries, c.WBHT.Assoc); err != nil {
 			return err
 		}
-		if g := c.WBHT.LinesPerEntry; g <= 0 || bits.OnesCount(uint(g)) != 1 {
+		if g := c.WBHT.LinesPerEntry; !positivePow2(g) {
 			return fmt.Errorf("config: WBHT LinesPerEntry = %d, must be a positive power of two", g)
 		}
 	}
@@ -484,6 +492,9 @@ func (c Config) validateTiming() error {
 	return nil
 }
 
+// positivePow2 reports whether n is a positive power of two.
+func positivePow2(n int) bool { return n > 0 && bits.OnesCount(uint(n)) == 1 }
+
 func validateTable(name string, entries, assoc int) error {
 	if entries <= 0 || assoc <= 0 {
 		return fmt.Errorf("config: %s table entries/assoc must be positive", name)
@@ -492,7 +503,7 @@ func validateTable(name string, entries, assoc int) error {
 		return fmt.Errorf("config: %s table entries %d not divisible by assoc %d", name, entries, assoc)
 	}
 	sets := entries / assoc
-	if bits.OnesCount(uint(sets)) != 1 {
+	if !positivePow2(sets) {
 		return fmt.Errorf("config: %s table sets %d must be a power of two", name, sets)
 	}
 	return nil

@@ -177,6 +177,43 @@ func TestValidateTimingRejections(t *testing.T) {
 	}
 }
 
+// TestValidateGeometryRejections holds each cache-size rule at its first
+// rejected value, through Validate and through ReadJSON. Accepted, each
+// of these values panics building a tag array: a slice size must be
+// positive, and the whole L2 or L3 array must have a power-of-two set
+// count (3 KB L2 slices give 12 sets, 3 MB L3 slices 6144).
+func TestValidateGeometryRejections(t *testing.T) {
+	cases := []struct {
+		field  string
+		value  int
+		mutate func(*Config, int)
+	}{
+		{"L2SliceKB", 0, func(c *Config, v int) { c.L2SliceKB = v }},
+		{"L3SliceMB", 0, func(c *Config, v int) { c.L3SliceMB = v }},
+		{"L2SliceKB", 3, func(c *Config, v int) { c.L2SliceKB = v }},
+		{"L3SliceMB", 3, func(c *Config, v int) { c.L3SliceMB = v }},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s=%d", tc.field, tc.value), func(t *testing.T) {
+			want := fmt.Sprintf("%s = %d,", tc.field, tc.value)
+			ok := Default()
+			tc.mutate(&ok, tc.value+1)
+			if err := ok.Validate(); err != nil {
+				t.Fatalf("%s = %d rejected: %v", tc.field, tc.value+1, err)
+			}
+			c := Default()
+			tc.mutate(&c, tc.value)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Validate = %v, want an error naming %q", err, want)
+			}
+			doc := fmt.Sprintf(`{%q: %d}`, tc.field, tc.value)
+			if _, err := ReadJSON(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("ReadJSON(%s) = %v, want an error naming %q", doc, err, want)
+			}
+		})
+	}
+}
+
 func TestValidateTableShapes(t *testing.T) {
 	c := Default().WithMechanism(WBHT)
 	c.WBHT.Entries = 1000 // 1000/16 is not a power-of-two set count
