@@ -1,9 +1,9 @@
 // Package audit is a shadow invariant checker for the simulated cache
 // hierarchy. An Auditor attaches to a system through the same
-// observation-only hook pattern as the metrics probe: the engine's
-// per-event tick drives periodic whole-hierarchy sweeps, and a set of
-// semantic hooks (called by internal/system at each protocol commit
-// point) keeps incremental ledgers. Attaching an auditor never perturbs
+// observation-only hook pattern as the metrics probe: an event clock the
+// system's round loop advances drives periodic whole-hierarchy sweeps,
+// and a set of semantic hooks (called by internal/system at each
+// protocol commit point) keeps incremental ledgers. Attaching an auditor never perturbs
 // the event sequence — every read it performs is a non-perturbing peek,
 // which a bit-identity test in internal/system pins.
 //

@@ -4,19 +4,21 @@
 // Chrome trace_event, viewable in Perfetto).
 //
 // The design contract is zero cost when disabled. A system without an
-// attached probe takes exactly one nil check per engine event and
+// attached probe takes one nil check per round of its event loop and
 // allocates nothing; all per-window state lives in the probe, and the
 // system only supplies a sampler callback that copies its cumulative
 // counters into a Snapshot. The probe differences consecutive snapshots
 // at each window close, so the simulation's own hot paths carry no
 // extra arithmetic.
 //
-// Sampling is driven by the engine's per-event tick, not by scheduled
-// sampler events: a probe therefore never changes the event sequence,
-// Results.EventsFired, or any simulated outcome. A window [start, end)
-// closes at the first event whose timestamp reaches end, and the
-// sampled state is exactly the state after all events strictly before
-// end — deterministic for a fixed workload, independent of wall clock.
+// Sampling is driven by the system's round loop, which calls Tick with
+// its next event time before firing anything at that time, not by
+// scheduled sampler events: a probe therefore never changes the event
+// sequence, Results.EventsFired, or any simulated outcome. A window
+// [start, end) closes at the first event whose timestamp reaches end,
+// and the sampled state is exactly the state after all events strictly
+// before end — deterministic for a fixed workload, independent of wall
+// clock.
 package metrics
 
 import "cmpcache/internal/config"

@@ -48,7 +48,7 @@ func TestAuditorObservationOnly(t *testing.T) {
 		t.Error("attaching the auditor perturbed the simulation")
 	}
 
-	// Probe and auditor share the engine's single tick slot; composing
+	// Probe and auditor both ride the round loop's clock; composing
 	// them must still perturb nothing but the Metrics series.
 	s2, err := New(cfg, tr)
 	if err != nil {
