@@ -13,7 +13,7 @@ import (
 // from sizing the model and the per-line tables to the trace. A rise means
 // a hot path started allocating (or a detached observation hook stopped
 // being free); a fall is welcome — lower the constant.
-const detachedRunAllocs = 700
+const detachedRunAllocs = 696
 
 // TestDetachedRunAllocs pins detachedRunAllocs. testing.AllocsPerRun
 // runs at GOMAXPROCS(1), so runtime background work does not leak into

@@ -1,7 +1,7 @@
 // Package audit is a shadow invariant checker for the simulated cache
 // hierarchy. An Auditor attaches to a system through the same
 // observation-only hook pattern as the metrics probe: an event clock the
-// system's round loop advances drives periodic whole-hierarchy sweeps,
+// system's event loop advances drives periodic whole-hierarchy sweeps,
 // and a set of semantic hooks (called by internal/system at each
 // protocol commit point) keeps incremental ledgers. Attaching an auditor never perturbs
 // the event sequence — every read it performs is a non-perturbing peek,
@@ -187,11 +187,11 @@ func (a *Auditor) Tick(now config.Cycles) {
 	}
 }
 
-// AdvanceEvents is the batched form of Tick used by the round loop: it
-// moves the audit clock to now and credits n events toward the sweep
-// cadence, running every sweep the batch crossed. With n == 0 it only
-// restamps the clock — the barrier replay uses that form so each
-// replayed hook's violations carry the hook's own event time.
+// AdvanceEvents is the batched form of Tick used by the system's event
+// loop: it moves the audit clock to now and credits n events toward the
+// sweep cadence, running every sweep the batch crossed. With n == 0 it
+// only restamps the clock — the loop uses that form before replaying a
+// slice-lane cycle's hooks, so their violations carry that cycle.
 func (a *Auditor) AdvanceEvents(now config.Cycles, n uint64) {
 	a.now = now
 	if n == 0 {

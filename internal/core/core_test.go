@@ -110,11 +110,18 @@ func TestWBHTOccupancyProperty(t *testing.T) {
 	}
 }
 
+// activeAt advances s to now and reads it, as the event loop does
+// before a cycle's first event.
+func activeAt(s *RetrySwitch, now config.Cycles) bool {
+	s.AdvanceTo(now)
+	return s.ActiveNow()
+}
+
 func TestRetrySwitchDisabledAlwaysActive(t *testing.T) {
 	cfg := config.DefaultWBHT()
 	cfg.SwitchEnabled = false
 	s := NewRetrySwitch(cfg)
-	if !s.Active(0) || !s.Active(1_000_000_000) {
+	if !activeAt(s, 0) || !activeAt(s, 1_000_000_000) {
 		t.Fatal("disabled switch must report always-active")
 	}
 }
@@ -124,16 +131,16 @@ func TestRetrySwitchActivatesUnderPressure(t *testing.T) {
 	cfg.RetryWindow = 1000
 	cfg.RetryThreshold = 10
 	s := NewRetrySwitch(cfg)
-	if s.Active(0) {
+	if activeAt(s, 0) {
 		t.Fatal("switch active before any window completed")
 	}
 	for i := 0; i < 10; i++ {
 		s.RecordRetry(config.Cycles(i * 10))
 	}
-	if s.Active(999) {
+	if activeAt(s, 999) {
 		t.Fatal("switch flipped mid-window")
 	}
-	if !s.Active(1000) {
+	if !activeAt(s, 1000) {
 		t.Fatal("switch inactive after a window with >= threshold retries")
 	}
 	if s.RetriesSeen() != 10 {
@@ -149,13 +156,13 @@ func TestRetrySwitchDeactivatesWhenQuiet(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.RecordRetry(config.Cycles(i))
 	}
-	if !s.Active(1000) {
+	if !activeAt(s, 1000) {
 		t.Fatal("not active after busy window")
 	}
 	// Window [1000,2000) has only 2 retries: below threshold.
 	s.RecordRetry(1500)
 	s.RecordRetry(1600)
-	if s.Active(2000) {
+	if activeAt(s, 2000) {
 		t.Fatal("still active after sub-threshold window")
 	}
 }
@@ -166,12 +173,12 @@ func TestRetrySwitchLongQuietGap(t *testing.T) {
 	cfg.RetryThreshold = 1
 	s := NewRetrySwitch(cfg)
 	s.RecordRetry(10)
-	if !s.Active(100) {
+	if !activeAt(s, 100) {
 		t.Fatal("not active after busy window")
 	}
 	// Jumping many windows with zero retries must deactivate, even
 	// though the last counted window was busy.
-	if s.Active(1000) {
+	if activeAt(s, 1000) {
 		t.Fatal("active after long quiet gap")
 	}
 	if s.TotalWindows() < 2 {
@@ -187,14 +194,14 @@ func TestRetrySwitchPaperRate(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.RecordRetry(config.Cycles(i * 500)) // 200 retries in 100K cycles
 	}
-	if !s.Active(100_000) {
+	if !activeAt(s, 100_000) {
 		t.Fatal("rate at threshold should activate")
 	}
 	s2 := NewRetrySwitch(config.DefaultWBHT())
 	for i := 0; i < 199; i++ {
 		s2.RecordRetry(config.Cycles(i * 500))
 	}
-	if s2.Active(100_000) {
+	if activeAt(s2, 100_000) {
 		t.Fatal("rate below threshold should not activate")
 	}
 }
@@ -210,9 +217,9 @@ func TestRetrySwitchInvalidWindowPanics(t *testing.T) {
 	NewRetrySwitch(cfg)
 }
 
-// Property: Active never consults the future — feeding retries at
-// non-decreasing times and sampling Active at those same times never
-// panics and activity only reflects completed windows.
+// Property: AdvanceTo never consults the future — feeding retries at
+// non-decreasing times and advancing to those same times never panics
+// and activity only reflects completed windows.
 func TestRetrySwitchMonotonicProperty(t *testing.T) {
 	f := func(gaps []uint16) bool {
 		cfg := config.DefaultWBHT()
@@ -223,7 +230,7 @@ func TestRetrySwitchMonotonicProperty(t *testing.T) {
 		for _, g := range gaps {
 			now += config.Cycles(g % 100)
 			s.RecordRetry(now)
-			s.Active(now)
+			s.AdvanceTo(now)
 		}
 		return true
 	}

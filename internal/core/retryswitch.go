@@ -51,15 +51,6 @@ func (s *RetrySwitch) RecordRetry(now config.Cycles) {
 	s.count++
 }
 
-// Active reports whether the WBHT should be consulted at cycle now.
-func (s *RetrySwitch) Active(now config.Cycles) bool {
-	if s.window == 0 {
-		return s.active
-	}
-	s.advance(now)
-	return s.active
-}
-
 // advance rolls the sampling window forward to cover now. If exactly one
 // window elapsed, the activity decision reflects its count; if more than
 // one elapsed, the most recent complete window had zero retries, so the
@@ -83,10 +74,8 @@ func (s *RetrySwitch) advance(now config.Cycles) {
 }
 
 // AdvanceTo rolls the sampling window forward to cover now without
-// recording anything. The round coordinator calls it once per round so
-// that shard-context consumers can read ActiveNow — the pure form —
-// instead of the mutating Active, keeping the window sequence a function
-// of round boundaries rather than of which shard happened to ask first.
+// recording anything. The event loop calls it before the first event of
+// every cycle, so every reader in that cycle sees the same state.
 func (s *RetrySwitch) AdvanceTo(now config.Cycles) {
 	if s.window == 0 {
 		return
@@ -94,10 +83,10 @@ func (s *RetrySwitch) AdvanceTo(now config.Cycles) {
 	s.advance(now)
 }
 
-// ActiveNow reports the switch's state as of its last advance without
-// rolling the sampling window forward. Observation-only callers (the
-// metrics probe) must use this instead of Active so that sampling never
-// perturbs the window sequence the simulation itself observes.
+// ActiveNow reports whether the WBHT should be consulted, as of the
+// switch's last advance. It never rolls the sampling window forward, so
+// reading it — to decide or only to observe — never perturbs the window
+// sequence.
 func (s *RetrySwitch) ActiveNow() bool { return s.active }
 
 // RetriesSeen returns the total retries recorded.

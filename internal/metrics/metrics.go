@@ -4,16 +4,16 @@
 // Chrome trace_event, viewable in Perfetto).
 //
 // The design contract is zero cost when disabled. A system without an
-// attached probe takes one nil check per round of its event loop and
-// allocates nothing; all per-window state lives in the probe, and the
+// attached probe takes one nil check per simulated cycle of its event
+// loop and allocates nothing; all per-window state lives in the probe, and the
 // system only supplies a sampler callback that copies its cumulative
 // counters into a Snapshot. The probe differences consecutive snapshots
 // at each window close, so the simulation's own hot paths carry no
 // extra arithmetic.
 //
-// Sampling is driven by the system's round loop, which calls Tick with
-// its next event time before firing anything at that time, not by
-// scheduled sampler events: a probe therefore never changes the event
+// Sampling is driven by the system's event loop, which calls Tick with
+// each cycle before firing anything at that cycle, not by scheduled
+// sampler events: a probe therefore never changes the event
 // sequence, Results.EventsFired, or any simulated outcome. A window
 // [start, end) closes at the first event whose timestamp reaches end,
 // and the sampled state is exactly the state after all events strictly
@@ -157,13 +157,6 @@ func (p *Probe) Tick(now config.Cycles) {
 		p.close(p.nextClose)
 	}
 }
-
-// NextBoundary returns the end of the currently open window — the
-// earliest cycle at which a Tick would close a sample. The round loop
-// caps each round's horizon strictly below it so every event preceding
-// the boundary has fired before the window closes, preserving the
-// sampling contract ("state after all events strictly before end").
-func (p *Probe) NextBoundary() config.Cycles { return p.nextClose }
 
 // close emits the window ending at end and arms the next one.
 func (p *Probe) close(end config.Cycles) {

@@ -242,10 +242,10 @@ func (e *Engine) NextTime() Time {
 
 // AdvanceTo moves the clock forward to t without firing events. t must
 // not precede Now and must not skip over a pending event — the past
-// stays immutable and no event may be jumped. The round loop uses it to
-// bring the slice wheel's clock up to a global event's cycle, so
-// handlers invoked synchronously from global events (waiter wake-ups)
-// read the correct Now.
+// stays immutable and no event may be jumped. The system's event loop
+// uses it to bring the slice wheel's clock up to a global event's
+// cycle, so handlers invoked synchronously from global events (waiter
+// wake-ups) read the correct Now.
 func (e *Engine) AdvanceTo(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: AdvanceTo(%d) before now (%d)", t, e.now))

@@ -5,11 +5,11 @@ import (
 )
 
 // AttachAuditor installs a as this run's shadow invariant checker: the
-// round coordinator drives its periodic sweeps (per event in the serial
-// phase, batched to the horizon at each barrier), and the protocol
+// event loop drives its periodic sweeps (per global event, and per
+// slice-lane cycle for that cycle's slice events), and the protocol
 // commit points call its semantic hooks — directly from global context,
-// through the barrier's deterministic replay from shard context. Attach
-// before Run. Like the metrics probe, an auditor is observation-only —
+// through the replay at the end of each slice-lane cycle from shard
+// context. Attach before Run. Like the metrics probe, an auditor is observation-only —
 // it never perturbs the event sequence — and a system without one pays
 // a single nil check per hook site.
 func (s *System) AttachAuditor(a *audit.Auditor) {

@@ -48,7 +48,7 @@ func TestAuditorObservationOnly(t *testing.T) {
 		t.Error("attaching the auditor perturbed the simulation")
 	}
 
-	// Probe and auditor both ride the round loop's clock; composing
+	// Probe and auditor both ride the event loop's clock; composing
 	// them must still perturb nothing but the Metrics series.
 	s2, err := New(cfg, tr)
 	if err != nil {
@@ -309,7 +309,7 @@ func TestRequeueWBOrderingAcrossRetrySwitchFlip(t *testing.T) {
 	for i := 0; s.l3.QueueInUse() < cfg.L3QueueEntries; i++ {
 		s.l3.SnoopWB(key(&cfg, 1, i%16, 99), coherence.DirtyWB)
 	}
-	if s.rswitch.Active(0) {
+	if s.rswitch.AdvanceTo(0); s.rswitch.ActiveNow() {
 		t.Fatal("retry switch active before any retry")
 	}
 
@@ -335,7 +335,7 @@ func TestRequeueWBOrderingAcrossRetrySwitchFlip(t *testing.T) {
 			t.Fatalf("queue order %#x, want %#x (retry must requeue at the front)", order, want)
 		}
 	}
-	if !s.rswitch.Active(cfg.WBHT.RetryWindow) {
+	if s.rswitch.AdvanceTo(cfg.WBHT.RetryWindow); !s.rswitch.ActiveNow() {
 		t.Fatal("threshold-1 switch did not arm at the next window boundary")
 	}
 

@@ -29,9 +29,9 @@ type pendingAccess struct {
 
 // startDemand arbitrates for the address ring at cycle now and
 // schedules the transaction's combined-response event. Global context
-// only: shard context posts a busPost instead, and the barrier calls
-// this with the post's own cycle — so a request arbitrates at the same
-// time whether it was raised serially or on the slice wheel.
+// only: shard context posts a busPost instead, and the drain at the end
+// of the post's cycle calls this — so a request arbitrates at the same
+// time whether it was raised on the global lane or on the slice lane.
 func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind, now config.Cycles) {
 	s.demandTxns++
 	slot := s.ring.ReserveAddress(now)
@@ -48,9 +48,9 @@ func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind,
 // state (including victim handling) updates. Data movement is scheduled
 // onto the ring and source resources and completes the waiters later.
 //
-// Combine events fire only in the round loop's serial phase, after the
-// slice wheel has drained strictly past this cycle — so the tag state a
-// snoop observes is exactly the state at the combine cycle.
+// Combine events fire on the global lane, after the slice lane has run
+// this cycle's events and drained its logs — so the tag state a snoop
+// observes is exactly the state at the combine cycle.
 func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKind) {
 	now := s.engine.Now()
 	isLoad := kind == coherence.Read
@@ -260,10 +260,7 @@ func (s *System) fillDataReady(d sim.EventData) {
 // directly and a queued entry pumps the write-back machinery in place.
 // Shard-context evictions go through (*shard).handleVictim instead.
 func (s *System) handleVictimGlobal(cache l2Handle, vKey uint64, vState coherence.State, now config.Cycles) {
-	// Active (mutating) advances the retry-switch window; it runs only
-	// for switch-gated policies so ungated runs never touch the switch
-	// outside round boundaries (short-circuit order is load-bearing).
-	switchActive := s.policy.GatedBySwitch() && s.rswitch.Active(now)
+	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
 	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring
 	action := cache.ProcessVictim(vKey, vState, switchActive, inL3)
 	if s.tracer != nil {

@@ -9,9 +9,9 @@ import "cmpcache/internal/txlat"
 // run. Like the metrics probe and the auditor, a latency collector is
 // observation-only — it never perturbs the event sequence — and a
 // system without one pays a single nil check per hook site. A windowed
-// collector's windows close at the coordinator's round boundaries;
-// shard-context hooks reach it through the barrier's deterministic
-// replay.
+// collector's windows close at the event loop's cycle tick;
+// shard-context hooks reach it through the deterministic replay at the
+// end of each slice-lane cycle.
 func (s *System) AttachLatency(c *txlat.Collector) {
 	s.lat = c
 }

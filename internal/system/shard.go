@@ -21,17 +21,19 @@ import (
 //
 // Anything global (the rings, the L3, memory, system counters, the
 // observability attachments and the shared reuse tracker) is reached
-// only through two logs on the System, drained at the round barrier:
+// only through two logs on the System, drained at the end of each
+// slice-lane cycle:
 //
 //   - obs: observation hook calls (auditor, latency collector, tracer,
 //     reuse tracker), replayed into the attachments;
 //   - posts: bus requests (demand starts and write-back pumps), which
 //     arbitrate for the address ring in log order.
 //
-// Every record carries its cycle and slice, and both logs stay in
-// (time, slice, append) order as records arrive, so the drained effect
-// is a pure function of the simulated workload; this order is part of
-// the event order the golden Results hashes pin (DESIGN.md §15).
+// A drain holds one cycle's records. Every record carries its slice,
+// and both logs stay in (slice, append) order as records arrive, so the
+// drained effect is a pure function of the simulated workload; this
+// order is part of the event order the golden Results hashes pin
+// (DESIGN.md §15).
 type shard struct {
 	sys   *System
 	idx   int
@@ -50,28 +52,20 @@ type shard struct {
 	hRepoll  sim.Handler
 }
 
-// logStamp is a deferred record's place in the barrier's replay order:
-// the cycle it was raised at and the slice that raised it.
+// logStamp is a deferred record's place in the drain order: the slice
+// that raised it. Every record in a drain shares the drain's cycle.
 type logStamp struct {
-	at    config.Cycles
 	slice int
-}
-
-// before orders stamps by (time, slice).
-func (a logStamp) before(b logStamp) bool {
-	return a.at < b.at || a.at == b.at && a.slice < b.slice
 }
 
 func (a logStamp) stamp() logStamp { return a }
 
-// appendOrdered appends rec to log, moving it ahead of the records it
-// precedes in (time, slice) order, so log stays in (time, slice, append)
-// order. Shard events fire in time order, so only same-cycle records of
-// higher slices ever move.
+// appendOrdered appends rec to log, moving it ahead of the records of
+// higher slices, so log stays in (slice, append) order.
 func appendOrdered[R interface{ stamp() logStamp }](log []R, rec R) []R {
 	log = append(log, rec)
-	st := rec.stamp()
-	for i := len(log) - 1; i > 0 && st.before(log[i-1].stamp()); i-- {
+	slice := rec.stamp().slice
+	for i := len(log) - 1; i > 0 && slice < log[i-1].stamp().slice; i-- {
 		log[i], log[i-1] = log[i-1], log[i]
 	}
 	return log
@@ -90,17 +84,16 @@ const (
 )
 
 // obsRec is one shard-context observation hook call, deferred to the
-// round barrier.
+// end of its cycle.
 type obsRec struct {
 	logStamp
-	kind     obsKind
-	key      uint64
-	issued   config.Cycles   // obsDemandIssued: the access's issue time
-	wbe      l2.WBEntry      // obsWBReinstall
-	vState   coherence.State // obsVictim
-	vAction  l2.VictimAction // obsVictim
-	inL3     bool            // obsVictim
-	switchOn bool            // obsVictim: retry-switch state at the hook
+	kind    obsKind
+	key     uint64
+	issued  config.Cycles   // obsDemandIssued: the access's issue time
+	wbe     l2.WBEntry      // obsWBReinstall
+	vState  coherence.State // obsVictim
+	vAction l2.VictimAction // obsVictim
+	inL3    bool            // obsVictim
 }
 
 // postKind discriminates deferred bus requests.
@@ -113,8 +106,8 @@ const (
 
 // busPost is one deferred address-ring request from shard context. The
 // issuing L2 is the posting slice's own cache, so the record carries
-// only the request itself; the barrier executes posts in (time, slice,
-// append) order — the canonical bus arbitration order.
+// only the request itself; the drain executes posts in (slice, append)
+// order — the canonical bus arbitration order.
 type busPost struct {
 	logStamp
 	kind postKind
@@ -184,79 +177,75 @@ func newShardStream(s *System, idx int, streams []trace.Stream) (*shard, error) 
 
 // --- log appenders (shard context only) ---
 
-// logObs appends rec, stamped with at and this shard's slice, to the
+// logObs appends rec, stamped with this shard's slice, to the
 // observation log.
-func (sh *shard) logObs(at config.Cycles, rec obsRec) {
-	rec.logStamp = logStamp{at: at, slice: sh.idx}
+func (sh *shard) logObs(rec obsRec) {
+	rec.logStamp = logStamp{slice: sh.idx}
 	sh.sys.obs = appendOrdered(sh.sys.obs, rec)
 }
 
-func (sh *shard) logStoreHit(at config.Cycles, key uint64) {
+func (sh *shard) logStoreHit(key uint64) {
 	if sh.sys.auditor == nil {
 		return
 	}
-	sh.logObs(at, obsRec{kind: obsStoreHit, key: key})
+	sh.logObs(obsRec{kind: obsStoreHit, key: key})
 }
 
-func (sh *shard) logWBReinstall(at config.Cycles, e l2.WBEntry) {
+func (sh *shard) logWBReinstall(e l2.WBEntry) {
 	if sh.sys.auditor == nil {
 		return
 	}
-	sh.logObs(at, obsRec{kind: obsWBReinstall, key: e.Key, wbe: e})
+	sh.logObs(obsRec{kind: obsWBReinstall, key: e.Key, wbe: e})
 }
 
-func (sh *shard) logWBCancelled(at config.Cycles, key uint64) {
+func (sh *shard) logWBCancelled(key uint64) {
 	if sh.sys.lat == nil {
 		return
 	}
-	sh.logObs(at, obsRec{kind: obsWBCancelled, key: key})
+	sh.logObs(obsRec{kind: obsWBCancelled, key: key})
 }
 
-func (sh *shard) logDemandIssued(at config.Cycles, key uint64, issued config.Cycles) {
+func (sh *shard) logDemandIssued(key uint64, issued config.Cycles) {
 	if sh.sys.lat == nil {
 		return
 	}
-	sh.logObs(at, obsRec{kind: obsDemandIssued, key: key, issued: issued})
+	sh.logObs(obsRec{kind: obsDemandIssued, key: key, issued: issued})
 }
 
-func (sh *shard) logDemandComplete(at config.Cycles, key uint64) {
+func (sh *shard) logDemandComplete(key uint64) {
 	if sh.sys.lat == nil {
 		return
 	}
-	sh.logObs(at, obsRec{kind: obsDemandComplete, key: key})
+	sh.logObs(obsRec{kind: obsDemandComplete, key: key})
 }
 
 // logVictim is appended unconditionally when the victim queued a write
 // back (the reuse tracker scores every attempt, attachments or not);
 // non-queued victims log only when an observer wants them.
-func (sh *shard) logVictim(at config.Cycles, key uint64, st coherence.State, action l2.VictimAction, inL3, switchOn bool) {
+func (sh *shard) logVictim(key uint64, st coherence.State, action l2.VictimAction, inL3 bool) {
 	s := sh.sys
 	if action != l2VictimQueued && s.tracer == nil && s.auditor == nil {
 		return
 	}
-	sh.logObs(at, obsRec{
-		kind: obsVictim, key: key,
-		vState: st, vAction: action, inL3: inL3, switchOn: switchOn,
-	})
+	sh.logObs(obsRec{kind: obsVictim, key: key, vState: st, vAction: action, inL3: inL3})
 }
 
-// logPost appends rec, stamped with when and this shard's slice, to the
-// post log. when is the shard-context cycle the request would have
-// arbitrated; the barrier preserves it.
-func (sh *shard) logPost(when config.Cycles, rec busPost) {
-	rec.logStamp = logStamp{at: when, slice: sh.idx}
+// logPost appends rec, stamped with this shard's slice, to the post
+// log. The drain arbitrates it at the cycle it was raised.
+func (sh *shard) logPost(rec busPost) {
+	rec.logStamp = logStamp{slice: sh.idx}
 	sh.sys.posts = appendOrdered(sh.sys.posts, rec)
 }
 
 // postDemandTxn defers a demand transaction's address-ring arbitration
-// to the round barrier.
-func (sh *shard) postDemandTxn(when config.Cycles, key uint64, kind coherence.TxnKind) {
-	sh.logPost(when, busPost{kind: postDemand, key: key, txn: kind})
+// to the end of the cycle.
+func (sh *shard) postDemandTxn(key uint64, kind coherence.TxnKind) {
+	sh.logPost(busPost{kind: postDemand, key: key, txn: kind})
 }
 
-// postPumpWB defers a write-back pump wake to the round barrier.
-func (sh *shard) postPumpWB(when config.Cycles) {
-	sh.logPost(when, busPost{kind: postPump})
+// postPumpWB defers a write-back pump wake to the end of the cycle.
+func (sh *shard) postPumpWB() {
+	sh.logPost(busPost{kind: postPump})
 }
 
 // --- the L2 front end (shard context) ---
@@ -285,7 +274,7 @@ func (sh *shard) access(op trace.Op, key uint64, done func(config.Cycles)) {
 // latency is recorded, the node returns to the pool and the thread's
 // completion callback runs (which may synchronously issue new work that
 // reuses the node). Called from shard context at delivery time, and
-// from the serial phase when a bus commit wakes coalesced waiters —
+// from the global lane when a bus commit wakes coalesced waiters —
 // wakeWaiters advances the slice wheel's clock for exactly that case.
 func (sh *shard) finishAccess(p *pendingAccess, at config.Cycles) {
 	sh.fillLatency.Observe(uint64(at - p.issued))
@@ -305,7 +294,7 @@ func (sh *shard) resolve(p *pendingAccess) {
 	switch cache.Probe(key, isStore, p.count) {
 	case probeHit:
 		if isStore {
-			sh.logStoreHit(now, key)
+			sh.logStoreHit(key)
 		}
 		sh.finishAccess(p, now)
 
@@ -315,7 +304,7 @@ func (sh *shard) resolve(p *pendingAccess) {
 		// like the completeFill path — rather than as a Probe side
 		// effect invisible to the hooks.
 		cache.SetState(key, coherence.Modified)
-		sh.logStoreHit(now, key)
+		sh.logStoreHit(key)
 		sh.finishAccess(p, now)
 
 	case probeWBBufferHit:
@@ -326,15 +315,15 @@ func (sh *shard) resolve(p *pendingAccess) {
 			// Probe has just found the live entry, and nothing ran since.
 			panic(fmt.Sprintf("system: L2 %d lost the write-back entry for %#x between Probe and CancelWB", cache.ID(), key))
 		}
-		sh.logWBReinstall(now, e)
+		sh.logWBReinstall(e)
 		if !e.InFlight {
 			// Queued entries close here; an in-flight one closes at its
 			// bus combine (the cancelled disposition).
-			sh.logWBCancelled(now, key)
+			sh.logWBCancelled(key)
 		}
 		vKey, vState, evicted := cache.Reinstall(e)
 		if evicted {
-			sh.handleVictim(vKey, vState, now)
+			sh.handleVictim(vKey, vState)
 		}
 		if isStore && e.State != coherence.Modified {
 			// Stores to a reinstalled clean/shared line still need
@@ -352,8 +341,8 @@ func (sh *shard) resolve(p *pendingAccess) {
 		}
 		cache.AllocMSHR(key, coherence.Upgrade)
 		cache.AttachMSHR(key, true, p.completeFn)
-		sh.logDemandIssued(now, key, p.issued)
-		sh.postDemandTxn(now, key, coherence.Upgrade)
+		sh.logDemandIssued(key, p.issued)
+		sh.postDemandTxn(key, coherence.Upgrade)
 
 	case probeMiss:
 		if cache.AttachMSHR(key, isStore, p.completeFn) {
@@ -376,8 +365,8 @@ func (sh *shard) resolve(p *pendingAccess) {
 		cache.CountMiss(key)
 		cache.AllocMSHR(key, kind)
 		cache.AttachMSHR(key, isStore, p.completeFn)
-		sh.logDemandIssued(now, key, p.issued)
-		sh.postDemandTxn(now, key, kind)
+		sh.logDemandIssued(key, p.issued)
+		sh.postDemandTxn(key, kind)
 	}
 }
 
@@ -411,7 +400,7 @@ func (sh *shard) repoll(p *pendingAccess) {
 func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 	cache := sh.cache
 	at := sh.wheel.Now()
-	sh.logDemandComplete(at, key)
+	sh.logDemandComplete(key)
 	loads, stores := cache.TakeWaiters(key)
 	for _, w := range loads {
 		w(at)
@@ -434,7 +423,7 @@ func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 		}
 	case coherence.Exclusive:
 		cache.SetState(key, coherence.Modified)
-		sh.logStoreHit(at, key)
+		sh.logStoreHit(key)
 		for _, w := range stores {
 			w(at)
 		}
@@ -446,70 +435,66 @@ func (sh *shard) completeFill(key uint64, kind coherence.TxnKind) {
 		for _, w := range stores {
 			cache.AttachMSHR(key, true, w)
 		}
-		sh.postDemandTxn(at, key, coherence.RWITM)
+		sh.postDemandTxn(key, coherence.RWITM)
 	default: // S, SL, T: claim ownership on the bus
 		cache.AllocMSHR(key, coherence.Upgrade)
 		for _, w := range stores {
 			cache.AttachMSHR(key, true, w)
 		}
-		sh.postDemandTxn(at, key, coherence.Upgrade)
+		sh.postDemandTxn(key, coherence.Upgrade)
 	}
 }
 
 // handleVictim is the shard-context half of the Section 2 write-back
 // policy: the victim is classified against the shard's own L2 (and the
-// frozen retry-switch and L3-membership oracles, both read-only between
-// rounds), the observation hooks are logged for barrier replay, and a
-// queued entry posts a pump wake. The global-context half lives in
-// demand.go (handleVictimGlobal).
-func (sh *shard) handleVictim(vKey uint64, vState coherence.State, now config.Cycles) {
+// retry-switch and L3-membership oracles, both read-only on the slice
+// lane), the observation hooks are logged for replay, and a queued
+// entry posts a pump wake. The global-context half lives in demand.go
+// (handleVictimGlobal).
+func (sh *shard) handleVictim(vKey uint64, vState coherence.State) {
 	s := sh.sys
-	// ActiveNow (not Active): the round loop advanced the switch's
-	// window at the round boundary; shard context must not mutate it.
 	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
 	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring
 	action := sh.cache.ProcessVictim(vKey, vState, switchActive, inL3)
-	sh.logVictim(now, vKey, vState, action, inL3, s.rswitch.ActiveNow())
+	sh.logVictim(vKey, vState, action, inL3)
 	if action == l2VictimQueued {
-		sh.postPumpWB(now)
+		sh.postPumpWB()
 	}
 }
 
-// replayObs applies one observation record to the attachments in
-// canonical order at the round barrier. The auditor's clock is restamped
-// per record so violations carry the hook's own cycle.
-func (s *System) replayObs(rec *obsRec) {
+// replayObs applies one observation record, raised at cycle at, to the
+// attachments in canonical order. The drain has set the auditor's clock
+// to at. Only global events record retries, so the retry switch still
+// reads as it did when the record was raised.
+func (s *System) replayObs(rec *obsRec, at config.Cycles) {
 	idx := rec.slice
 	switch rec.kind {
 	case obsStoreHit:
 		if s.auditor != nil {
-			s.auditor.AdvanceEvents(rec.at, 0)
 			s.auditor.OnStoreHit(idx, rec.key)
 		}
 	case obsWBReinstall:
 		if s.auditor != nil {
-			s.auditor.AdvanceEvents(rec.at, 0)
 			s.auditor.OnWBReinstall(idx, rec.wbe)
 		}
 	case obsWBCancelled:
 		if s.lat != nil {
-			s.lat.WBCancelled(idx, rec.key, rec.at)
+			s.lat.WBCancelled(idx, rec.key, at)
 		}
 	case obsDemandIssued:
 		if s.lat != nil {
-			s.lat.DemandIssued(idx, rec.key, rec.issued, rec.at)
+			s.lat.DemandIssued(idx, rec.key, rec.issued, at)
 		}
 	case obsDemandComplete:
 		if s.lat != nil {
-			s.lat.DemandComplete(idx, rec.key, rec.at)
+			s.lat.DemandComplete(idx, rec.key, at)
 		}
 	case obsVictim:
 		queued := rec.vAction == l2VictimQueued
 		if s.tracer != nil {
-			s.tracer.Victim(rec.at, idx, rec.key, rec.vState.String(), rec.vAction.String(), rec.inL3)
+			s.tracer.Victim(at, idx, rec.key, rec.vState.String(), rec.vAction.String(), rec.inL3)
 		}
 		if s.auditor != nil {
-			s.auditor.AdvanceEvents(rec.at, 0)
 			s.auditor.OnVictim(idx, rec.key, rec.vState, queued)
 		}
 		if queued {
@@ -518,21 +503,20 @@ func (s *System) replayObs(rec *obsRec) {
 				if rec.vState.Dirty() {
 					wbKind = coherence.DirtyWB
 				}
-				s.lat.WBQueued(idx, rec.key, wbKind, rec.switchOn, rec.at)
+				s.lat.WBQueued(idx, rec.key, wbKind, s.rswitch.ActiveNow(), at)
 			}
 			s.reuse.recordAttempt(rec.key)
 		}
 	}
 }
 
-// executePost performs one deferred bus request at the round barrier,
-// in canonical order. rec.at is the shard-context cycle the request was
-// raised; address-ring arbitration sees exactly that time.
-func (s *System) executePost(rec *busPost) {
+// executePost performs one deferred bus request, raised at cycle at, in
+// canonical order; address-ring arbitration sees exactly that time.
+func (s *System) executePost(rec *busPost, at config.Cycles) {
 	switch rec.kind {
 	case postDemand:
-		s.startDemand(s.l2s[rec.slice], rec.key, rec.txn, rec.at)
+		s.startDemand(s.l2s[rec.slice], rec.key, rec.txn, at)
 	case postPump:
-		s.pumpWB(rec.slice, rec.at)
+		s.pumpWB(rec.slice, at)
 	}
 }

@@ -16,10 +16,11 @@
 // Execution is partitioned by L2 slice: every slice's front end
 // (threads, tag probes, MSHRs, write-back queue) runs on one shared
 // slice wheel, and the bus FIFO — the chip's only global ordering point
-// — lives on a global wheel. A round loop interleaves the two wheels
-// and hands the slices' bus posts and observations to the global side
-// in (time, slice) order, which fixes the event order every Results
-// byte depends on (see rounds.go and DESIGN.md §15).
+// — lives on a global wheel. An event loop runs the two wheels one
+// cycle at a time and hands each cycle's bus posts and observations
+// from the slices to the global side in slice order, which fixes the
+// event order every Results byte depends on (see loop.go and DESIGN.md
+// §15).
 package system
 
 import (
@@ -50,8 +51,8 @@ type System struct {
 	shards []*shard // one per L2 slice; shards[i] owns l2s[i]
 
 	// obs and posts are the shards' deferred observations and bus
-	// requests, each in (time, slice, append) order, drained at the
-	// round barrier (see logStamp).
+	// requests of the current cycle, each in (slice, append) order,
+	// drained at the end of the slice lane's cycle (see logStamp).
 	obs   []obsRec
 	posts []busPost
 
@@ -64,7 +65,7 @@ type System struct {
 
 	// policy is the configured write-back policy's chip-wide half; its
 	// per-L2 agents live inside the l2.Caches. All chip hooks run at
-	// bus combine events (serial phase).
+	// bus combine events (global lane).
 	policy wbpolicy.Chip
 
 	wbInFlight []bool // one write-back bus transaction at a time per L2
@@ -280,15 +281,15 @@ func (s *System) Config() *config.Config { return &s.cfg }
 // which would indicate a lost completion (a simulator bug, not a
 // workload property).
 func (s *System) Run() *Results {
-	if err := s.runRounds(context.Background()); err != nil {
+	if err := s.runLoop(context.Background()); err != nil {
 		panic(err) // unreachable: the background context never cancels
 	}
 	return s.finish()
 }
 
-// cancelCheckEvery is how many serial-phase events and coordinator
-// rounds RunContext lets pass between context polls. Polling happens
-// outside the event stream — nothing is scheduled,
+// cancelCheckEvery is how many event-loop iterations (global events
+// and slice-lane cycles) RunContext lets pass between context polls.
+// Polling happens outside the event stream — nothing is scheduled,
 // Fired does not move, the simulation is bit-identical to Run — so the
 // granularity only bounds cancellation latency.
 const cancelCheckEvery = 8192
@@ -299,7 +300,7 @@ const cancelCheckEvery = 8192
 // run is bit-identical to Run() — the context poll observes the engines
 // between events and never perturbs them.
 func (s *System) RunContext(ctx context.Context) (*Results, error) {
-	if err := s.runRounds(ctx); err != nil {
+	if err := s.runLoop(ctx); err != nil {
 		return nil, err
 	}
 	return s.finish(), nil

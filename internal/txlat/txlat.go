@@ -265,17 +265,6 @@ func (c *Collector) Tick(now config.Cycles) {
 	}
 }
 
-// NextBoundary returns the end of the currently open window, or a time
-// later than any reachable cycle when windowing is disabled. The round
-// loop caps each round's horizon strictly below it so windows
-// close only at round boundaries, after every preceding event has fired.
-func (c *Collector) NextBoundary() config.Cycles {
-	if c.interval <= 0 {
-		return config.Cycles(1<<63 - 1)
-	}
-	return c.nextClose
-}
-
 func (c *Collector) closeWindow(end config.Cycles) {
 	c.emitWindow(c.nextClose-c.interval, end)
 	c.nextClose += c.interval

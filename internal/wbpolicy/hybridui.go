@@ -21,7 +21,7 @@ import (
 // invalidate protocol's single-copy behavior.
 //
 // All score state lives on the chip half and is touched only at bus
-// combine events (serial phase), so score updates follow bus order.
+// combine events (global lane), so score updates follow bus order.
 // Scores saturate at 255 and decay by halving on each update push
 // (retaining producer-consumer history) or reset on an invalidation
 // (the sharer set is gone).

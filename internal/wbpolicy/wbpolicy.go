@@ -10,18 +10,19 @@
 // A policy splits into two halves:
 //
 //   - Agent: the per-L2 half. Its hooks run wherever that L2's events
-//     run — including a shard's event wheel during the shard phase —
-//     so an Agent may touch only its own state plus read-only
-//     configuration. One Agent instance serves exactly one L2.
+//     run — including the slice lane, where every L2's front-end
+//     events interleave — so an Agent may touch only its own state plus
+//     read-only configuration. One Agent instance serves exactly one
+//     L2.
 //
 //   - Chip: the chip-wide half. Its hooks run only at bus combine
-//     events, which fire in the coordinator's serial phase, so a Chip
-//     may hold global state (tables indexed by all L2s, sharing
-//     scores) without synchronization.
+//     events, which fire on the event loop's global lane, so a Chip may
+//     hold global state (tables indexed by all L2s, sharing scores)
+//     without synchronization.
 //
 // Determinism obligations (DESIGN.md §16): hooks must not consult wall
 // clocks, map iteration order, or randomness; any state an Agent reads
-// must be owned by its L2 or mutated only in the serial phase; and a
+// must be owned by its L2 or mutated only on the global lane; and a
 // detached policy (every hook a no-op) must not perturb the event
 // sequence. The conformance suite in internal/system runs every
 // registered policy under the differential auditor and pins its hooks
@@ -80,8 +81,8 @@ type Agent interface {
 	SnarfTable() *core.SnarfTable
 }
 
-// Chip is the chip-wide half of a write-back policy. All hooks run in
-// the serial phase only.
+// Chip is the chip-wide half of a write-back policy. All hooks run on
+// the global lane only.
 type Chip interface {
 	// Agent returns the policy half owned by L2 idx.
 	Agent(idx int) Agent
