@@ -422,6 +422,10 @@ func (c Config) Validate() error {
 	if err := c.validateTiming(); err != nil {
 		return err
 	}
+	// Every run builds the retry switch, whatever the mechanism.
+	if c.WBHT.SwitchEnabled && c.WBHT.RetryWindow <= 0 {
+		return fmt.Errorf("config: WBHT RetryWindow = %d, must be positive while SwitchEnabled", c.WBHT.RetryWindow)
+	}
 	if c.Mechanism == WBHT || c.Mechanism == Combined {
 		if err := validateTable("WBHT", c.WBHT.Entries, c.WBHT.Assoc); err != nil {
 			return err

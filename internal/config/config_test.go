@@ -214,6 +214,34 @@ func TestValidateGeometryRejections(t *testing.T) {
 	}
 }
 
+// TestValidateRetryWindow rejects an enabled retry switch without a
+// positive sampling window, through Validate and through ReadJSON.
+// Every run builds the switch, so accepted, these values panic even a
+// base run. A disabled switch ignores its window.
+func TestValidateRetryWindow(t *testing.T) {
+	for _, w := range []Cycles{0, -5} {
+		want := fmt.Sprintf("RetryWindow = %d,", w)
+		c := Default()
+		c.WBHT.RetryWindow = w
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate = %v, want an error naming %q", err, want)
+		}
+		doc := fmt.Sprintf(`{"WBHT": {"RetryWindow": %d}}`, w)
+		if _, err := ReadJSON(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadJSON(%s) = %v, want an error naming %q", doc, err, want)
+		}
+		c.WBHT.SwitchEnabled = false
+		if err := c.Validate(); err != nil {
+			t.Errorf("disabled switch with RetryWindow = %d rejected: %v", w, err)
+		}
+	}
+	c := Default()
+	c.WBHT.RetryWindow = 1
+	if err := c.Validate(); err != nil {
+		t.Errorf("RetryWindow = 1 rejected: %v", err)
+	}
+}
+
 func TestValidateTableShapes(t *testing.T) {
 	c := Default().WithMechanism(WBHT)
 	c.WBHT.Entries = 1000 // 1000/16 is not a power-of-two set count
