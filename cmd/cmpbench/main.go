@@ -47,6 +47,10 @@ func main() {
 		overrides  = config.RegisterOverrides(flag.CommandLine)
 	)
 	flag.Parse()
+	if *refs < 0 {
+		fmt.Fprintf(os.Stderr, "cmpbench: -refs = %d, must be >= 0\n", *refs)
+		os.Exit(1)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -53,6 +53,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *refs < 0 {
+		fatalf("-refs = %d, must be >= 0", *refs)
+	}
 	// Validate every output destination before any simulation work:
 	// create missing parent directories and prove the file is creatable
 	// now, instead of discovering a bad path after minutes of simulation.

@@ -36,6 +36,9 @@ type SubmitRequest struct {
 func (r *SubmitRequest) expand() ([]sweep.Job, error) {
 	if len(r.Jobs) > 0 {
 		for _, j := range r.Jobs {
+			if j.RefsPerThread < 0 {
+				return nil, fmt.Errorf("job RefsPerThread = %d, must be >= 0", j.RefsPerThread)
+			}
 			if j.TraceFile != "" {
 				if j.Workload != "" {
 					return nil, fmt.Errorf("job sets both TraceFile %q and Workload %q", j.TraceFile, j.Workload)

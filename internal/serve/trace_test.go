@@ -114,3 +114,29 @@ func TestSubmitRejectsAmbiguousTraceJob(t *testing.T) {
 		t.Fatalf("submit = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSubmitRejectsNegativeRefs: a negative workload length, in an
+// explicit job or in a grid, is a 400 naming the value, not a run of the
+// profile's default length.
+func TestSubmitRejectsNegativeRefs(t *testing.T) {
+	d := mustDaemon(t, Options{Workers: 1})
+	defer d.Shutdown(context.Background())
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	for _, body := range []string{
+		`{"jobs":[{"Workload":"tp","RefsPerThread":-5}]}`,
+		`{"workloads":["tp"],"mechanisms":["base"],"refs":-5}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "RefsPerThread = -5,") {
+			t.Errorf("submit %s = %d %q, want 400 naming RefsPerThread = -5", body, resp.StatusCode, msg.String())
+		}
+	}
+}

@@ -106,10 +106,14 @@ func (p Plan) Jobs() []Job {
 	return jobs
 }
 
-// Validate checks that every named workload exists and every trace
-// input resolves to a readable capture, so a misspelled grid or a
-// missing trace fails before any simulation starts.
+// Validate checks that the workload length is not negative, every named
+// workload exists and every trace input resolves to a readable capture,
+// so a misspelled grid or a missing trace fails before any simulation
+// starts.
 func (p Plan) Validate() error {
+	if p.RefsPerThread < 0 {
+		return fmt.Errorf("sweep: RefsPerThread = %d, must be >= 0", p.RefsPerThread)
+	}
 	for _, w := range p.Workloads {
 		if _, err := workload.ByName(w); err != nil {
 			return err

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cmpcache/internal/config"
@@ -75,6 +77,23 @@ func TestPlanDefaults(t *testing.T) {
 	}
 	if err := (Plan{Workloads: []string{"tp"}}).Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanValidateRefs rejects a negative workload length, naming it,
+// instead of running the profile's default length; 0 selects that
+// default.
+func TestPlanValidateRefs(t *testing.T) {
+	for _, refs := range []int{-1, -5} {
+		want := fmt.Sprintf("RefsPerThread = %d,", refs)
+		if err := (Plan{Workloads: []string{"tp"}, RefsPerThread: refs}).Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate = %v, want an error naming %q", err, want)
+		}
+	}
+	for _, refs := range []int{0, 1} {
+		if err := (Plan{Workloads: []string{"tp"}, RefsPerThread: refs}).Validate(); err != nil {
+			t.Errorf("RefsPerThread = %d rejected: %v", refs, err)
+		}
 	}
 }
 
