@@ -58,11 +58,12 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := memSource(b, tr)
 	cfg := cmpcache.DefaultConfig()
 	b.ResetTimer()
 	var cycles, events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := cmpcache.Run(cfg, tr)
+		res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,13 +111,14 @@ func BenchmarkMechanismOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	src := memSource(b, tr)
 	for _, m := range []cmpcache.Mechanism{
 		cmpcache.Baseline, cmpcache.WBHT, cmpcache.Snarf, cmpcache.Combined,
 	} {
 		b.Run(m.String(), func(b *testing.B) {
 			cfg := cmpcache.DefaultConfig().WithMechanism(m)
 			for i := 0; i < b.N; i++ {
-				if _, err := cmpcache.Run(cfg, tr); err != nil {
+				if _, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

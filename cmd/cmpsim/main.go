@@ -147,7 +147,9 @@ func main() {
 		if lerr != nil {
 			fatalf("%v", lerr)
 		}
-		src = trace.NewMemSource(tr)
+		if src, err = cmpcache.NewMemSource(tr); err != nil {
+			fatalf("%v", err)
+		}
 	}
 
 	// Every attachment is observation-only, so all of them compose onto
@@ -178,7 +180,7 @@ func main() {
 		})
 	}
 
-	res, err := cmpcache.RunSourceWith(cfg, src, opts)
+	res, err := cmpcache.Run(cfg, src, opts)
 	if tw != nil {
 		if cerr := tw.Close(); cerr != nil {
 			fatalf("trace-out: %v", cerr)

@@ -22,9 +22,16 @@
 //	cfg := cmpcache.DefaultConfig()               // Table 3 baseline
 //	cfg.Mechanism = cmpcache.WBHT                 // enable the history table
 //	tr, _ := cmpcache.GenerateWorkload("trade2")  // synthetic commercial trace
-//	res, err := cmpcache.Run(cfg, tr)
+//	src, err := cmpcache.NewMemSource(tr)         // validate and split per thread
+//	if err != nil { ... }
+//	res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 //	if err != nil { ... }
 //	fmt.Println(res.Summary())
+//
+// Every run replays a TraceSource: NewMemSource for an in-memory trace,
+// OpenTraceDir for a sharded capture on disk. A source may be replayed
+// by any number of runs, so build it once and share it across the
+// configurations it is compared under.
 //
 // The experiment harness that regenerates every table and figure of the
 // paper's evaluation lives in cmd/cmpbench; see EXPERIMENTS.md for the
@@ -68,10 +75,20 @@ type Trace = trace.Trace
 // Record is a single memory reference within a Trace.
 type Record = trace.Record
 
-// TraceSource is a streaming trace input: per-thread chunked iterators
-// over a capture that is never materialized whole. The sharded on-disk
-// store (OpenTraceDir) implements it with bounded memory.
+// TraceSource is a run's trace input: per-thread chunked iterators.
+// The sharded on-disk store (OpenTraceDir) streams a capture with
+// bounded memory; NewMemSource adapts an in-memory Trace.
 type TraceSource = trace.Source
+
+// NewMemSource validates tr and splits its records per thread once,
+// returning a source any number of runs may replay.
+func NewMemSource(tr *Trace) (TraceSource, error) {
+	src, err := trace.NewMemSource(tr)
+	if err != nil {
+		return nil, err
+	}
+	return src, nil
+}
 
 // ShardedTrace is the streaming reader over a sharded trace directory
 // written by tracegen -shards (or trace.WriteSharded); see DESIGN.md
@@ -97,17 +114,6 @@ type WorkloadProfile = workload.Profile
 // write-back policy and six outstanding misses per thread.
 func DefaultConfig() Config { return config.Default() }
 
-// Run simulates tr on a system configured by cfg and returns the
-// complete statistics. It is deterministic: identical inputs yield
-// identical results.
-func Run(cfg Config, tr *Trace) (*Results, error) {
-	s, err := system.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(), nil
-}
-
 // MetricsProbe collects a per-interval time series (and optionally a
 // per-transaction event trace) from one run; see internal/metrics.
 type MetricsProbe = metrics.Probe
@@ -116,25 +122,12 @@ type MetricsProbe = metrics.Probe
 type MetricsConfig = metrics.Config
 
 // MetricsSeries is the interval series a probe produces; Results.Metrics
-// carries it after a RunWithProbe.
+// carries it after a run with a probe attached.
 type MetricsSeries = metrics.Series
 
 // NewMetricsProbe returns a probe sampling at cfg.Interval cycles
 // (<= 0 selects the paper's 1M-cycle retry window).
 func NewMetricsProbe(cfg MetricsConfig) *MetricsProbe { return metrics.NewProbe(cfg) }
-
-// RunWithProbe simulates tr with p attached: the returned Results carry
-// p's completed interval series in Results.Metrics, and any trace
-// writer set on p receives the structured event stream. The simulated
-// outcome is identical to Run — the probe is observation-only.
-func RunWithProbe(cfg Config, tr *Trace, p *MetricsProbe) (*Results, error) {
-	s, err := system.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	s.Attach(p)
-	return s.Run(), nil
-}
 
 // Auditor is the shadow invariant checker of internal/audit: attached
 // to a run, it verifies single-writer coherence, dirty-line
@@ -151,19 +144,6 @@ type AuditViolation = audit.Violation
 
 // NewAuditor returns an unattached invariant checker.
 func NewAuditor(cfg AuditConfig) *Auditor { return audit.New(cfg) }
-
-// RunAudited simulates tr with a attached as a shadow invariant
-// checker. The simulated outcome is identical to Run — the auditor is
-// observation-only; inspect a.Ok(), a.Violations() or a.Summary()
-// afterward.
-func RunAudited(cfg Config, tr *Trace, a *Auditor) (*Results, error) {
-	s, err := system.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	s.AttachAuditor(a)
-	return s.Run(), nil
-}
 
 // LatencyCollector is the per-transaction latency attribution layer of
 // internal/txlat: attached to a run, it stamps every demand miss and
@@ -186,54 +166,24 @@ type RunLatencyFile = txlat.RunLatency
 // NewLatencyCollector returns an unattached latency collector.
 func NewLatencyCollector(cfg LatencyConfig) *LatencyCollector { return txlat.New(cfg) }
 
-// RunOptions bundles the observation-only attachments a run can carry;
-// any subset (including none) may be set, and all compose.
-type RunOptions struct {
-	Probe   *MetricsProbe
-	Auditor *Auditor
-	Latency *LatencyCollector
-}
+// RunOptions bundles the observation-only attachments a run can carry:
+// a metrics probe, an auditor and a latency collector. Any subset
+// (including none) may be set, and all compose.
+type RunOptions = system.Attachments
 
-// RunWith simulates tr with every attachment in opts installed. The
-// simulated outcome is identical to Run — all attachments are
-// observation-only; Results.Metrics and Results.Latency carry the probe
-// series and latency report, and the auditor is inspected afterward via
-// its own methods.
-func RunWith(cfg Config, tr *Trace, opts RunOptions) (*Results, error) {
-	s, err := system.New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Probe != nil {
-		s.Attach(opts.Probe)
-	}
-	if opts.Auditor != nil {
-		s.AttachAuditor(opts.Auditor)
-	}
-	if opts.Latency != nil {
-		s.AttachLatency(opts.Latency)
-	}
-	return s.Run(), nil
-}
-
-// RunSourceWith is RunWith over a streaming trace source: thread feeds
-// pull chunked per-thread iterators, so replay memory is bounded by the
-// source's chunk size rather than the trace length. A completed run is
-// bit-identical to RunWith over the equivalent in-memory trace.
-func RunSourceWith(cfg Config, src TraceSource, opts RunOptions) (*Results, error) {
+// Run simulates src on a system configured by cfg with every attachment
+// in opts installed, and returns the complete statistics. It is
+// deterministic: identical inputs yield identical results, and the
+// attachments are observation-only, so they never change them.
+// Results.Metrics and Results.Latency carry the probe series and the
+// latency report; inspect the auditor afterward through its own
+// methods.
+func Run(cfg Config, src TraceSource, opts RunOptions) (*Results, error) {
 	s, err := system.NewStream(cfg, src)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Probe != nil {
-		s.Attach(opts.Probe)
-	}
-	if opts.Auditor != nil {
-		s.AttachAuditor(opts.Auditor)
-	}
-	if opts.Latency != nil {
-		s.AttachLatency(opts.Latency)
-	}
+	s.Attach(opts)
 	return s.Run(), nil
 }
 

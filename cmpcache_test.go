@@ -7,6 +7,16 @@ import (
 	"cmpcache"
 )
 
+// memSource splits tr into a source every run of a test can replay.
+func memSource(tb testing.TB, tr *cmpcache.Trace) cmpcache.TraceSource {
+	tb.Helper()
+	src, err := cmpcache.NewMemSource(tr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return src
+}
+
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	cfg := cmpcache.DefaultConfig()
 	if cfg.L2HitLatency() != 20 || cfg.L2ToL2Latency() != 77 ||
@@ -36,7 +46,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cmpcache.Run(cmpcache.DefaultConfig(), tr)
+	res, err := cmpcache.Run(cmpcache.DefaultConfig(), memSource(t, tr), cmpcache.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +66,7 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	}
 	cfg := cmpcache.DefaultConfig()
 	cfg.MaxOutstanding = 0
-	if _, err := cmpcache.Run(cfg, tr); err == nil {
+	if _, err := cmpcache.Run(cfg, memSource(t, tr), cmpcache.RunOptions{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -66,12 +76,13 @@ func TestMechanismsAllRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := cmpcache.Run(cmpcache.DefaultConfig(), tr)
+	src := memSource(t, tr)
+	base, err := cmpcache.Run(cmpcache.DefaultConfig(), src, cmpcache.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []cmpcache.Mechanism{cmpcache.WBHT, cmpcache.Snarf, cmpcache.Combined} {
-		res, err := cmpcache.Run(cmpcache.DefaultConfig().WithMechanism(m), tr)
+		res, err := cmpcache.Run(cmpcache.DefaultConfig().WithMechanism(m), src, cmpcache.RunOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -93,11 +104,12 @@ func TestDeterministicRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := cmpcache.Run(cmpcache.DefaultConfig(), tr)
+	src := memSource(t, tr)
+	a, err := cmpcache.Run(cmpcache.DefaultConfig(), src, cmpcache.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cmpcache.Run(cmpcache.DefaultConfig(), tr)
+	b, err := cmpcache.Run(cmpcache.DefaultConfig(), src, cmpcache.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := cmpcache.Run(cmpcache.DefaultConfig(), tr)
+	src, err := cmpcache.NewMemSource(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := cmpcache.Run(cmpcache.DefaultConfig(), src, cmpcache.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +45,7 @@ func main() {
 		cfg.WBHT.Entries = 4096
 		cfg.WBHT.SwitchEnabled = false
 		cfg.WBHT.LinesPerEntry = gran
-		res, err := cmpcache.Run(cfg, tr)
+		res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +59,7 @@ func main() {
 		cfg := cmpcache.DefaultConfig().WithMechanism(cmpcache.WBHT)
 		cfg.WBHT.SwitchEnabled = false
 		cfg.WBHT.HistoryReplacement = hist
-		res, err := cmpcache.Run(cfg, tr)
+		res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,12 +32,16 @@ func main() {
 	}
 	fmt.Printf("NotesBench-like mail server: %d references, mean gap %.0f cycles\n\n",
 		len(tr.Records), p.MeanGap)
+	src, err := cmpcache.NewMemSource(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	base := run(tr, func(cfg *cmpcache.Config) {})
-	adaptive := run(tr, func(cfg *cmpcache.Config) {
+	base := run(src, func(cfg *cmpcache.Config) {})
+	adaptive := run(src, func(cfg *cmpcache.Config) {
 		*cfg = cfg.WithMechanism(cmpcache.WBHT)
 	})
-	forced := run(tr, func(cfg *cmpcache.Config) {
+	forced := run(src, func(cfg *cmpcache.Config) {
 		*cfg = cfg.WithMechanism(cmpcache.WBHT)
 		cfg.WBHT.SwitchEnabled = false // always consult the table
 	})
@@ -63,10 +67,10 @@ func main() {
 	fmt.Println("backs and can cost L3 hits with nothing to gain at this load.")
 }
 
-func run(tr *cmpcache.Trace, mutate func(*cmpcache.Config)) *cmpcache.Results {
+func run(src cmpcache.TraceSource, mutate func(*cmpcache.Config)) *cmpcache.Results {
 	cfg := cmpcache.DefaultConfig()
 	mutate(&cfg)
-	res, err := cmpcache.Run(cfg, tr)
+	res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,12 +23,16 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("TP-like OLTP workload: %d references, %d threads\n\n", len(tr.Records), tr.Threads)
+	src, err := cmpcache.NewMemSource(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("Memory-pressure sweep (baseline vs snarfing):")
 	fmt.Println("outstanding | base cycles | snarf cycles | speedup | L3 retries base -> snarf")
 	for _, outstanding := range []int{1, 2, 4, 6} {
-		base := runWith(tr, cmpcache.Baseline, outstanding)
-		snarf := runWith(tr, cmpcache.Snarf, outstanding)
+		base := runWith(src, cmpcache.Baseline, outstanding)
+		snarf := runWith(src, cmpcache.Snarf, outstanding)
 		fmt.Printf("%11d | %11d | %12d | %+6.2f%% | %d -> %d (%.0f%% fewer)\n",
 			outstanding, base.Cycles, snarf.Cycles,
 			100*(float64(base.Cycles)-float64(snarf.Cycles))/float64(base.Cycles),
@@ -36,8 +40,8 @@ func main() {
 			100*(1-float64(snarf.L3RetriesIssued)/max1(base.L3RetriesIssued)))
 	}
 
-	base := runWith(tr, cmpcache.Baseline, 6)
-	snarf := runWith(tr, cmpcache.Snarf, 6)
+	base := runWith(src, cmpcache.Baseline, 6)
+	snarf := runWith(src, cmpcache.Snarf, 6)
 	fmt.Printf("\nAt 6 outstanding misses/thread:\n")
 	fmt.Printf("  write backs snarfed by peers : %.1f%% of WB requests\n", snarf.PctWBSnarfed())
 	fmt.Printf("  snarfed lines used locally   : %.1f%%\n", snarf.PctSnarfedUsedLocally())
@@ -47,10 +51,10 @@ func main() {
 		100*base.L2HitRate(), 100*snarf.L2HitRate())
 }
 
-func runWith(tr *cmpcache.Trace, m cmpcache.Mechanism, outstanding int) *cmpcache.Results {
+func runWith(src cmpcache.TraceSource, m cmpcache.Mechanism, outstanding int) *cmpcache.Results {
 	cfg := cmpcache.DefaultConfig().WithMechanism(m)
 	cfg.MaxOutstanding = outstanding
-	res, err := cmpcache.Run(cfg, tr)
+	res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,13 +20,18 @@ func main() {
 
 	fmt.Printf("workload %s: %d references on %d threads\n\n",
 		tr.Name, len(tr.Records), tr.Threads)
+	// Split the trace per thread once; every run below replays it.
+	src, err := cmpcache.NewMemSource(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var baseCycles uint64
 	for _, m := range []cmpcache.Mechanism{
 		cmpcache.Baseline, cmpcache.WBHT, cmpcache.Snarf, cmpcache.Combined,
 	} {
 		cfg := cmpcache.DefaultConfig().WithMechanism(m)
-		res, err := cmpcache.Run(cfg, tr)
+		res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,6 +49,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	src, err := cmpcache.NewMemSource(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := cmpcache.DefaultConfig().WithMechanism(cmpcache.WBHT)
 	cfg.MaxOutstanding = 6
@@ -70,7 +74,7 @@ func main() {
 		probe.SetTrace(tw)
 	}
 
-	res, err := cmpcache.RunWith(cfg, tr, cmpcache.RunOptions{Probe: probe, Latency: lat})
+	res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{Probe: probe, Latency: lat})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Trade2-like web brokerage: %d references, %d threads\n\n", len(tr.Records), tr.Threads)
+	src, err := cmpcache.NewMemSource(tr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	baseCfg := cmpcache.DefaultConfig()
-	base, err := cmpcache.Run(baseCfg, tr)
+	base, err := cmpcache.Run(baseCfg, src, cmpcache.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func main() {
 	for _, entries := range []int{512, 2048, 8192, 32768} {
 		cfg := cmpcache.DefaultConfig().WithMechanism(cmpcache.WBHT)
 		cfg.WBHT.Entries = entries
-		res, err := cmpcache.Run(cfg, tr)
+		res, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +54,7 @@ func main() {
 	// Figure 3 variant: every L2 allocates on the combined response.
 	cfg := cmpcache.DefaultConfig().WithMechanism(cmpcache.WBHT)
 	cfg.WBHT.GlobalAllocate = true
-	global, err := cmpcache.Run(cfg, tr)
+	global, err := cmpcache.Run(cfg, src, cmpcache.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,7 @@ type violationKey struct {
 }
 
 // Auditor is the shadow checker. Create with New, attach with
-// System.AttachAuditor, inspect with Violations/Ok/Summary after Run.
+// System.Attach, inspect with Violations/Ok/Summary after Run.
 type Auditor struct {
 	cfg  Config
 	view View
@@ -161,7 +161,7 @@ func New(cfg Config) *Auditor {
 }
 
 // Bind attaches the auditor to a system view. The system calls it from
-// AttachAuditor; it must run before the first event.
+// Attach; it must run before the first event.
 func (a *Auditor) Bind(v View) {
 	a.view = v
 	if n := len(v.L2s); n > maxAuditedL2s {

@@ -14,6 +14,7 @@ import (
 	"cmpcache/internal/audit"
 	"cmpcache/internal/config"
 	"cmpcache/internal/system"
+	"cmpcache/internal/trace"
 	"cmpcache/internal/workload"
 )
 
@@ -88,12 +89,16 @@ func RunSeed(seed int64) (*audit.Auditor, *system.Results, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	a := audit.New(audit.Config{Differential: true, SweepEvery: 2048})
-	s, err := system.New(cfg, tr)
+	src, err := trace.NewMemSource(tr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	s.AttachAuditor(a)
+	a := audit.New(audit.Config{Differential: true, SweepEvery: 2048})
+	s, err := system.NewStream(cfg, src)
+	if err != nil {
+		return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	s.Attach(system.Attachments{Auditor: a})
 	res := s.Run()
 	return a, res, nil
 }

@@ -25,18 +25,17 @@ import (
 // IssueFunc submits one reference to the memory hierarchy. key is the
 // line address (byte address pre-shifted by the line size); done must be
 // called exactly once, at the simulation time the access completes.
-type IssueFunc func(tid int, op trace.Op, key uint64, done func(config.Cycles))
+type IssueFunc func(op trace.Op, key uint64, done func(config.Cycles))
 
-// thread is one SMT hardware context. recs is the thread's current
-// window into its reference stream: the whole stream on the in-memory
-// path (src nil), or one chunk at a time on the streaming path, where
-// draining recs refills it from src until the stream is exhausted.
+// thread is one SMT hardware context. recs is the current chunk of its
+// reference stream; draining recs refills it from src until the stream
+// is exhausted.
 type thread struct {
 	id          int
 	recs        []trace.Record
 	idx         int
-	src         trace.Stream // nil on the in-memory path
-	exhausted   bool         // src returned its final chunk
+	src         trace.Stream
+	exhausted   bool // src returned its final chunk
 	outstanding int
 	lastIssue   config.Cycles
 	wakePending bool
@@ -67,43 +66,16 @@ type Complex struct {
 	hTryIssue sim.Handler
 }
 
-// New builds a thread complex. streams[i] is thread i's reference
-// stream (use trace.Trace.PerThread); cfg supplies the line size and the
-// outstanding-miss limit.
-func New(engine *sim.Engine, cfg *config.Config, streams [][]trace.Record, issue IssueFunc) *Complex {
-	if issue == nil {
-		panic("cpu: nil issue function")
-	}
-	c := &Complex{
-		engine:    engine,
-		issue:     issue,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		max:       cfg.MaxOutstanding,
-	}
-	c.hTryIssue = func(d sim.EventData) { c.tryIssue(d.Ptr.(*thread)) }
-	for i, recs := range streams {
-		th := &thread{id: i, recs: recs}
-		th.doneFn = func(at config.Cycles) { c.complete(th, at) }
-		if len(recs) == 0 {
-			th.done = true
-		} else {
-			c.active++
-		}
-		c.threads = append(c.threads, th)
-	}
-	return c
-}
-
-// NewStreams builds a thread complex fed by chunked per-thread streams
-// (trace.Source.Stream) instead of materialized record slices; nil
-// entries are idle threads. Each thread holds one chunk at a time, so
-// replay memory is bounded by the source's chunk size rather than the
-// trace length. The first chunk of every stream is fetched eagerly so
-// open/decode errors surface at construction; a mid-run stream error
-// panics — the simulation cannot meaningfully continue on a truncated
-// stream, and the sweep worker's recover converts the panic into a
-// per-job error.
-func NewStreams(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
+// New builds a thread complex fed by chunked per-thread streams
+// (trace.Source.Stream); streams[i] is thread i's stream and nil entries
+// are idle threads. cfg supplies the line size and the outstanding-miss
+// limit. Each thread holds one chunk at a time, so replay memory is
+// bounded by the source's chunk size rather than the trace length. The
+// first chunk of every stream is fetched eagerly so open/decode errors
+// surface at construction; a mid-run stream error panics — the
+// simulation cannot meaningfully continue on a truncated stream, and the
+// sweep worker's recover converts the panic into a per-job error.
+func New(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
 	if issue == nil {
 		panic("cpu: nil issue function")
 	}
@@ -117,20 +89,17 @@ func NewStreams(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, 
 	for i, src := range streams {
 		th := &thread{id: i, src: src}
 		th.doneFn = func(at config.Cycles) { c.complete(th, at) }
-		if src == nil {
-			th.done = true
-		} else {
+		if src != nil {
 			chunk, err := src.NextChunk()
 			if err != nil {
 				return nil, fmt.Errorf("cpu: thread %d stream: %w", i, err)
 			}
-			if len(chunk) == 0 {
-				th.exhausted = true
-				th.done = true
-			} else {
-				th.recs = chunk
-				c.active++
-			}
+			th.recs = chunk
+		}
+		if len(th.recs) == 0 {
+			th.done = true
+		} else {
+			c.active++
 		}
 		c.threads = append(c.threads, th)
 	}
@@ -140,7 +109,7 @@ func NewStreams(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, 
 // refill advances the thread's stream window to its next chunk,
 // reporting whether more records are available.
 func (c *Complex) refill(th *thread) bool {
-	if th.src == nil || th.exhausted {
+	if th.exhausted {
 		return false
 	}
 	chunk, err := th.src.NextChunk()
@@ -188,7 +157,7 @@ func (c *Complex) tryIssue(th *thread) {
 		th.issued++
 		th.lastIssue = now
 		key := r.Addr >> c.lineShift
-		c.issue(th.id, r.Op, key, th.doneFn)
+		c.issue(r.Op, key, th.doneFn)
 		now = c.engine.Now() // issue may run nested events
 	}
 	c.checkDone(th, now)
@@ -208,12 +177,7 @@ func (c *Complex) complete(th *thread, at config.Cycles) {
 }
 
 func (c *Complex) checkDone(th *thread, now config.Cycles) {
-	if th.done || th.idx < len(th.recs) || th.outstanding > 0 {
-		return
-	}
-	if th.src != nil && !th.exhausted {
-		// The current chunk drained but the stream has more; the next
-		// tryIssue will refill.
+	if th.done || th.outstanding > 0 || !th.exhausted {
 		return
 	}
 	th.done = true

@@ -1,6 +1,10 @@
 package cpu
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"cmpcache/internal/config"
@@ -11,11 +15,61 @@ import (
 // instantIssue completes every access after a fixed latency.
 func instantIssue(e *sim.Engine, latency config.Cycles) (IssueFunc, *[]uint64) {
 	var keys []uint64
-	return func(tid int, op trace.Op, key uint64, done func(config.Cycles)) {
+	return func(op trace.Op, key uint64, done func(config.Cycles)) {
 		keys = append(keys, key)
 		at := e.Now() + latency
 		e.At(at, func() { done(at) })
 	}, &keys
+}
+
+var errBroken = errors.New("broken stream")
+
+// chunkStream serves recs in chunks of size records (all that remain
+// when size is zero). Its NextChunk calls fail with errBroken once
+// failAfter of them have succeeded; a negative failAfter never fails.
+type chunkStream struct {
+	recs      []trace.Record
+	size      int
+	failAfter int
+}
+
+func (s *chunkStream) NextChunk() ([]trace.Record, error) {
+	if s.failAfter == 0 {
+		return nil, errBroken
+	}
+	s.failAfter--
+	n := len(s.recs)
+	if s.size > 0 && s.size < n {
+		n = s.size
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	chunk := s.recs[:n]
+	s.recs = s.recs[n:]
+	return chunk, nil
+}
+
+// streams serves each record slice whole from its own stream; nil
+// slices are idle threads.
+func streams(recs ...[]trace.Record) []trace.Stream {
+	out := make([]trace.Stream, len(recs))
+	for i, r := range recs {
+		if r != nil {
+			out[i] = &chunkStream{recs: r, failAfter: -1}
+		}
+	}
+	return out
+}
+
+// newComplex builds a complex that must construct cleanly.
+func newComplex(t *testing.T, e *sim.Engine, cfg *config.Config, ss []trace.Stream, issue IssueFunc) *Complex {
+	t.Helper()
+	c, err := New(e, cfg, ss, issue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func mkStream(tid int, n int, gap uint32) []trace.Record {
@@ -31,7 +85,7 @@ func TestSerialIssueWithGaps(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxOutstanding = 1
 	issue, keys := instantIssue(e, 10)
-	c := New(e, &cfg, [][]trace.Record{mkStream(0, 3, 5)}, issue)
+	c := newComplex(t, e, &cfg, streams(mkStream(0, 3, 5)), issue)
 	c.Start()
 	e.Run()
 	if !c.Done() {
@@ -63,7 +117,7 @@ func TestOutstandingLimitOverlapsMisses(t *testing.T) {
 		cfg := config.Default()
 		cfg.MaxOutstanding = max
 		issue, _ := instantIssue(e, 100)
-		c := New(e, &cfg, [][]trace.Record{mkStream(0, 12, 0)}, issue)
+		c := newComplex(t, e, &cfg, streams(mkStream(0, 12, 0)), issue)
 		c.Start()
 		e.Run()
 		return c.FinishTime()
@@ -80,14 +134,14 @@ func TestMaxOutstandingNeverExceeded(t *testing.T) {
 	cfg.MaxOutstanding = 3
 	var c *Complex
 	maxSeen := 0
-	issue := func(tid int, op trace.Op, key uint64, done func(config.Cycles)) {
+	issue := func(op trace.Op, key uint64, done func(config.Cycles)) {
 		if c.Outstanding() > maxSeen {
 			maxSeen = c.Outstanding()
 		}
 		at := e.Now() + 50
 		e.At(at, func() { done(at) })
 	}
-	c = New(e, &cfg, [][]trace.Record{mkStream(0, 40, 1)}, issue)
+	c = newComplex(t, e, &cfg, streams(mkStream(0, 40, 1)), issue)
 	c.Start()
 	e.Run()
 	if maxSeen > 3 {
@@ -103,8 +157,7 @@ func TestMultipleThreadsIndependent(t *testing.T) {
 	cfg := config.Default()
 	cfg.MaxOutstanding = 1
 	issue, _ := instantIssue(e, 10)
-	streams := [][]trace.Record{mkStream(0, 5, 0), mkStream(1, 5, 0), nil}
-	c := New(e, &cfg, streams, issue)
+	c := newComplex(t, e, &cfg, streams(mkStream(0, 5, 0), mkStream(1, 5, 0), nil), issue)
 	c.Start()
 	e.Run()
 	if !c.Done() {
@@ -123,7 +176,8 @@ func TestEmptyStreamsDoneImmediately(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := config.Default()
 	issue, _ := instantIssue(e, 1)
-	c := New(e, &cfg, [][]trace.Record{nil, nil}, issue)
+	// An idle (nil) stream and a stream that ends at once.
+	c := newComplex(t, e, &cfg, []trace.Stream{nil, &chunkStream{failAfter: -1}}, issue)
 	c.Start()
 	e.Run()
 	if !c.Done() || c.FinishTime() != 0 {
@@ -139,6 +193,85 @@ func TestNilIssuePanics(t *testing.T) {
 		}
 	}()
 	New(sim.NewEngine(), &cfg, nil, nil)
+}
+
+// TestChunkBoundariesInvisible: the chunk size a stream is delivered in
+// changes only where the thread buffers its records, never when they
+// issue or complete.
+func TestChunkBoundariesInvisible(t *testing.T) {
+	recs := make([]trace.Record, 11)
+	for i := range recs {
+		recs[i] = trace.Record{Op: trace.Load, Addr: uint64(i*i) * 128, Gap: uint32(i % 4 * 3)}
+	}
+	type outcome struct {
+		issues            []string // "cycle:key" in issue order
+		issued, completed uint64
+		finish            config.Cycles
+	}
+	replay := func(maxOut, chunk int) outcome {
+		e := sim.NewEngine()
+		cfg := config.Default()
+		cfg.MaxOutstanding = maxOut
+		var o outcome
+		issue := func(op trace.Op, key uint64, done func(config.Cycles)) {
+			o.issues = append(o.issues, fmt.Sprintf("%d:%d", e.Now(), key))
+			at := e.Now() + 7
+			e.At(at, func() { done(at) })
+		}
+		c := newComplex(t, e, &cfg, []trace.Stream{&chunkStream{recs: recs, size: chunk, failAfter: -1}}, issue)
+		c.Start()
+		e.Run()
+		if !c.Done() {
+			t.Fatalf("max %d, chunk %d: not done", maxOut, chunk)
+		}
+		o.issued, o.completed, o.finish = c.Issued(), c.Completed(), c.FinishTime()
+		return o
+	}
+	for _, maxOut := range []int{1, 3} {
+		want := replay(maxOut, 0)
+		if want.issued != uint64(len(recs)) || want.completed != want.issued {
+			t.Fatalf("max %d: issued/completed = %d/%d, want %d", maxOut, want.issued, want.completed, len(recs))
+		}
+		for _, chunk := range []int{1, 3} {
+			got := replay(maxOut, chunk)
+			if !slices.Equal(got.issues, want.issues) || got.issued != want.issued ||
+				got.completed != want.completed || got.finish != want.finish {
+				t.Errorf("max %d, chunk %d: %+v, whole stream %+v", maxOut, chunk, got, want)
+			}
+		}
+	}
+}
+
+// TestFirstChunkErrorFailsNew: a stream that cannot deliver its first
+// chunk fails construction with an error naming its thread.
+func TestFirstChunkErrorFailsNew(t *testing.T) {
+	cfg := config.Default()
+	e := sim.NewEngine()
+	issue, _ := instantIssue(e, 1)
+	ss := append(streams(mkStream(0, 3, 0), nil), &chunkStream{recs: mkStream(2, 3, 0), failAfter: 0})
+	_, err := New(e, &cfg, ss, issue)
+	if !errors.Is(err, errBroken) || !strings.Contains(err.Error(), "thread 2") {
+		t.Fatalf("New = %v, want the stream error naming thread 2", err)
+	}
+}
+
+// TestMidStreamErrorPanics: a stream that fails after its first chunk
+// panics with its thread id; the sweep worker turns that panic into a
+// job error.
+func TestMidStreamErrorPanics(t *testing.T) {
+	cfg := config.Default()
+	e := sim.NewEngine()
+	issue, _ := instantIssue(e, 1)
+	ss := []trace.Stream{nil, &chunkStream{recs: mkStream(1, 6, 0), size: 2, failAfter: 1}}
+	c := newComplex(t, e, &cfg, ss, issue)
+	c.Start()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "thread 1") || !strings.Contains(msg, errBroken.Error()) {
+			t.Fatalf("panic %q, want the stream error naming thread 1", msg)
+		}
+	}()
+	e.Run()
 }
 
 func TestL1FilterAbsorbsHits(t *testing.T) {

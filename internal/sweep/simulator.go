@@ -13,11 +13,13 @@ import (
 	"cmpcache/internal/workload"
 )
 
-// Simulator is the default job executor: it synthesizes (and caches)
-// workload traces and runs each job's configuration through the
-// simulator. It is safe for concurrent use; identical (workload,
-// length) traces are generated once and shared — the simulator only
-// reads trace records, so sharing across concurrent runs is safe.
+// Simulator is the default job executor: it builds (and caches) each
+// job's trace source and runs the job's configuration over it. It is
+// safe for concurrent use. A synthetic workload is generated and split
+// per thread once per (workload, length); a trace file is opened once
+// per content version. Sources are shared across concurrent runs: the
+// simulator only reads them, each run takes its own per-thread streams,
+// and the sharded reader serves them with positioned reads.
 type Simulator struct {
 	// MetricsInterval, when positive, attaches a metrics probe sampling
 	// at that window to every run; each Result's Results.Metrics then
@@ -32,34 +34,25 @@ type Simulator struct {
 	// worker count. Set before the sweep starts.
 	Latency *txlat.Config
 
-	// SourceOpens / SourceHits count trace-source container opens and
-	// source-cache hits. Nil-safe telemetry instruments: leave nil for
-	// zero-cost detachment. Set before the sweep starts.
+	// SourceOpens / SourceHits count trace-file container opens and
+	// source-cache hits for trace files (synthetic workloads are not
+	// counted). Nil-safe telemetry instruments: leave nil for zero-cost
+	// detachment. Set before the sweep starts.
 	SourceOpens *telemetry.Counter
 	SourceHits  *telemetry.Counter
 
 	mu      sync.Mutex
-	traces  map[traceKey]*traceEntry
 	sources map[sourceKey]*sourceEntry
 }
 
-type traceKey struct {
-	name string
-	refs int
-}
-
-type traceEntry struct {
-	ready chan struct{}
-	tr    *trace.Trace
-	err   error
-}
-
-// sourceKey keys opened trace files by path AND content hash: a file
-// edited in place between jobs is reopened, never served stale from the
-// handle cache.
+// sourceKey identifies a cached source: a trace file by path AND
+// content hash (a file edited in place between jobs is reopened, never
+// served stale from the cache), a synthetic workload by name and
+// per-thread length.
 type sourceKey struct {
-	path string
-	sha  string
+	path, sha string
+	workload  string
+	refs      int
 }
 
 type sourceEntry struct {
@@ -68,36 +61,64 @@ type sourceEntry struct {
 	err   error
 }
 
-// NewSimulator returns a Simulator with an empty trace cache.
+// NewSimulator returns a Simulator with an empty source cache.
 func NewSimulator() *Simulator {
-	return &Simulator{
-		traces:  make(map[traceKey]*traceEntry),
-		sources: make(map[sourceKey]*sourceEntry),
-	}
+	return &Simulator{sources: make(map[sourceKey]*sourceEntry)}
 }
 
-// trace returns the cached trace for (name, refs), generating it at
-// most once even under concurrent callers.
-func (s *Simulator) trace(ctx context.Context, name string, refs int) (*trace.Trace, error) {
-	key := traceKey{name: name, refs: refs}
+// source returns j's trace source, building it at most once per key
+// even under concurrent callers. A sharded directory streams from disk;
+// a flat file or a synthetic workload is held in memory, split per
+// thread.
+func (s *Simulator) source(ctx context.Context, j Job) (trace.Source, error) {
+	key := sourceKey{workload: j.Workload, refs: j.RefsPerThread}
+	var opens, hits *telemetry.Counter
+	if j.TraceFile != "" {
+		ref, err := trace.Describe(j.TraceFile)
+		if err != nil {
+			return nil, err
+		}
+		key = sourceKey{path: j.TraceFile, sha: ref.SHA256}
+		opens, hits = s.SourceOpens, s.SourceHits
+	}
 	s.mu.Lock()
-	e, ok := s.traces[key]
+	e, ok := s.sources[key]
 	if !ok {
-		e = &traceEntry{ready: make(chan struct{})}
-		s.traces[key] = e
+		e = &sourceEntry{ready: make(chan struct{})}
+		s.sources[key] = e
 	}
 	s.mu.Unlock()
 	if !ok {
-		e.tr, e.err = generate(name, refs)
+		opens.Inc()
+		e.src, e.err = openSource(key)
 		close(e.ready)
-		return e.tr, e.err
+		return e.src, e.err
 	}
+	hits.Inc()
 	select {
 	case <-e.ready:
-		return e.tr, e.err
+		return e.src, e.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// openSource builds the source key names.
+func openSource(key sourceKey) (trace.Source, error) {
+	var t *trace.Trace
+	var err error
+	switch {
+	case key.path == "":
+		t, err = generate(key.workload, key.refs)
+	case trace.IsShardedDir(key.path):
+		return trace.OpenSharded(key.path)
+	default:
+		t, err = trace.ReadFile(key.path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return trace.NewMemSource(t)
 }
 
 func generate(name string, refs int) (*trace.Trace, error) {
@@ -111,50 +132,6 @@ func generate(name string, refs int) (*trace.Trace, error) {
 	return p.Generate()
 }
 
-// source returns the opened trace source for path, opening it at most
-// once per content version even under concurrent callers. Sharded
-// directories stream from disk; flat files load into memory. Sources
-// are shared across concurrent runs — per-thread streams are
-// independent and the sharded reader serves them with positioned reads.
-func (s *Simulator) source(ctx context.Context, path string) (trace.Source, error) {
-	ref, err := trace.Describe(path)
-	if err != nil {
-		return nil, err
-	}
-	key := sourceKey{path: path, sha: ref.SHA256}
-	s.mu.Lock()
-	e, ok := s.sources[key]
-	if !ok {
-		e = &sourceEntry{ready: make(chan struct{})}
-		s.sources[key] = e
-	}
-	s.mu.Unlock()
-	if !ok {
-		s.SourceOpens.Inc()
-		e.src, e.err = openSource(path)
-		close(e.ready)
-		return e.src, e.err
-	}
-	s.SourceHits.Inc()
-	select {
-	case <-e.ready:
-		return e.src, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func openSource(path string) (trace.Source, error) {
-	if trace.IsShardedDir(path) {
-		return trace.OpenSharded(path)
-	}
-	t, err := trace.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewMemSource(t), nil
-}
-
 // Run executes one job to completion, or until ctx is cancelled: the
 // simulation polls ctx between events (system.RunContext), so a
 // cancelled or timed-out job stops within milliseconds and its
@@ -165,29 +142,21 @@ func (s *Simulator) Run(ctx context.Context, j Job) (*system.Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var sys *system.System
-	if j.TraceFile != "" {
-		src, err := s.source(ctx, j.TraceFile)
-		if err != nil {
-			return nil, err
-		}
-		if sys, err = system.NewStream(cfg, src); err != nil {
-			return nil, err
-		}
-	} else {
-		tr, err := s.trace(ctx, j.Workload, j.RefsPerThread)
-		if err != nil {
-			return nil, err
-		}
-		if sys, err = system.New(cfg, tr); err != nil {
-			return nil, err
-		}
+	src, err := s.source(ctx, j)
+	if err != nil {
+		return nil, err
 	}
+	sys, err := system.NewStream(cfg, src)
+	if err != nil {
+		return nil, err
+	}
+	var a system.Attachments
 	if s.MetricsInterval > 0 {
-		sys.Attach(metrics.NewProbe(metrics.Config{Interval: s.MetricsInterval}))
+		a.Probe = metrics.NewProbe(metrics.Config{Interval: s.MetricsInterval})
 	}
 	if s.Latency != nil {
-		sys.AttachLatency(txlat.New(*s.Latency))
+		a.Latency = txlat.New(*s.Latency)
 	}
+	sys.Attach(a)
 	return sys.RunContext(ctx)
 }

@@ -23,12 +23,12 @@ func TestAuditorObservationOnly(t *testing.T) {
 
 	_, plain := run(t, cfg, tr)
 
-	s, err := New(cfg, tr)
+	s, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := audit.New(audit.Config{Differential: true, SweepEvery: 512})
-	s.AttachAuditor(a)
+	s.Attach(Attachments{Auditor: a})
 	audited := s.Run()
 	if !a.Ok() {
 		t.Fatalf("auditor on a healthy run: %s", a.Summary())
@@ -50,14 +50,14 @@ func TestAuditorObservationOnly(t *testing.T) {
 
 	// Probe and auditor both ride the event loop's clock; composing
 	// them must still perturb nothing but the Metrics series.
-	s2, err := New(cfg, tr)
+	s2, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a2 := audit.New(audit.Config{Differential: true, SweepEvery: 512})
-	s2.AttachAuditor(a2)
+	s2.Attach(Attachments{Auditor: a2})
 	probe := metrics.NewProbe(metrics.Config{Interval: 500})
-	s2.Attach(probe)
+	s2.Attach(Attachments{Probe: probe})
 	both := s2.Run()
 	if !a2.Ok() {
 		t.Fatalf("auditor composed with probe: %s", a2.Summary())
@@ -85,12 +85,12 @@ func TestAuditorCatchesInjectedDirtyLoss(t *testing.T) {
 	cfg.L3QueueEntries = 1 // starve the L3 queue so dirty entries linger
 	tr := wbStormTrace(&cfg, 32)
 
-	s, err := New(cfg, tr)
+	s, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := audit.New(audit.Config{SweepEvery: 256})
-	s.AttachAuditor(a)
+	s.Attach(Attachments{Auditor: a})
 
 	var lostKey uint64
 	injected := false
@@ -144,7 +144,7 @@ func TestAuditorCatchesInjectedDirtyLoss(t *testing.T) {
 // snooping anyone.
 func TestStaleUpgradeDoesNotDestroyDirtyCopy(t *testing.T) {
 	cfg := config.Default()
-	s, err := New(cfg, mkTrace())
+	s, err := newSystem(cfg, mkTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStaleUpgradeDoesNotDestroyDirtyCopy(t *testing.T) {
 // resurrects the stale copy alongside the new owner.
 func TestRWITMCancelsStaleQueuedWB(t *testing.T) {
 	cfg := config.Default()
-	s, err := New(cfg, mkTrace())
+	s, err := newSystem(cfg, mkTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRWITMCancelsStaleQueuedWB(t *testing.T) {
 // parked in a peer's castout buffer.
 func TestUpgradeCancelsStaleQueuedWB(t *testing.T) {
 	cfg := config.Default()
-	s, err := New(cfg, mkTrace())
+	s, err := newSystem(cfg, mkTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestUpgradeCancelsStaleQueuedWB(t *testing.T) {
 // plain Shared and the reader becomes the new SharedLast.
 func TestReadSnoopsWBQueueAndDemotes(t *testing.T) {
 	cfg := config.Default()
-	s, err := New(cfg, mkTrace())
+	s, err := newSystem(cfg, mkTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestReadSnoopsWBQueueAndDemotes(t *testing.T) {
 func TestRequeueWBOrderingAcrossRetrySwitchFlip(t *testing.T) {
 	cfg := config.Default().WithMechanism(config.WBHT)
 	cfg.WBHT.RetryThreshold = 1
-	s, err := New(cfg, mkTrace())
+	s, err := newSystem(cfg, mkTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,12 +399,12 @@ func TestAuditorCleanOnWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
-		s, err := New(in.cfg, tr)
+		s, err := newSystem(in.cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := audit.New(audit.Config{Differential: true, SweepEvery: 1024})
-		s.AttachAuditor(a)
+		s.Attach(Attachments{Auditor: a})
 		s.Run()
 		if !a.Ok() {
 			t.Errorf("%s: %s", in.name, a.Summary())

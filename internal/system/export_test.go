@@ -25,7 +25,7 @@ func exportTrace() *trace.Trace {
 }
 
 func TestResultsMarshalJSON(t *testing.T) {
-	sys, err := New(config.Default(), exportTrace())
+	sys, err := newSystem(config.Default(), exportTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestResultsMarshalJSON(t *testing.T) {
 // bytes — the property the sweep determinism guarantee rests on.
 func TestResultsMarshalDeterministic(t *testing.T) {
 	marshal := func() []byte {
-		sys, err := New(config.Default(), exportTrace())
+		sys, err := newSystem(config.Default(), exportTrace())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,18 +43,18 @@ func TestObservationOnlySubsets(t *testing.T) {
 		{name: "all-windowed", probe: true, aud: true, lat: true, windowed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(cfg, tr)
+			s, err := newSystem(cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var a *audit.Auditor
 			var c *txlat.Collector
 			if tc.probe {
-				s.Attach(metrics.NewProbe(metrics.Config{Interval: 500}))
+				s.Attach(Attachments{Probe: metrics.NewProbe(metrics.Config{Interval: 500})})
 			}
 			if tc.aud {
 				a = audit.New(audit.Config{Differential: true, SweepEvery: 512})
-				s.AttachAuditor(a)
+				s.Attach(Attachments{Auditor: a})
 			}
 			if tc.lat {
 				lcfg := txlat.Config{}
@@ -62,7 +62,7 @@ func TestObservationOnlySubsets(t *testing.T) {
 					lcfg.Interval = 500
 				}
 				c = txlat.New(lcfg)
-				s.AttachLatency(c)
+				s.Attach(Attachments{Latency: c})
 			}
 			res := s.Run()
 			if a != nil && !a.Ok() {
@@ -116,12 +116,12 @@ func TestLatencyAttributionOnWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.Default().WithMechanism(config.Snarf)
-	s, err := New(cfg, tr)
+	s, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := txlat.New(txlat.Config{TopK: 8})
-	s.AttachLatency(c)
+	s.Attach(Attachments{Latency: c})
 	res := s.Run()
 	rep := res.Latency
 	if rep == nil {

@@ -61,7 +61,7 @@ func TestBarrierLogOrder(t *testing.T) {
 	// Observations are seen through the victim records they replay into
 	// the event trace.
 	t.Run("appended", func(t *testing.T) {
-		s, err := New(config.Default(), exportTrace())
+		s, err := newSystem(config.Default(), exportTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestBarrierLogOrder(t *testing.T) {
 	// the trace must list the two victims in slice order.
 	t.Run("reinstall-victims", func(t *testing.T) {
 		cfg := config.Default()
-		s, err := New(cfg, idleTrace())
+		s, err := newSystem(cfg, idleTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestSwitchAdvancesEveryCycle(t *testing.T) {
 	cfg := config.Default()
 	cfg.WBHT.RetryWindow = 100
 	cfg.WBHT.RetryThreshold = 1
-	s, err := New(cfg, idleTrace())
+	s, err := newSystem(cfg, idleTrace())
 	if err != nil {
 		t.Fatal(err)
 	}

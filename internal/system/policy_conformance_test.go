@@ -45,12 +45,12 @@ func TestPolicyConformanceAuditSoak(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := config.Default().WithMechanism(m)
-				s, err := New(cfg, tr)
+				s, err := newSystem(cfg, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				aud := audit.New(audit.Config{Differential: true, SweepEvery: 512})
-				s.AttachAuditor(aud)
+				s.Attach(Attachments{Auditor: aud})
 				s.Run()
 				if !aud.Ok() {
 					t.Fatalf("seed %#x: audit violations:\n%s", seed, aud.Summary())

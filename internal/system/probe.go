@@ -2,20 +2,6 @@ package system
 
 import "cmpcache/internal/metrics"
 
-// Attach installs p as this run's observability probe: the event
-// loop's cycle tick drives p's sampling windows, and p's sampler
-// callback reads the system's cumulative counters at each window close.
-// Attach must be called before Run; Run's results then carry the
-// completed interval series. Attaching a probe never perturbs the
-// simulation — sampling is observation-only (see internal/metrics) and
-// windows close at the tick before a cycle's first event, after every
-// event strictly before the window's end has fired.
-func (s *System) Attach(p *metrics.Probe) {
-	s.probe = p
-	s.tracer = p.Trace()
-	p.Bind(s.sampleMetrics)
-}
-
 // sampleMetrics copies the system's cumulative counters and occupancy
 // gauges into snap. The probe differences consecutive snapshots, so
 // everything here is a plain read — no counter is reset, and the retry

@@ -56,15 +56,15 @@ func TestRepollShortPathExact(t *testing.T) {
 
 	mechanisms := []config.Mechanism{config.Baseline, config.WBHT, config.Snarf, config.Combined, config.ReuseDist, config.HybridUI}
 	for _, w := range workload.Names() {
-		tr := generate(t, w, 0, 3000)
+		src := generate(t, w, 0, 3000)
 		for _, m := range mechanisms {
-			s, err := system.New(config.Default().WithMechanism(m), tr)
+			s, err := system.NewStream(config.Default().WithMechanism(m), src)
 			run(w+"/"+m.String(), s, err)
 		}
 	}
 
 	dir := t.TempDir() + "/tp.cmps"
-	if _, err := trace.WriteSharded(dir, generate(t, "tp", 0, 3000), trace.ShardOptions{Shards: 3, BatchRecords: 256}); err != nil {
+	if _, err := trace.WriteSharded(dir, generateTrace(t, "tp", 0, 3000), trace.ShardOptions{Shards: 3, BatchRecords: 256}); err != nil {
 		t.Fatal(err)
 	}
 	src, err := trace.OpenSharded(dir)
@@ -77,12 +77,12 @@ func TestRepollShortPathExact(t *testing.T) {
 
 	big := config.Default()
 	big.Cores = 64
-	s, err = system.New(big, generate(t, "tp", 128, 400))
+	s, err = system.NewStream(big, generate(t, "tp", 128, 400))
 	run("bigchip/tp/base", s, err)
 
 	stall := config.Default()
 	stall.L2SliceKB, stall.L3SliceMB, stall.WBQueueEntries = 16, 1, 2
-	s, err = system.New(stall, generate(t, "trade2", 0, 3000))
+	s, err = system.NewStream(stall, generate(t, "trade2", 0, 3000))
 	run("stall/trade2/base", s, err)
 
 	seeds := 40
@@ -97,7 +97,11 @@ func TestRepollShortPathExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := system.New(cfg, tr)
+		src, err := trace.NewMemSource(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := system.NewStream(cfg, src)
 		run("soak seed "+strconv.FormatInt(seed, 10), s, err)
 	}
 	if skipped == 0 {
@@ -106,9 +110,9 @@ func TestRepollShortPathExact(t *testing.T) {
 	t.Logf("%d re-polls skipped the probe, each checked", skipped)
 }
 
-// generate synthesizes the named workload at refs references per
+// generateTrace synthesizes the named workload at refs references per
 // thread, over threads threads when threads is positive.
-func generate(t *testing.T, name string, threads, refs int) *trace.Trace {
+func generateTrace(t *testing.T, name string, threads, refs int) *trace.Trace {
 	t.Helper()
 	p, err := workload.ByName(name)
 	if err != nil {
@@ -123,4 +127,14 @@ func generate(t *testing.T, name string, threads, refs int) *trace.Trace {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// generate is generateTrace split into an in-memory source.
+func generate(t *testing.T, name string, threads, refs int) trace.Source {
+	t.Helper()
+	src, err := trace.NewMemSource(generateTrace(t, name, threads, refs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }

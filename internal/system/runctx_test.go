@@ -25,13 +25,13 @@ func TestRunContextBitIdentical(t *testing.T) {
 	}
 	cfg := config.Default().WithMechanism(config.Combined)
 
-	sysA, err := New(cfg, tr)
+	sysA, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := sysA.Run()
 
-	sysB, err := New(cfg, tr)
+	sysB, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(config.Default(), tr)
+	sys, err := newSystem(config.Default(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(config.Default(), tr)
+	sys, err := newSystem(config.Default(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

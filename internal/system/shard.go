@@ -115,10 +115,10 @@ type busPost struct {
 	txn  coherence.TxnKind
 }
 
-// newShardCore builds the shard shell common to both feeds: the access
-// pool and the handlers. The caller attaches the thread complex and
-// calls size().
-func newShardCore(s *System, idx int) *shard {
+// newShard wires shard idx over streams, this shard's slice of the
+// chip's per-thread streams (nil entries are idle threads).
+// Construction fails if any stream's first chunk cannot be decoded.
+func newShard(s *System, idx int, streams []trace.Stream) (*shard, error) {
 	sh := &shard{sys: s, idx: idx, cache: s.l2s[idx], wheel: s.sliceWheel}
 	sh.accessPool = sim.NewPool(func() *pendingAccess {
 		p := &pendingAccess{}
@@ -127,14 +127,12 @@ func newShardCore(s *System, idx int) *shard {
 	})
 	sh.hResolve = func(d sim.EventData) { sh.resolve(d.Ptr.(*pendingAccess)) }
 	sh.hRepoll = func(d sim.EventData) { sh.repoll(d.Ptr.(*pendingAccess)) }
-	return sh
-}
-
-// issueFn is the shard's cpu issue path, shared by both constructors.
-func (sh *shard) issueFn() cpu.IssueFunc {
-	return func(_ int, op trace.Op, key uint64, done func(config.Cycles)) {
-		sh.access(op, key, done)
+	threads, err := cpu.New(sh.wheel, &s.cfg, streams, sh.access)
+	if err != nil {
+		return nil, err
 	}
+	sh.threads = threads
+	return sh, nil
 }
 
 // size primes the shard's access pool from its trace record count and
@@ -152,27 +150,6 @@ func (sh *shard) size(traceRecs int) int {
 	}
 	sh.accessPool.Prime(inflight)
 	return events
-}
-
-// newShard wires shard idx over streams (this shard's thread
-// sub-slice).
-func newShard(s *System, idx int, streams [][]trace.Record) *shard {
-	sh := newShardCore(s, idx)
-	sh.threads = cpu.New(sh.wheel, &s.cfg, streams, sh.issueFn())
-	return sh
-}
-
-// newShardStream wires shard idx over chunked per-thread streams
-// (the bounded-memory replay path). Construction fails if any stream's
-// first chunk cannot be decoded.
-func newShardStream(s *System, idx int, streams []trace.Stream) (*shard, error) {
-	sh := newShardCore(s, idx)
-	threads, err := cpu.NewStreams(sh.wheel, &s.cfg, streams, sh.issueFn())
-	if err != nil {
-		return nil, err
-	}
-	sh.threads = threads
-	return sh, nil
 }
 
 // --- log appenders (shard context only) ---

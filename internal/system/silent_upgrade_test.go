@@ -36,12 +36,12 @@ func TestSilentStoreUpgradeNoBusTraffic(t *testing.T) {
 		trace.Record{Thread: 0, Op: trace.Load, Addr: line},
 		trace.Record{Thread: 0, Op: trace.Store, Addr: line, Gap: 1000},
 	)
-	s, err := New(cfg, tr)
+	s, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aud := audit.New(audit.Config{Differential: true, SweepEvery: 1})
-	s.AttachAuditor(aud)
+	s.Attach(Attachments{Auditor: aud})
 	r := s.Run()
 
 	key := line / uint64(cfg.LineBytes)

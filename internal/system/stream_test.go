@@ -19,10 +19,11 @@ func marshalResults(t *testing.T, s *System) []byte {
 	return b
 }
 
-// TestStreamMatchesMemory is the tentpole acceptance criterion: replaying
-// a capture through the streaming path (sharded store on disk, chunked
-// per-thread iterators, bounded memory) must be bit-identical to the
-// in-memory path, across mechanisms.
+// TestStreamMatchesMemory: replaying a capture from the sharded store
+// on disk (chunked per-thread iterators, bounded memory) must be
+// bit-identical to replaying the same trace from memory, across
+// mechanisms. The 128-record batches put many chunk boundaries in every
+// thread's stream; the in-memory source serves each thread whole.
 func TestStreamMatchesMemory(t *testing.T) {
 	for _, wl := range []string{"tp", "trade2"} {
 		p, err := workload.ByName(wl)
@@ -41,7 +42,7 @@ func TestStreamMatchesMemory(t *testing.T) {
 		for _, mech := range []config.Mechanism{config.Baseline, config.WBHT, config.Snarf, config.Combined} {
 			cfg := config.Default().WithMechanism(mech)
 
-			mem, err := New(cfg, tr)
+			mem, err := newSystem(cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +59,7 @@ func TestStreamMatchesMemory(t *testing.T) {
 			got := marshalResults(t, str)
 
 			if string(want) != string(got) {
-				t.Fatalf("%s/%s: streaming run diverged from in-memory run", wl, mech)
+				t.Fatalf("%s/%s: sharded replay diverged from in-memory replay", wl, mech)
 			}
 			// Bounded memory held during the replay itself.
 			if max := sh.MaxBufferedRecords(); max == 0 || max > int64(tr.Threads)*128 {
@@ -70,43 +71,29 @@ func TestStreamMatchesMemory(t *testing.T) {
 	}
 }
 
-// TestStreamMemSourceMatchesMemory pins the other Source implementation:
-// the in-memory adapter used when cmpsim replays flat traces.
-func TestStreamMemSourceMatchesMemory(t *testing.T) {
-	p, err := workload.ByName("cpw2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RefsPerThread = 300
-	tr, err := p.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := config.Default().WithMechanism(config.WBHT)
-	mem, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := NewStream(cfg, trace.NewMemSource(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(marshalResults(t, mem)) != string(marshalResults(t, str)) {
-		t.Fatal("MemSource streaming run diverged from in-memory run")
-	}
+// threadsSource is a source reporting a chosen thread count.
+type threadsSource struct {
+	trace.Source
+	threads int
 }
+
+func (s threadsSource) Threads() int { return s.threads }
 
 // TestNewStreamValidation covers the source-shape errors.
 func TestNewStreamValidation(t *testing.T) {
 	cfg := config.Default()
-	if _, err := NewStream(cfg, trace.NewMemSource(&trace.Trace{Name: "none", Threads: 0})); err == nil {
-		t.Fatal("zero-thread source accepted")
-	}
 	over := &trace.Trace{Name: "over", Threads: cfg.Threads() + 1}
 	for i := 0; i <= cfg.Threads(); i++ {
 		over.Records = append(over.Records, trace.Record{Thread: uint16(i), Op: trace.Load, Addr: 0x100})
 	}
-	if _, err := NewStream(cfg, trace.NewMemSource(over)); err == nil {
+	src, err := trace.NewMemSource(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStream(cfg, src); err == nil {
 		t.Fatal("source with more threads than the machine accepted")
+	}
+	if _, err := NewStream(cfg, threadsSource{Source: src, threads: 0}); err == nil {
+		t.Fatal("zero-thread source accepted")
 	}
 }

@@ -137,7 +137,7 @@ type System struct {
 }
 
 // newCore builds everything but the thread feed: components, policy,
-// and the bound event handlers. New and NewStream attach the shards.
+// and the bound event handlers. NewStream attaches the shards.
 func newCore(cfg config.Config) *System {
 	s := &System{
 		cfg:        cfg,
@@ -174,56 +174,11 @@ func newCore(cfg config.Config) *System {
 	return s
 }
 
-// New validates cfg, builds all components and loads tr's per-thread
-// streams. Run() executes the workload to completion.
-func New(cfg config.Config, tr *trace.Trace) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if tr.Threads > cfg.Threads() {
-		return nil, fmt.Errorf("system: trace has %d threads, chip has %d", tr.Threads, cfg.Threads())
-	}
-	s := newCore(cfg)
-
-	streams := tr.PerThread()
-	// Pad to the chip's thread count so thread->L2 mapping stays fixed.
-	for len(streams) < cfg.Threads() {
-		streams = append(streams, nil)
-	}
-	tpl := cfg.ThreadsPerL2()
-	sliceEvents := 0
-	for i := 0; i < cfg.NumL2(); i++ {
-		sub := streams[i*tpl : (i+1)*tpl]
-		recs := 0
-		for _, st := range sub {
-			recs += len(st)
-		}
-		sh := newShard(s, i, sub)
-		sliceEvents += sh.size(recs)
-		s.shards = append(s.shards, sh)
-	}
-	s.sliceWheel.Grow(sliceEvents)
-
-	// Pre-size the global event queue from the workload: its high-water
-	// mark tracks in-flight bus transactions, bounded by what the trace
-	// can ever put in flight at once.
-	events := cfg.Threads()*cfg.MaxOutstanding*4 + 64
-	if limit := 2*len(tr.Records) + 64; events > limit {
-		events = limit
-	}
-	s.engine.Grow(events)
-	return s, nil
-}
-
-// NewStream is New over a streaming trace source: the thread feeds pull
-// chunked per-thread iterators (trace.Source.Stream) instead of
-// materialized record slices, so replay memory is bounded by the
-// source's chunk size rather than the trace length. A completed run is
-// bit-identical to New over the equivalent in-memory trace — the feed
-// only changes where records are buffered, never when they issue.
+// NewStream validates cfg and src, builds all components and feeds each
+// hardware thread from its chunked per-thread stream
+// (trace.Source.Stream), so replay memory is bounded by the source's
+// chunk size rather than the trace length. An in-memory trace enters as
+// a trace.MemSource. Run() executes the workload to completion.
 func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -244,19 +199,20 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 		}
 		return int(n)
 	}
+	// One stream per chip thread keeps the thread->L2 mapping fixed;
+	// threads without records keep a nil (idle) stream.
+	streams := make([]trace.Stream, cfg.Threads())
 	tpl := cfg.ThreadsPerL2()
 	sliceEvents := 0
 	for i := 0; i < cfg.NumL2(); i++ {
-		streams := make([]trace.Stream, tpl)
 		var recs int64
-		for j := 0; j < tpl; j++ {
-			tid := i*tpl + j
-			if tid < src.Threads() && src.ThreadRecords(tid) > 0 {
-				streams[j] = src.Stream(tid)
-				recs += src.ThreadRecords(tid)
+		for tid := i * tpl; tid < (i+1)*tpl && tid < src.Threads(); tid++ {
+			if n := src.ThreadRecords(tid); n > 0 {
+				streams[tid] = src.Stream(tid)
+				recs += n
 			}
 		}
-		sh, err := newShardStream(s, i, streams)
+		sh, err := newShard(s, i, streams[i*tpl:(i+1)*tpl])
 		if err != nil {
 			return nil, err
 		}
@@ -265,12 +221,68 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 	}
 	s.sliceWheel.Grow(sliceEvents)
 
+	// Pre-size the global event queue from the workload: its high-water
+	// mark tracks in-flight bus transactions, bounded by what the trace
+	// can ever put in flight at once.
 	events := cfg.Threads()*cfg.MaxOutstanding*4 + 64
 	if limit := 2*clamp(src.Records()) + 64; events > limit {
 		events = limit
 	}
 	s.engine.Grow(events)
 	return s, nil
+}
+
+// Attachments bundles the observation-only instruments a run can carry;
+// any subset (including none) may be set, and all compose. None of them
+// perturbs the simulation: a system pays one nil check per hook site for
+// each instrument it lacks.
+type Attachments struct {
+	// Probe samples the interval metrics series: the event loop's cycle
+	// tick drives its windows, and Run's results carry the completed
+	// series. Windows close at the tick before a cycle's first event,
+	// after every event strictly before the window's end has fired.
+	Probe *metrics.Probe
+	// Auditor is the shadow invariant checker: the event loop drives its
+	// periodic sweeps (per global event, and per slice-lane cycle for
+	// that cycle's slice events), and the protocol commit points call its
+	// semantic hooks — directly from global context, through the replay
+	// at the end of each slice-lane cycle from shard context.
+	Auditor *audit.Auditor
+	// Latency is the per-transaction latency collector: the demand and
+	// write-back commit points stamp every transaction's stage boundaries
+	// into it, and Results.Latency carries the finished report. A
+	// windowed collector's windows close at the event loop's cycle tick.
+	// One collector per run.
+	Latency *txlat.Collector
+}
+
+// Attach installs each non-nil instrument in a, so separate calls
+// compose. Attach before Run.
+func (s *System) Attach(a Attachments) {
+	if p := a.Probe; p != nil {
+		s.probe = p
+		s.tracer = p.Trace()
+		p.Bind(s.sampleMetrics)
+	}
+	if a.Auditor != nil {
+		s.auditor = a.Auditor
+		a.Auditor.Bind(audit.View{
+			Cfg:        &s.cfg,
+			L2s:        s.l2s,
+			L3:         s.l3,
+			WBInFlight: func(idx int) bool { return s.wbInFlight[idx] },
+			Counters: func() audit.Counters {
+				return audit.Counters{
+					SnarfArbitrated: s.collector.SnarfArbitrated(),
+					WBSnarfed:       s.wbSnarfed,
+					SnarfFallbacks:  s.snarfFallbacks,
+				}
+			},
+		})
+	}
+	if a.Latency != nil {
+		s.lat = a.Latency
+	}
 }
 
 // Config returns the system's configuration.

@@ -22,9 +22,18 @@ func lineAddr(cfg *config.Config, slice, set, tag int) uint64 {
 	return key * uint64(cfg.LineBytes)
 }
 
+// newSystem builds a system over an in-memory trace.
+func newSystem(cfg config.Config, tr *trace.Trace) (*System, error) {
+	src, err := trace.NewMemSource(tr)
+	if err != nil {
+		return nil, err
+	}
+	return NewStream(cfg, src)
+}
+
 func run(t *testing.T, cfg config.Config, tr *trace.Trace) (*System, *Results) {
 	t.Helper()
-	s, err := New(cfg, tr)
+	s, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +459,7 @@ func TestWBBufferHitRecoversLine(t *testing.T) {
 func TestTraceThreadOverflowRejected(t *testing.T) {
 	cfg := config.Default()
 	tr := &trace.Trace{Name: "big", Threads: 64, Records: nil}
-	if _, err := New(cfg, tr); err == nil {
+	if _, err := newSystem(cfg, tr); err == nil {
 		t.Fatal("trace with more threads than the chip accepted")
 	}
 }
@@ -458,7 +467,7 @@ func TestTraceThreadOverflowRejected(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := config.Default()
 	cfg.Cores = 0
-	if _, err := New(cfg, mkTrace()); err == nil {
+	if _, err := newSystem(cfg, mkTrace()); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

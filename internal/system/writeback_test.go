@@ -25,7 +25,7 @@ func key(cfg *config.Config, slice, set, tag int) uint64 {
 // write back, so the line must eventually reach the L3.
 func TestSnarfSettleWithoutTokenRequeuesEntry(t *testing.T) {
 	cfg := config.Default().WithMechanism(config.Snarf)
-	s, err := New(cfg, mkTrace(trace.Record{Thread: 0, Op: trace.Load, Addr: 0x10000}))
+	s, err := newSystem(cfg, mkTrace(trace.Record{Thread: 0, Op: trace.Load, Addr: 0x10000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWBRequestsCountsBusIssues(t *testing.T) {
 	cfg.L3QueueEntries = 1 // starve the L3 queue so write backs retry
 	tr := wbStormTrace(&cfg, 48)
 
-	s, err := New(cfg, tr)
+	s, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWBRequestsCountsBusIssues(t *testing.T) {
 	var buf bytes.Buffer
 	tw := metrics.NewTraceWriter(&buf, metrics.JSONL)
 	probe.SetTrace(tw)
-	s.Attach(probe)
+	s.Attach(Attachments{Probe: probe})
 	r := s.Run()
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -147,14 +147,14 @@ func TestProbeObservationOnly(t *testing.T) {
 
 	_, plain := run(t, cfg, tr)
 
-	s, err := New(cfg, tr)
+	s, err := newSystem(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe := metrics.NewProbe(metrics.Config{Interval: 500})
 	var buf bytes.Buffer
 	probe.SetTrace(metrics.NewTraceWriter(&buf, metrics.JSONL))
-	s.Attach(probe)
+	s.Attach(Attachments{Probe: probe})
 	probed := s.Run()
 
 	if probed.Metrics == nil || len(probed.Metrics.Samples) == 0 {

@@ -562,7 +562,10 @@ func TestShardOfStableAndInRange(t *testing.T) {
 
 func TestMemSourceMatchesTrace(t *testing.T) {
 	tr := sample()
-	src := NewMemSource(tr)
+	src, err := NewMemSource(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if src.Name() != tr.Name || src.Threads() != tr.Threads || src.Records() != int64(len(tr.Records)) {
 		t.Fatalf("MemSource shape mismatch")
 	}
@@ -585,6 +588,28 @@ func TestMemSourceMatchesTrace(t *testing.T) {
 		if next, err := st.NextChunk(); next != nil || err != nil {
 			t.Fatalf("thread %d: stream did not end after one chunk", tid)
 		}
+	}
+}
+
+// TestNewMemSourceRejectsMalformed: the in-memory source is the only
+// way an in-memory trace enters a run, so it refuses what Validate
+// refuses instead of panicking on the split or replaying a bad record.
+func TestNewMemSourceRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		want string
+	}{
+		{"thread out of range", &Trace{Threads: 2, Records: []Record{{Thread: 5, Op: Load}}}, "thread 5 out of range"},
+		{"invalid op", &Trace{Threads: 1, Records: []Record{{Op: 7}}}, "invalid op 7"},
+		{"zero threads", &Trace{Threads: 0}, "Threads = 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := NewMemSource(tc.tr)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewMemSource = %v, %v; want an error containing %q", src, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -22,27 +22,32 @@ type Source interface {
 	Stream(tid int) Stream
 }
 
-// MemSource adapts an in-memory Trace to the Source interface. Each
-// thread's stream yields its whole record slice as a single chunk.
+// MemSource adapts an in-memory Trace to the Source interface. It holds
+// only the trace's per-thread split; each thread's stream yields its
+// whole record slice as a single chunk. A MemSource is read-only, so any
+// number of runs may replay it, concurrently or in turn.
 type MemSource struct {
-	t       *Trace
+	name    string
+	records int64
 	streams [][]Record
 }
 
-// NewMemSource splits t per thread once and serves streams over the
-// result.
-func NewMemSource(t *Trace) *MemSource {
-	return &MemSource{t: t, streams: t.PerThread()}
+// NewMemSource validates t and splits its records per thread once.
+func NewMemSource(t *Trace) (*MemSource, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return &MemSource{name: t.Name, records: int64(len(t.Records)), streams: t.PerThread()}, nil
 }
 
 // Name returns the trace name.
-func (m *MemSource) Name() string { return m.t.Name }
+func (m *MemSource) Name() string { return m.name }
 
 // Threads returns the trace thread count.
-func (m *MemSource) Threads() int { return m.t.Threads }
+func (m *MemSource) Threads() int { return len(m.streams) }
 
 // Records returns the total record count.
-func (m *MemSource) Records() int64 { return int64(len(m.t.Records)) }
+func (m *MemSource) Records() int64 { return m.records }
 
 // ThreadRecords returns thread tid's record count.
 func (m *MemSource) ThreadRecords(tid int) int64 {

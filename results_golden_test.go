@@ -68,8 +68,9 @@ func TestResultsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		src := memSource(t, tr)
 		for _, m := range goldenMechanisms {
-			res, err := cmpcache.Run(mechanismConfig(t, m), tr)
+			res, err := cmpcache.Run(mechanismConfig(t, m), src, cmpcache.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +92,7 @@ func TestResultsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cmpcache.RunSourceWith(mechanismConfig(t, "wbht"), src, cmpcache.RunOptions{})
+	res, err := cmpcache.Run(mechanismConfig(t, "wbht"), src, cmpcache.RunOptions{})
 	src.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestResultsGolden(t *testing.T) {
 	}
 	bigCfg := cmpcache.DefaultConfig()
 	bigCfg.Cores = 64
-	if res, err = cmpcache.Run(bigCfg, big); err != nil {
+	if res, err = cmpcache.Run(bigCfg, memSource(t, big), cmpcache.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	record("bigchip/tp/base", res)
@@ -125,7 +126,7 @@ func TestResultsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = cmpcache.Run(stallConfig(t, "base"), trade2); err != nil {
+	if res, err = cmpcache.Run(stallConfig(t, "base"), memSource(t, trade2), cmpcache.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	record("stall/trade2/base", res)
@@ -157,7 +158,7 @@ func TestResultsGolden(t *testing.T) {
 		probe := cmpcache.NewMetricsProbe(cmpcache.MetricsConfig{Interval: 997})
 		probe.SetTrace(metrics.NewTraceWriter(&events, metrics.JSONL))
 		auditor := cmpcache.NewAuditor(cmpcache.AuditConfig{Differential: true})
-		res, err := cmpcache.RunWith(cfg, tr, cmpcache.RunOptions{
+		res, err := cmpcache.Run(cfg, memSource(t, tr), cmpcache.RunOptions{
 			Probe:   probe,
 			Auditor: auditor,
 			Latency: cmpcache.NewLatencyCollector(cmpcache.LatencyConfig{Interval: 1013}),
