@@ -1,11 +1,11 @@
 // Package audit is a shadow invariant checker for the simulated cache
-// hierarchy. An Auditor attaches to a system through the same
-// observation-only hook pattern as the metrics probe: an event clock the
-// system's event loop advances drives periodic whole-hierarchy sweeps,
-// and a set of semantic hooks (called by internal/system at each
-// protocol commit point) keeps incremental ledgers. Attaching an auditor never perturbs
-// the event sequence — every read it performs is a non-perturbing peek,
-// which a bit-identity test in internal/system pins.
+// hierarchy. An Auditor is an observer (internal/observe), like the
+// metrics probe: an event clock the system's event loop advances
+// (AdvanceEvents) drives periodic whole-hierarchy sweeps, and the hooks
+// internal/system calls at each protocol commit point keep incremental
+// ledgers. Attaching an auditor never perturbs the event sequence —
+// every read it performs is a non-perturbing peek, which a bit-identity
+// test in internal/system pins.
 //
 // Checked invariants (DESIGN.md §12 gives the paper justification):
 //
@@ -37,6 +37,7 @@ import (
 	"cmpcache/internal/config"
 	"cmpcache/internal/l2"
 	"cmpcache/internal/l3"
+	"cmpcache/internal/observe"
 )
 
 // Config parameterizes an Auditor.
@@ -90,6 +91,7 @@ type violationKey struct {
 // Auditor is the shadow checker. Create with New, attach with
 // System.Attach, inspect with Violations/Ok/Summary after Run.
 type Auditor struct {
+	observe.Base
 	cfg  Config
 	view View
 	now  config.Cycles
@@ -176,22 +178,12 @@ func (a *Auditor) Bind(v View) {
 	}
 }
 
-// Tick observes one engine event; the system installs it on the
-// engine's tick slot. Full sweeps run every SweepEvery events, between
-// events, when every protocol invariant must hold.
-func (a *Auditor) Tick(now config.Cycles) {
-	a.now = now
-	a.events++
-	if a.events%a.cfg.SweepEvery == 0 {
-		a.sweep()
-	}
-}
-
-// AdvanceEvents is the batched form of Tick used by the system's event
-// loop: it moves the audit clock to now and credits n events toward the
-// sweep cadence, running every sweep the batch crossed. With n == 0 it
-// only restamps the clock — the loop uses that form before replaying a
-// slice-lane cycle's hooks, so their violations carry that cycle.
+// AdvanceEvents moves the audit clock to now and credits n fired events
+// toward the sweep cadence, running every sweep the credit crossed:
+// full sweeps run every SweepEvery events, between events, when every
+// protocol invariant must hold. With n == 0 it only restamps the clock
+// — the loop uses that form before replaying a slice-lane cycle's
+// hooks, so their violations carry that cycle.
 func (a *Auditor) AdvanceEvents(now config.Cycles, n uint64) {
 	a.now = now
 	if n == 0 {
@@ -220,40 +212,36 @@ func (a *Auditor) report(kind string, key uint64, format string, args ...any) {
 	})
 }
 
-// --- Semantic hooks (called by internal/system; all observation-only) ---
+// --- Semantic hooks (called by internal/system; all observation-only;
+// the audit clock, not the hooks' cycle, stamps violations) ---
 
-// OnStoreHit: a store completed locally via a silent E→M upgrade (or hit
+// StoreHit: a store completed locally via a silent E→M upgrade (or hit
 // an already-Modified line after claiming Exclusive).
-func (a *Auditor) OnStoreHit(idx int, key uint64) {
+func (a *Auditor) StoreHit(_ config.Cycles, idx int, key uint64) {
 	a.markDirty(key)
 	if a.model != nil {
 		a.model.StoreHit(idx, key)
 	}
 }
 
-// OnUpgrade: an ownership claim combined. restarted reports that the
-// requester found its copy invalidated and reissued as RWITM.
-func (a *Auditor) OnUpgrade(idx int, key uint64, restarted bool) {
+// Upgrade: an ownership claim combined. restarted reports that the
+// requester found its copy invalidated and reissues as RWITM. In update
+// mode (hybrid update/invalidate policy) sharers kept demoted copies
+// and the writer installed st (Tagged with surviving sharers, Modified
+// without).
+func (a *Auditor) Upgrade(_ config.Cycles, idx int, key uint64, restarted, update bool, st coherence.State) {
 	if !restarted {
 		a.markDirty(key)
 	}
-	if a.model != nil {
+	if a.model != nil && update {
+		a.model.Update(idx, key, st)
+	} else if a.model != nil {
 		a.model.Upgrade(idx, key, restarted)
 	}
 }
 
-// OnUpdate: an ownership claim combined in update mode (hybrid
-// update/invalidate policy): sharers kept demoted copies and the writer
-// installed st (Tagged with surviving sharers, Modified without).
-func (a *Auditor) OnUpdate(idx int, key uint64, st coherence.State) {
-	a.markDirty(key)
-	if a.model != nil {
-		a.model.Update(idx, key, st)
-	}
-}
-
-// OnFill: a demand fill committed with state st.
-func (a *Auditor) OnFill(idx int, key uint64, kind coherence.TxnKind, st coherence.State, out coherence.Outcome) {
+// Fill: a demand fill committed with state st.
+func (a *Auditor) Fill(_ config.Cycles, idx int, key uint64, kind coherence.TxnKind, st coherence.State, out coherence.Outcome) {
 	if st.Dirty() {
 		a.markDirty(key)
 	}
@@ -262,9 +250,10 @@ func (a *Auditor) OnFill(idx int, key uint64, kind coherence.TxnKind, st coheren
 	}
 }
 
-// OnVictim: a valid line left idx's tag array; queued reports a
+// Victim: a valid line left idx's tag array; action reports whether a
 // write-back queue entry was created for it.
-func (a *Auditor) OnVictim(idx int, key uint64, st coherence.State, queued bool) {
+func (a *Auditor) Victim(_ config.Cycles, idx int, key uint64, st coherence.State, action l2.VictimAction, _, _ bool) {
+	queued := action == l2.VictimQueued
 	if st.Dirty() && !queued {
 		a.report("dirty-dropped", key,
 			"L2 %d evicted dirty line in state %v without queueing a write back", idx, st)
@@ -274,26 +263,26 @@ func (a *Auditor) OnVictim(idx int, key uint64, st coherence.State, queued bool)
 	}
 }
 
-// OnWBReinstall: a demand access caught entry in idx's write-back queue
+// WBReinstall: a demand access caught entry in idx's write-back queue
 // and the line returned to the tag array.
-func (a *Auditor) OnWBReinstall(idx int, e l2.WBEntry) {
+func (a *Auditor) WBReinstall(_ config.Cycles, idx int, e l2.WBEntry) {
 	if a.model != nil {
 		a.model.Reinstall(idx, e)
 	}
 }
 
-// OnWBCancelled: an in-flight write back combined after its entry was
+// WBCancelled: an in-flight write back combined after its entry was
 // cancelled by a demand re-fetch. snarfElected reports the combined
 // response had chosen a snarf winner (the arbitration is void).
-func (a *Auditor) OnWBCancelled(idx int, key uint64, snarfElected bool) {
+func (a *Auditor) WBCancelled(_ config.Cycles, _ int, _ uint64, snarfElected bool) {
 	if snarfElected {
 		a.cancelledSnarf++
 	}
 }
 
-// OnWBSquashed: entry's write back was squashed — by the L3 redundancy
+// WBSquashed: entry's write back was squashed — by the L3 redundancy
 // filter when byL3, else by peer squasher holding a valid copy.
-func (a *Auditor) OnWBSquashed(idx int, e l2.WBEntry, byL3 bool, squasher int) {
+func (a *Auditor) WBSquashed(_ config.Cycles, idx int, e l2.WBEntry, byL3 bool, squasher int) {
 	if byL3 {
 		// Squash soundness: the L3 filter may only squash lines whose
 		// tag is valid there at squash time (Section 2's baseline
@@ -312,16 +301,16 @@ func (a *Auditor) OnWBSquashed(idx int, e l2.WBEntry, byL3 bool, squasher int) {
 	}
 }
 
-// OnWBSnarfed: winner installed idx's write back entry; displaced (valid
+// WBSnarfed: winner installed idx's write back entry; displaced (valid
 // when dropped) is the Shared line the install victimized.
-func (a *Auditor) OnWBSnarfed(idx int, e l2.WBEntry, winner int, displaced uint64, dropped bool) {
+func (a *Auditor) WBSnarfed(_ config.Cycles, idx int, e l2.WBEntry, winner int, displaced uint64, dropped bool) {
 	if a.model != nil {
 		a.model.Snarfed(idx, e, winner, displaced, dropped)
 	}
 }
 
-// OnWBToL3: entry left idx's queue toward the L3 array.
-func (a *Auditor) OnWBToL3(idx int, e l2.WBEntry) {
+// WBToL3: entry left idx's queue toward the L3 array.
+func (a *Auditor) WBToL3(_ config.Cycles, idx int, e l2.WBEntry) {
 	a.inflightL3[e.Key]++
 	if e.Kind == coherence.DirtyWB {
 		a.dirtyInFl[e.Key]++
@@ -331,9 +320,9 @@ func (a *Auditor) OnWBToL3(idx int, e l2.WBEntry) {
 	}
 }
 
-// OnL3Retire: the L3 array write for key retired. castout (valid when
+// L3Retire: the L3 array write for key retired. castout (valid when
 // hadCastout) is the dirty victim displaced toward memory.
-func (a *Auditor) OnL3Retire(key uint64, kind coherence.TxnKind, castout uint64, hadCastout bool) {
+func (a *Auditor) L3Retire(_ config.Cycles, key uint64, kind coherence.TxnKind, castout uint64, hadCastout bool) {
 	if a.inflightL3[key] <= 0 {
 		a.report("l3-retire-unmatched", key, "L3 retired a write that was never sent")
 	} else {
@@ -361,12 +350,12 @@ func (a *Auditor) OnL3Retire(key uint64, kind coherence.TxnKind, castout uint64,
 	}
 }
 
-// OnTokenAcquired: the L3 granted an incoming-queue token to a snooped
+// TokenAcquired: the L3 granted an incoming-queue token to a snooped
 // write back.
-func (a *Auditor) OnTokenAcquired() { a.tokens++ }
+func (a *Auditor) TokenAcquired() { a.tokens++ }
 
-// OnTokenReleased: one L3 incoming-queue token returned.
-func (a *Auditor) OnTokenReleased() {
+// TokenReleased: one L3 incoming-queue token returned.
+func (a *Auditor) TokenReleased() {
 	a.tokens--
 	if a.tokens < 0 {
 		a.report("token-underflow", 0, "more L3 queue tokens released than acquired")

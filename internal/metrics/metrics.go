@@ -3,13 +3,13 @@
 // time series, plus a structured per-transaction event trace (JSONL or
 // Chrome trace_event, viewable in Perfetto).
 //
-// The design contract is zero cost when disabled. A system without an
-// attached probe takes one nil check per simulated cycle of its event
-// loop and allocates nothing; all per-window state lives in the probe, and the
-// system only supplies a sampler callback that copies its cumulative
-// counters into a Snapshot. The probe differences consecutive snapshots
-// at each window close, so the simulation's own hot paths carry no
-// extra arithmetic.
+// Both are observers (internal/observe) and cost nothing when
+// detached: a system with no observer attached skips each commit point
+// on one length check and allocates nothing. All per-window state lives
+// in the probe, and the system only supplies a sampler callback that
+// copies its cumulative counters into a Snapshot. The probe differences
+// consecutive snapshots at each window close, so the simulation's own
+// hot paths carry no extra arithmetic.
 //
 // Sampling is driven by the system's event loop, which calls Tick with
 // each cycle before firing anything at that cycle, not by scheduled
@@ -21,7 +21,10 @@
 // clock.
 package metrics
 
-import "cmpcache/internal/config"
+import (
+	"cmpcache/internal/config"
+	"cmpcache/internal/observe"
+)
 
 // DefaultInterval is the paper's retry-rate observation window: the
 // adaptive switch's operating point is 2,000 retries per 1M cycles, so
@@ -117,13 +120,12 @@ type Series struct {
 // safe for concurrent use — one probe per system, like the system's own
 // counters.
 type Probe struct {
-	interval  config.Cycles
-	nextClose config.Cycles
+	observe.Base
+	win       observe.Windows
 	sampler   func(*Snapshot)
 	prev, cur Snapshot
 	series    Series
 	trace     *TraceWriter
-	finished  bool
 }
 
 // NewProbe returns a probe sampling at cfg.Interval.
@@ -132,11 +134,13 @@ func NewProbe(cfg Config) *Probe {
 	if iv <= 0 {
 		iv = DefaultInterval
 	}
-	return &Probe{interval: iv, nextClose: iv, series: Series{Interval: iv}}
+	p := &Probe{series: Series{Interval: iv}}
+	p.win = observe.NewWindows(iv, p.emit)
+	return p
 }
 
 // Interval returns the sampling window length.
-func (p *Probe) Interval() config.Cycles { return p.interval }
+func (p *Probe) Interval() config.Cycles { return p.series.Interval }
 
 // SetTrace attaches a per-transaction event trace writer. The writer
 // also receives one set of Perfetto counter events per closed window.
@@ -149,23 +153,12 @@ func (p *Probe) Trace() *TraceWriter { return p.trace }
 // probe attaches.
 func (p *Probe) Bind(sampler func(*Snapshot)) { p.sampler = sampler }
 
-// Tick is the engine's per-event time observer: it closes every window
-// whose end the simulation clock has reached. Idle stretches close as
-// zero-delta windows, so the series has no gaps.
-func (p *Probe) Tick(now config.Cycles) {
-	for now >= p.nextClose {
-		p.close(p.nextClose)
-	}
-}
+// Tick closes every window whose end the simulation clock has reached.
+// Idle stretches close as zero-delta windows, so the series has no gaps.
+func (p *Probe) Tick(now config.Cycles) { p.win.Tick(now) }
 
-// close emits the window ending at end and arms the next one.
-func (p *Probe) close(end config.Cycles) {
-	p.emit(p.nextClose-p.interval, end)
-	p.nextClose += p.interval
-}
-
-// emit samples the system and appends the [start, end) window.
-func (p *Probe) emit(start, end config.Cycles) {
+// emit samples the system and appends window k, [start, end).
+func (p *Probe) emit(k int, start, end config.Cycles) {
 	p.cur = Snapshot{}
 	if p.sampler != nil {
 		p.sampler(&p.cur)
@@ -173,7 +166,7 @@ func (p *Probe) emit(start, end config.Cycles) {
 	c, q := &p.cur, &p.prev
 	span := float64(end - start)
 	s := Sample{
-		Window: int(start / p.interval),
+		Window: k,
 		Start:  start,
 		End:    end,
 
@@ -217,12 +210,6 @@ func (p *Probe) emit(start, end config.Cycles) {
 // including a trailing partial window when the run did not end on a
 // boundary — and returns the completed series. Idempotent.
 func (p *Probe) Finish(end config.Cycles) *Series {
-	if !p.finished {
-		p.finished = true
-		p.Tick(end)
-		if start := p.nextClose - p.interval; end > start {
-			p.emit(start, end)
-		}
-	}
+	p.win.Finish(end)
 	return &p.series
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"testing"
 
+	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/l2"
 )
 
 // countingSampler returns a sampler that reports a monotonically rising
@@ -106,9 +108,9 @@ func TestDefaultIntervalApplied(t *testing.T) {
 
 // writeExampleTrace exercises every record type on a TraceWriter.
 func writeExampleTrace(tw *TraceWriter) {
-	tw.Demand(10, 0, 42, "read", "l3", true, false)
-	tw.WriteBack(20, 1, 43, "dirty-wb", "to-l3", true)
-	tw.Victim(30, 2, 44, "M", "queued", false)
+	tw.DemandCombine(10, 0, 42, coherence.Read, coherence.Outcome{Source: coherence.SourceL3, L3Valid: true})
+	tw.WBCombine(20, 1, 43, coherence.DirtyWB, "to-l3", true)
+	tw.Victim(30, 2, 44, coherence.Modified, l2.VictimQueued, false, false)
 	tw.Counters(&Sample{Window: 0, Start: 0, End: 100, Retries: 5, SwitchActive: true, AddrRingUtil: 0.25})
 }
 

@@ -5,7 +5,10 @@ import (
 	"io"
 	"strconv"
 
+	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/l2"
+	"cmpcache/internal/observe"
 )
 
 // Format selects the event-trace file format.
@@ -32,12 +35,15 @@ func FormatForPath(path string) Format {
 	return ChromeTrace
 }
 
-// TraceWriter emits the structured per-transaction event stream. All
-// encoding uses strconv appends into a reused buffer — no fmt, no
-// reflection — so tracing costs file I/O, not allocation churn.
-// Event payload strings (transaction kinds, dispositions, states) must
-// come from fixed sets without characters needing JSON escaping.
+// TraceWriter emits the structured per-transaction event stream. It is
+// an observer of three commit points: demand and write-back combined
+// responses and victim decisions. All encoding uses strconv appends
+// into a reused buffer — no fmt, no reflection — so tracing costs file
+// I/O, not allocation churn. Event payload strings (transaction kinds,
+// dispositions, states) must come from fixed sets without characters
+// needing JSON escaping.
 type TraceWriter struct {
+	observe.Base
 	w      *bufio.Writer
 	format Format
 	buf    []byte
@@ -74,32 +80,32 @@ func (t *TraceWriter) Close() error {
 	return t.err
 }
 
-// Demand records a demand transaction's combined response.
-func (t *TraceWriter) Demand(now config.Cycles, l2 int, key uint64, kind, source string, l3Valid, shared bool) {
-	b := t.begin(now, "demand", l2)
-	b = t.strField(b, "kind", kind)
-	b = t.strField(b, "src", source)
-	b = t.boolField(b, "l3_valid", l3Valid)
-	b = t.boolField(b, "shared", shared)
+// DemandCombine records a demand transaction's combined response.
+func (t *TraceWriter) DemandCombine(now config.Cycles, slice int, key uint64, kind coherence.TxnKind, out coherence.Outcome) {
+	b := t.begin(now, "demand", slice)
+	b = t.strField(b, "kind", kind.String())
+	b = t.strField(b, "src", out.Source.String())
+	b = t.boolField(b, "l3_valid", out.L3Valid)
+	b = t.boolField(b, "shared", out.SharedElsewhere)
 	t.end(b, key)
 }
 
-// WriteBack records a write-back transaction's combined response and
+// WBCombine records a write-back transaction's combined response and
 // disposition (to-l3, squash-l3, squash-peer, snarf, retry, cancelled,
-// snarf-fallback).
-func (t *TraceWriter) WriteBack(now config.Cycles, l2 int, key uint64, kind, disposition string, snarfable bool) {
-	b := t.begin(now, "wb", l2)
-	b = t.strField(b, "kind", kind)
+// snarf-fallback, snarf-retry).
+func (t *TraceWriter) WBCombine(now config.Cycles, slice int, key uint64, kind coherence.TxnKind, disposition string, snarfable bool) {
+	b := t.begin(now, "wb", slice)
+	b = t.strField(b, "kind", kind.String())
 	b = t.strField(b, "out", disposition)
 	b = t.boolField(b, "snarfable", snarfable)
 	t.end(b, key)
 }
 
 // Victim records the write-back policy's decision for an evicted line.
-func (t *TraceWriter) Victim(now config.Cycles, l2 int, key uint64, state, action string, inL3 bool) {
-	b := t.begin(now, "victim", l2)
-	b = t.strField(b, "state", state)
-	b = t.strField(b, "action", action)
+func (t *TraceWriter) Victim(now config.Cycles, slice int, key uint64, st coherence.State, action l2.VictimAction, inL3, _ bool) {
+	b := t.begin(now, "victim", slice)
+	b = t.strField(b, "state", st.String())
+	b = t.strField(b, "action", action.String())
 	b = t.boolField(b, "in_l3", inL3)
 	t.end(b, key)
 }

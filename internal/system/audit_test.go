@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"cmpcache/internal/audit"
@@ -154,6 +155,7 @@ func TestStaleUpgradeDoesNotDestroyDirtyCopy(t *testing.T) {
 	Y.InstallFill(K, coherence.Shared)
 	// B's copy was invalidated between its Upgrade's issue and combine.
 	B.AllocMSHR(K, coherence.Upgrade)
+	rec := observeHooks(s)
 
 	s.combineDemand(B, K, coherence.Upgrade)
 
@@ -176,6 +178,12 @@ func TestStaleUpgradeDoesNotDestroyDirtyCopy(t *testing.T) {
 	}
 	if s.fillsFromPeer != 1 {
 		t.Fatalf("fillsFromPeer = %d, want 1 (T supplier intervention)", s.fillsFromPeer)
+	}
+	// The observers saw the stale claim restart, and no committed
+	// upgrade: the RWITM that replaced it commits at its fill.
+	want := []hookCall{{L2: 1, Key: K, Arg: "restarted"}}
+	if got := rec.calls["Upgrade"]; !slices.Equal(got, want) {
+		t.Errorf("Upgrade calls %+v, want %+v", got, want)
 	}
 }
 

@@ -36,8 +36,8 @@ func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind,
 	s.demandTxns++
 	slot := s.ring.ReserveAddress(now)
 	combineAt := slot + s.cfg.AddressPhase
-	if s.lat != nil {
-		s.lat.DemandStart(cache.ID(), key, kind, s.rswitch.ActiveNow(), now, combineAt)
+	for _, o := range s.observers {
+		o.DemandStart(now, cache.ID(), key, kind, s.rswitch.ActiveNow(), combineAt)
 	}
 	s.engine.AtCall(combineAt, s.hCombineDemand,
 		sim.EventData{Ptr: cache, Key: key, Kind: int8(kind)})
@@ -95,10 +95,10 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 			// transaction cancels it before it can be resurrected stale.
 			wbResp, wbe, wbDropped := peer.SnoopDemandWB(key, kind)
 			resp = wbResp
-			if s.lat != nil && wbDropped && !wbe.InFlight {
-				// The peer's queued write back died here; an in-flight
-				// one closes at its own combine as cancelled.
-				s.lat.WBCancelled(peer.ID(), key, now)
+			if wbDropped {
+				for _, o := range s.observers {
+					o.WBInvalidated(now, peer.ID(), wbe)
+				}
 			}
 		}
 		peer.ReservePort(key, now) // snoop consumes peer tag bandwidth
@@ -112,11 +112,8 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 	}
 
 	out := s.collector.Combine(kind, responses)
-	if s.tracer != nil {
-		s.tracer.Demand(now, cache.ID(), key, kind.String(), out.Source.String(), out.L3Valid, out.SharedElsewhere)
-	}
-	if s.lat != nil && kind != coherence.Upgrade {
-		s.lat.DemandCombine(cache.ID(), key, out.Source, now)
+	for _, o := range s.observers {
+		o.DemandCombine(now, cache.ID(), key, kind, out)
 	}
 	s.policy.ObserveDemandOutcome(cache.ID(), key, kind, out)
 
@@ -138,8 +135,8 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, update, sharers bool) {
 	if !cache.State(key).Valid() {
 		s.upgradeRestarts++
-		if s.auditor != nil {
-			s.auditor.OnUpgrade(cache.ID(), key, true)
+		for _, o := range s.observers {
+			o.Upgrade(now, cache.ID(), key, true, false, coherence.Invalid)
 		}
 		// Keep the MSHR (with its waiters) but change the kind by
 		// re-allocating after draining.
@@ -168,14 +165,9 @@ func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, up
 			s.updatePushes++
 			s.ring.ReserveData(now)
 		}
-		if s.auditor != nil {
-			s.auditor.OnUpdate(cache.ID(), key, st)
-		}
-	} else if s.auditor != nil {
-		s.auditor.OnUpgrade(cache.ID(), key, false)
 	}
-	if s.lat != nil {
-		s.lat.DemandComplete(cache.ID(), key, now)
+	for _, o := range s.observers {
+		o.Upgrade(now, cache.ID(), key, false, update, st)
 	}
 	cache.SetState(key, st)
 	loads, stores := cache.TakeWaiters(key)
@@ -209,8 +201,8 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 	if evicted {
 		s.handleVictimGlobal(cache, vKey, vState, now)
 	}
-	if s.auditor != nil {
-		s.auditor.OnFill(cache.ID(), key, kind, st, out)
+	for _, o := range s.observers {
+		o.Fill(now, cache.ID(), key, kind, st, out)
 	}
 
 	// Data movement: the source access runs first; the data ring is
@@ -247,8 +239,8 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 // scheduled onto the slice wheel.
 func (s *System) fillDataReady(d sim.EventData) {
 	cache := d.Ptr.(l2Handle)
-	if s.lat != nil {
-		s.lat.DemandSourceReady(cache.ID(), d.Key, s.engine.Now())
+	for _, o := range s.observers {
+		o.DemandSourceReady(s.engine.Now(), cache.ID(), d.Key)
 	}
 	dStart := s.ring.ReserveData(s.engine.Now())
 	s.sliceWheel.AtCall(dStart+s.cfg.DataRingOccupancy, s.hCompleteFill, d)
@@ -256,27 +248,17 @@ func (s *System) fillDataReady(d sim.EventData) {
 
 // handleVictimGlobal routes an evicted line through the Section 2
 // write-back policy from global context (fill installs and snarf
-// displacements, which commit at bus events): the observation hooks run
+// displacements, which commit at bus events): the Victim hook runs
 // directly and a queued entry pumps the write-back machinery in place.
 // Shard-context evictions go through (*shard).handleVictim instead.
 func (s *System) handleVictimGlobal(cache l2Handle, vKey uint64, vState coherence.State, now config.Cycles) {
 	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
 	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring
 	action := cache.ProcessVictim(vKey, vState, switchActive, inL3)
-	if s.tracer != nil {
-		s.tracer.Victim(now, cache.ID(), vKey, vState.String(), action.String(), inL3)
-	}
-	if s.auditor != nil {
-		s.auditor.OnVictim(cache.ID(), vKey, vState, action == l2VictimQueued)
+	for _, o := range s.observers {
+		o.Victim(now, cache.ID(), vKey, vState, action, inL3, s.rswitch.ActiveNow())
 	}
 	if action == l2VictimQueued {
-		if s.lat != nil {
-			wbKind := coherence.CleanWB
-			if vState.Dirty() {
-				wbKind = coherence.DirtyWB
-			}
-			s.lat.WBQueued(cache.ID(), vKey, wbKind, s.rswitch.ActiveNow(), now)
-		}
 		s.reuse.recordAttempt(vKey)
 		s.pumpWB(cache.ID(), now)
 	}

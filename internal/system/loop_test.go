@@ -1,9 +1,6 @@
 package system
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"slices"
 	"sort"
 	"testing"
@@ -11,7 +8,7 @@ import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/l2"
-	"cmpcache/internal/metrics"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/sim"
 	"cmpcache/internal/trace"
 )
@@ -20,34 +17,52 @@ import (
 // only the events a test schedules by hand.
 func idleTrace() *trace.Trace { return &trace.Trace{Name: "idle", Threads: 1} }
 
-// traceVictim is one victim line of a JSONL event trace.
-type traceVictim struct {
+// hookCall is one observer hook call a recorder saw.
+type hookCall struct {
 	T   config.Cycles
 	L2  int
 	Key uint64
+	Arg string // WBCombine: the disposition; Upgrade: "restarted" or "committed"
 }
 
-// tracedVictims parses the victim events of a JSONL event trace.
-func tracedVictims(t *testing.T, tw *metrics.TraceWriter, buf *bytes.Buffer) []traceVictim {
-	t.Helper()
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
+// recorder is an observer that records the victim, upgrade and
+// write-back hooks the system tests check, by hook name.
+type recorder struct {
+	observe.Base
+	calls map[string][]hookCall
+}
+
+// observeHooks attaches a new recorder to s.
+func observeHooks(s *System) *recorder {
+	r := &recorder{calls: map[string][]hookCall{}}
+	s.observers = append(s.observers, r)
+	return r
+}
+
+func (r *recorder) add(hook string, c hookCall) { r.calls[hook] = append(r.calls[hook], c) }
+
+func (r *recorder) Victim(now config.Cycles, idx int, key uint64, _ coherence.State, _ l2.VictimAction, _, _ bool) {
+	r.add("Victim", hookCall{T: now, L2: idx, Key: key})
+}
+
+func (r *recorder) Upgrade(now config.Cycles, idx int, key uint64, restarted, _ bool, _ coherence.State) {
+	arg := "committed"
+	if restarted {
+		arg = "restarted"
 	}
-	var out []traceVictim
-	sc := bufio.NewScanner(buf)
-	for sc.Scan() {
-		var ev struct {
-			traceVictim
-			Ev string
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Ev == "victim" {
-			out = append(out, ev.traceVictim)
-		}
-	}
-	return out
+	r.add("Upgrade", hookCall{T: now, L2: idx, Key: key, Arg: arg})
+}
+
+func (r *recorder) WBCombine(now config.Cycles, idx int, key uint64, _ coherence.TxnKind, disposition string, _ bool) {
+	r.add("WBCombine", hookCall{T: now, L2: idx, Key: key, Arg: disposition})
+}
+
+func (r *recorder) WBToL3(now config.Cycles, idx int, e l2.WBEntry) {
+	r.add("WBToL3", hookCall{T: now, L2: idx, Key: e.Key})
+}
+
+func (r *recorder) WBRetry(now config.Cycles, idx int, key uint64) {
+	r.add("WBRetry", hookCall{T: now, L2: idx, Key: key})
 }
 
 // TestBarrierLogOrder checks that the end of a slice-lane cycle drains
@@ -58,15 +73,14 @@ func TestBarrierLogOrder(t *testing.T) {
 	// repeated records from one slice among them. Demand posts are seen
 	// through the combine events they schedule: each post books the next
 	// address-ring slot, so the combines fire in drain order.
-	// Observations are seen through the victim records they replay into
-	// the event trace.
+	// Observations are seen through the Victim hooks they replay into a
+	// recording observer.
 	t.Run("appended", func(t *testing.T) {
 		s, err := newSystem(config.Default(), exportTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		s.tracer = metrics.NewTraceWriter(&buf, metrics.JSONL)
+		rec := observeHooks(s)
 		var posted []uint64
 		s.hCombineDemand = func(d sim.EventData) { posted = append(posted, d.Key) }
 
@@ -76,7 +90,7 @@ func TestBarrierLogOrder(t *testing.T) {
 		for i, slice := range appended {
 			sh, key := s.shards[slice], uint64(i+1)
 			sh.postDemandTxn(key, coherence.Read)
-			sh.logVictim(key, coherence.Shared, l2.VictimAborted, false)
+			sh.logObs(obsRec{kind: obsVictim, key: key, vState: coherence.Shared, vAction: l2.VictimAborted})
 		}
 		order := make([]int, len(appended))
 		for i := range order {
@@ -91,7 +105,7 @@ func TestBarrierLogOrder(t *testing.T) {
 		s.drainLogs(at)
 		s.engine.Run()
 		var observed []uint64
-		for _, ev := range tracedVictims(t, s.tracer, &buf) {
+		for _, ev := range rec.calls["Victim"] {
 			if ev.T != at || ev.L2 != appended[ev.Key-1] {
 				t.Errorf("victim %d replayed at cycle %d on L2 %d, logged at %d on %d", ev.Key, ev.T, ev.L2, at, appended[ev.Key-1])
 			}
@@ -113,15 +127,14 @@ func TestBarrierLogOrder(t *testing.T) {
 	// reinstall-victims: slices 2 and 1 each probe, in one cycle, a line
 	// waiting in their write-back queue while its set is full, slice 2's
 	// probe first. Each reinstall evicts a victim on the slice lane, and
-	// the trace must list the two victims in slice order.
+	// the observer must see the two victims in slice order.
 	t.Run("reinstall-victims", func(t *testing.T) {
 		cfg := config.Default()
 		s, err := newSystem(cfg, idleTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		s.tracer = metrics.NewTraceWriter(&buf, metrics.JSONL)
+		rec := observeHooks(s)
 		slicesDesc := []int{2, 1}
 		queued := map[int]uint64{}
 		for _, slice := range slicesDesc {
@@ -142,16 +155,16 @@ func TestBarrierLogOrder(t *testing.T) {
 		}
 		s.Run()
 
-		victims := tracedVictims(t, s.tracer, &buf)
+		victims := rec.calls["Victim"]
 		if len(victims) != 2 {
-			t.Fatalf("traced %d victims, want 2: %+v", len(victims), victims)
+			t.Fatalf("observed %d victims, want 2: %+v", len(victims), victims)
 		}
-		want := []traceVictim{
+		want := []hookCall{
 			{T: victims[0].T, L2: 1, Key: key(&cfg, 1, 0, 1)},
 			{T: victims[0].T, L2: 2, Key: key(&cfg, 2, 0, 1)},
 		}
 		if !slices.Equal(victims, want) {
-			t.Errorf("traced victims %+v, want %+v", victims, want)
+			t.Errorf("observed victims %+v, want %+v", victims, want)
 		}
 	})
 }

@@ -230,11 +230,11 @@ func (s *System) results() *Results {
 			r.ResidualWBInFlight++
 		}
 	}
-	if s.probe != nil {
-		r.Metrics = s.probe.Finish(elapsed)
+	if p := s.attached.Probe; p != nil {
+		r.Metrics = p.Finish(elapsed)
 	}
-	if s.lat != nil {
-		r.Latency = s.lat.Finish(elapsed)
+	if c := s.attached.Latency; c != nil {
+		r.Latency = c.Finish(elapsed)
 	}
 	r.CleanWBFirstTime, r.CleanWBLostL3 = s.cleanWBFirst, s.cleanWBLost
 	r.L3QueueAcquired, r.L3QueueRejected, r.L3QueuePeak = s.l3.QueueStats()

@@ -5,7 +5,6 @@ import (
 	"cmpcache/internal/config"
 	"cmpcache/internal/l2"
 	"cmpcache/internal/sim"
-	"cmpcache/internal/txlat"
 )
 
 // Local aliases keep the transaction-flow code readable.
@@ -46,8 +45,8 @@ func (s *System) pumpWB(l2idx int, now config.Cycles) {
 
 	slot := s.ring.ReserveAddress(now)
 	combineAt := slot + s.cfg.AddressPhase
-	if s.lat != nil {
-		s.lat.WBIssued(cache.ID(), entry.Key, now, combineAt)
+	for _, o := range s.observers {
+		o.WBIssued(now, cache.ID(), entry.Key, combineAt)
 	}
 	s.engine.AtCall(combineAt, s.hCombineWB, sim.EventData{
 		Ptr: cache, Key: entry.Key, Kind: int8(entry.Kind), Flag: entry.Snarfable,
@@ -94,8 +93,10 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 	// held and must be released before this transaction retires (unless
 	// sendToL3 takes over the obligation).
 	l3Accepted := l3resp == coherence.RespWBAccept
-	if l3Accepted && s.auditor != nil {
-		s.auditor.OnTokenAcquired()
+	if l3Accepted {
+		for _, o := range s.observers {
+			o.TokenAcquired()
+		}
 	}
 
 	// The policy chip learns from the L3's snoop response to clean
@@ -108,8 +109,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 
 	entry, cancelled := cache.CompleteWB(key)
 
-	if s.tracer != nil {
-		s.tracer.WriteBack(now, cache.ID(), key, kind.String(), wbDisposition(cancelled, out), snarfable)
+	for _, o := range s.observers {
+		o.WBCombine(now, cache.ID(), key, kind, wbDisposition(cancelled, out), snarfable)
 	}
 
 	switch {
@@ -117,11 +118,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 		// A demand access reclaimed the line while this transaction was
 		// on the bus: ignore the outcome entirely.
 		s.wbCancelled++
-		if s.auditor != nil {
-			s.auditor.OnWBCancelled(cache.ID(), key, out.WBSnarfed)
-		}
-		if s.lat != nil {
-			s.lat.WBDone(cache.ID(), key, txlat.OutWBCancelled, now)
+		for _, o := range s.observers {
+			o.WBCancelled(now, cache.ID(), key, out.WBSnarfed)
 		}
 		if l3Accepted {
 			s.releaseL3Token()
@@ -135,11 +133,13 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 		s.retryWB(cache, entry, now)
 
 	case out.WBSquashed:
+		squasher := -1 // the peer that inherits the line, if any
 		if out.SquashedByL3 {
 			s.wbSquashedByL3++
 		} else {
 			s.wbSquashedPeer++
 			if peerSquasher != nil {
+				squasher = peerSquasher.ID()
 				if kind == coherence.DirtyWB {
 					// Our dirty data dies with the squash; the squashing
 					// peer holds an identical copy and inherits the
@@ -153,19 +153,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 				}
 			}
 		}
-		if s.auditor != nil {
-			squasher := -1
-			if peerSquasher != nil && !out.SquashedByL3 {
-				squasher = peerSquasher.ID()
-			}
-			s.auditor.OnWBSquashed(cache.ID(), entry, out.SquashedByL3, squasher)
-		}
-		if s.lat != nil {
-			o := txlat.OutWBSquashPeer
-			if out.SquashedByL3 {
-				o = txlat.OutWBSquashL3
-			}
-			s.lat.WBDone(cache.ID(), key, o, now)
+		for _, o := range s.observers {
+			o.WBSquashed(now, cache.ID(), entry, out.SquashedByL3, squasher)
 		}
 		if l3Accepted {
 			s.releaseL3Token()
@@ -177,14 +166,7 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 
 	case out.WBToL3:
 		s.wbToL3++
-		if s.auditor != nil {
-			s.auditor.OnWBToL3(cache.ID(), entry)
-		}
-		if s.lat != nil {
-			s.lat.WBToL3(cache.ID(), key, now)
-		}
-		s.reuse.recordAccepted(key)
-		s.sendToL3(key, kind, now) // token released by sendToL3's completion
+		s.sendToL3(cache, entry, now) // token released by sendToL3's completion
 		s.finishWB(cache.ID())
 
 	default:
@@ -198,8 +180,8 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 func (s *System) retryWB(cache l2Handle, entry l2.WBEntry, now config.Cycles) {
 	s.wbRetried++
 	s.rswitch.RecordRetry(now)
-	if s.lat != nil {
-		s.lat.WBRetry(cache.ID(), entry.Key, now)
+	for _, o := range s.observers {
+		o.WBRetry(now, cache.ID(), entry.Key)
 	}
 	cache.RequeueWB(entry)
 	s.engine.ScheduleCall(s.cfg.RetryBackoff, s.hFinishWB,
@@ -218,11 +200,8 @@ func (s *System) settleSnarf(cache l2Handle, entry l2.WBEntry, winner l2Handle, 
 	switch {
 	case accepted:
 		s.wbSnarfed++
-		if s.auditor != nil {
-			s.auditor.OnWBSnarfed(cache.ID(), entry, winner.ID(), displaced, dropped)
-		}
-		if s.lat != nil {
-			s.lat.WBDone(cache.ID(), entry.Key, txlat.OutWBSnarf, now)
+		for _, o := range s.observers {
+			o.WBSnarfed(now, cache.ID(), entry, winner.ID(), displaced, dropped)
 		}
 		if l3Accepted {
 			s.releaseL3Token()
@@ -231,21 +210,14 @@ func (s *System) settleSnarf(cache l2Handle, entry l2.WBEntry, winner l2Handle, 
 		s.ring.ReserveData(now)
 	case l3Accepted:
 		s.snarfFallbacks++
-		if s.tracer != nil {
-			s.tracer.WriteBack(now, cache.ID(), entry.Key, entry.Kind.String(), "snarf-fallback", entry.Snarfable)
+		for _, o := range s.observers {
+			o.WBCombine(now, cache.ID(), entry.Key, entry.Kind, "snarf-fallback", entry.Snarfable)
 		}
-		if s.auditor != nil {
-			s.auditor.OnWBToL3(cache.ID(), entry)
-		}
-		if s.lat != nil {
-			s.lat.WBToL3(cache.ID(), entry.Key, now)
-		}
-		s.reuse.recordAccepted(entry.Key)
-		s.sendToL3(entry.Key, entry.Kind, now)
+		s.sendToL3(cache, entry, now)
 	default:
 		s.snarfFallbacks++
-		if s.tracer != nil {
-			s.tracer.WriteBack(now, cache.ID(), entry.Key, entry.Kind.String(), "snarf-retry", entry.Snarfable)
+		for _, o := range s.observers {
+			o.WBCombine(now, cache.ID(), entry.Key, entry.Kind, "snarf-retry", entry.Snarfable)
 		}
 		s.retryWB(cache, entry, now)
 		return // the entry re-arbitrates; the bus slot is not yet free
@@ -279,15 +251,19 @@ func (s *System) finishWB(l2idx int) {
 	s.pumpWB(l2idx, s.engine.Now())
 }
 
-// sendToL3 moves an accepted write back across the data ring into the
-// L3 array, casting out any displaced dirty victim to memory, and
-// releases the L3's incoming-queue token when the array write retires —
-// the token hold time is what makes bursts of write backs overflow the
-// queue and draw retries.
-func (s *System) sendToL3(key uint64, kind coherence.TxnKind, now config.Cycles) {
+// sendToL3 moves cache's accepted write back entry across the data ring
+// into the L3 array, casting out any displaced dirty victim to memory,
+// and releases the L3's incoming-queue token when the array write
+// retires — the token hold time is what makes bursts of write backs
+// overflow the queue and draw retries.
+func (s *System) sendToL3(cache l2Handle, entry l2.WBEntry, now config.Cycles) {
+	for _, o := range s.observers {
+		o.WBToL3(now, cache.ID(), entry)
+	}
+	s.reuse.recordAccepted(entry.Key)
 	dStart := s.ring.ReserveData(now)
 	arrive := dStart + s.cfg.DataRingOccupancy
-	s.engine.AtCall(arrive, s.hWBArriveL3, sim.EventData{Key: key, Kind: int8(kind)})
+	s.engine.AtCall(arrive, s.hWBArriveL3, sim.EventData{Key: entry.Key, Kind: int8(entry.Kind)})
 }
 
 // wbArriveL3 books the L3 slice for an arrived write back and schedules
@@ -300,13 +276,10 @@ func (s *System) wbArriveL3(d sim.EventData) {
 // retireL3Write installs the line, drains any displaced dirty victim to
 // memory, and frees the incoming-queue token.
 func (s *System) retireL3Write(key uint64, kind coherence.TxnKind) {
-	if s.lat != nil {
-		s.lat.WBRetired(key, s.engine.Now())
-	}
 	s.reuse.recordL3Insert(key)
 	co, castout := s.l3.Insert(key, kind)
-	if s.auditor != nil {
-		s.auditor.OnL3Retire(key, kind, co.Key, castout)
+	for _, o := range s.observers {
+		o.L3Retire(s.engine.Now(), key, kind, co.Key, castout)
 	}
 	if castout {
 		// The displaced dirty victim must drain to memory before the
@@ -318,4 +291,14 @@ func (s *System) retireL3Write(key uint64, kind coherence.TxnKind) {
 		return
 	}
 	s.releaseL3Token()
+}
+
+// releaseL3Token returns one L3 incoming-queue token, keeping the
+// observers' credit ledgers in step. Every release in the system goes
+// through here.
+func (s *System) releaseL3Token() {
+	s.l3.ReleaseToken()
+	for _, o := range s.observers {
+		o.TokenReleased()
+	}
 }

@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"cmpcache/internal/coherence"
@@ -18,69 +19,100 @@ func key(cfg *config.Config, slice, set, tag int) uint64 {
 	return lineAddr(cfg, slice, set, tag) / uint64(cfg.LineBytes)
 }
 
-// TestSnarfSettleWithoutTokenRequeuesEntry is the regression test for
-// the lost-write-back bug: a snarf winner whose candidate way vanished
-// combined with a full L3 queue used to drop the entry on the floor —
-// a dirty line silently vanished. The fix requeues it like any retried
-// write back, so the line must eventually reach the L3.
+// TestSnarfSettleWithoutTokenRequeuesEntry covers a snarf winner whose
+// candidate way vanished. With the L3 queue token held, the line falls
+// back to the L3. Without one it is the regression test for the
+// lost-write-back bug: the entry used to be dropped on the floor — a
+// dirty line silently vanished. The fix requeues it like any retried
+// write back. Either way the line must reach the L3, and the observers
+// must see the fallback's or the retry's disposition.
 func TestSnarfSettleWithoutTokenRequeuesEntry(t *testing.T) {
-	cfg := config.Default().WithMechanism(config.Snarf)
-	s, err := newSystem(cfg, mkTrace(trace.Record{Thread: 0, Op: trace.Load, Addr: 0x10000}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, winner := s.l2s[0], s.l2s[1]
+	for _, tc := range []struct {
+		name        string
+		tokenHeld   bool
+		disposition string // the WBCombine record settleSnarf raises
+		next        string // the hook that follows it
+	}{
+		{"token-held", true, "snarf-fallback", "WBToL3"},
+		{"no-token", false, "snarf-retry", "WBRetry"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.Default().WithMechanism(config.Snarf)
+			s, err := newSystem(cfg, mkTrace(trace.Record{Thread: 0, Op: trace.Load, Addr: 0x10000}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := observeHooks(s)
+			cache, winner := s.l2s[0], s.l2s[1]
 
-	// Fill the winner's target set with Exclusive lines: AcceptSnarf
-	// finds no invalid (or shared) way and must reject the install.
-	for tag := 0; tag < cfg.L2Assoc; tag++ {
-		winner.InstallFill(key(&cfg, 0, 0, 100+tag), coherence.Exclusive)
-	}
+			// Fill the winner's target set with Exclusive lines:
+			// AcceptSnarf finds no invalid (or shared) way and must
+			// reject the install.
+			for tag := 0; tag < cfg.L2Assoc; tag++ {
+				winner.InstallFill(key(&cfg, 0, 0, 100+tag), coherence.Exclusive)
+			}
 
-	// Queue a dirty write back and put it on the bus, as pumpWB would.
-	victim := key(&cfg, 0, 0, 1)
-	if got := cache.ProcessVictim(victim, coherence.Modified, false, false); got != l2.VictimQueued {
-		t.Fatalf("ProcessVictim = %v, want queued", got)
-	}
-	if _, ok := cache.HeadWB(); !ok {
-		t.Fatal("no issuable write-back entry")
-	}
-	s.wbInFlight[0] = true
-	entry, cancelled := cache.CompleteWB(victim)
-	if cancelled {
-		t.Fatal("entry unexpectedly cancelled")
-	}
+			// Queue a dirty write back and put it on the bus, as pumpWB
+			// would.
+			victim := key(&cfg, 0, 0, 1)
+			if got := cache.ProcessVictim(victim, coherence.Modified, false, false); got != l2.VictimQueued {
+				t.Fatalf("ProcessVictim = %v, want queued", got)
+			}
+			if _, ok := cache.HeadWB(); !ok {
+				t.Fatal("no issuable write-back entry")
+			}
+			s.wbInFlight[0] = true
+			entry, cancelled := cache.CompleteWB(victim)
+			if cancelled {
+				t.Fatal("entry unexpectedly cancelled")
+			}
 
-	// Exhaust the L3's incoming queue so no token is held (l3Accepted
-	// false), then settle the snarf with the rejecting winner.
-	for i := 0; i < cfg.L3QueueEntries; i++ {
-		if resp := s.l3.SnoopWB(key(&cfg, 0, 7, 500+i), coherence.DirtyWB); resp != coherence.RespWBAccept {
-			t.Fatalf("token %d: SnoopWB = %v, want accept", i, resp)
-		}
-	}
-	s.settleSnarf(cache, entry, winner, false, s.engine.Now())
+			if tc.tokenHeld {
+				// The write back's own snoop took an L3 queue token.
+				if resp := s.l3.SnoopWB(victim, coherence.DirtyWB); resp != coherence.RespWBAccept {
+					t.Fatalf("SnoopWB = %v, want accept", resp)
+				}
+			} else {
+				// Exhaust the L3's incoming queue so no token is held.
+				for i := 0; i < cfg.L3QueueEntries; i++ {
+					if resp := s.l3.SnoopWB(key(&cfg, 0, 7, 500+i), coherence.DirtyWB); resp != coherence.RespWBAccept {
+						t.Fatalf("token %d: SnoopWB = %v, want accept", i, resp)
+					}
+				}
+			}
+			s.settleSnarf(cache, entry, winner, tc.tokenHeld, s.engine.Now())
 
-	if got := cache.WBQueueLen(); got != 1 {
-		t.Fatalf("write-back queue holds %d entries after failed snarf settle, want 1 (entry requeued, not dropped)", got)
-	}
-	if s.wbRetried != 1 {
-		t.Fatalf("wbRetried = %d, want 1", s.wbRetried)
-	}
-	if s.snarfFallbacks != 1 {
-		t.Fatalf("snarfFallbacks = %d, want 1", s.snarfFallbacks)
-	}
+			if s.snarfFallbacks != 1 {
+				t.Fatalf("snarfFallbacks = %d, want 1", s.snarfFallbacks)
+			}
+			for hook, arg := range map[string]string{"WBCombine": tc.disposition, tc.next: ""} {
+				want := []hookCall{{L2: 0, Key: victim, Arg: arg}}
+				if got := rec.calls[hook]; !slices.Equal(got, want) {
+					t.Errorf("%s calls %+v, want %+v", hook, got, want)
+				}
+			}
+			if !tc.tokenHeld {
+				if got := cache.WBQueueLen(); got != 1 {
+					t.Fatalf("write-back queue holds %d entries after failed snarf settle, want 1 (entry requeued, not dropped)", got)
+				}
+				if s.wbRetried != 1 {
+					t.Fatalf("wbRetried = %d, want 1", s.wbRetried)
+				}
+				// Free the queue so the retry can re-arbitrate.
+				for i := 0; i < cfg.L3QueueEntries; i++ {
+					s.l3.ReleaseToken()
+				}
+			}
 
-	// Free the queue and let the retry re-arbitrate: the dirty line must
-	// arrive in the L3 rather than vanish.
-	for i := 0; i < cfg.L3QueueEntries; i++ {
-		s.l3.ReleaseToken()
-	}
-	s.engine.Run()
-	if !s.l3.Contains(victim) {
-		t.Fatal("dirty line never reached the L3: write back was lost")
-	}
-	if s.wbInFlight[0] {
-		t.Fatal("write-back bus slot still held after queue drained")
+			// The dirty line must arrive in the L3 rather than vanish.
+			s.engine.Run()
+			if !s.l3.Contains(victim) {
+				t.Fatal("dirty line never reached the L3: write back was lost")
+			}
+			if s.wbInFlight[0] {
+				t.Fatal("write-back bus slot still held after queue drained")
+			}
+		})
 	}
 }
 

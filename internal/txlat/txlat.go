@@ -26,17 +26,19 @@
 //	combine → L3 array retirement      (StageWBL3: data ring + L3 slice +
 //	                                   array write, to-L3 dispositions)
 //
-// Like the metrics probe and the invariant auditor, an attached
-// collector is observation-only: hooks never schedule events or touch
+// Like the metrics probe and the invariant auditor, the collector is an
+// observer (internal/observe): hooks never schedule events or touch
 // simulation state, so attached and detached runs are bit-identical in
-// event sequence and results. A system without a collector pays one nil
-// check per hook site (the detached-run allocation pin,
+// event sequence and results. A system with nothing attached skips each
+// commit point on one length check (the detached-run allocation pin,
 // TestDetachedRunAllocs, enforces this stays free).
 package txlat
 
 import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/l2"
+	"cmpcache/internal/observe"
 	"cmpcache/internal/stats"
 )
 
@@ -152,8 +154,7 @@ type Config struct {
 	// Interval, when positive, additionally bins committed transactions
 	// into fixed windows and records per-window latency quantiles (the
 	// time-resolved view examples/retrystorm overlays against the retry
-	// switch). Zero disables windowing, and the collector then needs no
-	// engine tick at all.
+	// switch). Zero disables windowing, and Tick then does nothing.
 	Interval config.Cycles
 }
 
@@ -203,8 +204,8 @@ type openKey struct {
 // Collector gathers stage-attributed latency for one run. Like the
 // metrics probe it is single-use and not safe for concurrent use.
 type Collector struct {
-	topK     int
-	interval config.Cycles
+	observe.Base
+	topK int
 
 	opens    map[openKey]*open
 	freeList []*open
@@ -219,8 +220,9 @@ type Collector struct {
 
 	slowest []SlowTxn // min-heap on Total, capped at topK
 
-	// Windowing (Interval > 0).
-	nextClose config.Cycles
+	// Windowing: win cuts the run at Config.Interval, and winDemand and
+	// winWB hold the open window's latencies.
+	win       observe.Windows
 	winDemand stats.Histogram
 	winWB     stats.Histogram
 	windows   []Window
@@ -238,41 +240,21 @@ func New(cfg Config) *Collector {
 	}
 	c := &Collector{
 		topK:       k,
-		interval:   cfg.Interval,
 		opens:      make(map[openKey]*open),
 		retireWait: make(map[uint64][]*open),
 		groups:     make(map[groupKey]*group),
 	}
-	if c.interval > 0 {
-		c.nextClose = c.interval
-	}
+	c.win = observe.NewWindows(cfg.Interval, c.emitWindow)
 	return c
 }
 
-// Windowed reports whether the collector needs the engine's per-event
-// tick (only when interval windowing is enabled).
-func (c *Collector) Windowed() bool { return c.interval > 0 }
+// Tick closes every window whose end the simulation clock has reached;
+// a collector without windows does nothing.
+func (c *Collector) Tick(now config.Cycles) { c.win.Tick(now) }
 
-// Interval returns the window length (0 when windowing is disabled).
-func (c *Collector) Interval() config.Cycles { return c.interval }
-
-// Tick is the engine's per-event time observer; it closes every window
-// whose end the simulation clock has reached. Only called when
-// Windowed() — a non-windowed collector imposes no per-event work.
-func (c *Collector) Tick(now config.Cycles) {
-	for now >= c.nextClose {
-		c.closeWindow(c.nextClose)
-	}
-}
-
-func (c *Collector) closeWindow(end config.Cycles) {
-	c.emitWindow(c.nextClose-c.interval, end)
-	c.nextClose += c.interval
-}
-
-func (c *Collector) emitWindow(start, end config.Cycles) {
+func (c *Collector) emitWindow(k int, start, end config.Cycles) {
 	c.windows = append(c.windows, Window{
-		Window:    int(start / c.interval),
+		Window:    k,
 		Start:     start,
 		End:       end,
 		Demand:    c.winDemand.Summary(),
@@ -336,12 +318,10 @@ func (c *Collector) commit(k openKey, o *open, now config.Cycles, detached bool)
 	for _, st := range list {
 		g.stages[st].Observe(o.stages[st])
 	}
-	if c.interval > 0 {
-		if o.wb {
-			c.winWB.Observe(total)
-		} else {
-			c.winDemand.Observe(total)
-		}
+	if o.wb {
+		c.winWB.Observe(total)
+	} else {
+		c.winDemand.Observe(total)
 	}
 	c.offerSlowest(o, now, total)
 	if detached {
@@ -419,8 +399,8 @@ func (c *Collector) siftDown(i int) {
 // hit) allocates its MSHR: issued is the thread's original issue cycle,
 // so the frontend stage covers core-to-L2 transit, the tag probe and
 // any structural-stall backoff before the transaction could start.
-func (c *Collector) DemandIssued(l2 int, key uint64, issued, now config.Cycles) {
-	o := c.create(openKey{key: key, l2: int8(l2)}, now)
+func (c *Collector) DemandIssued(now config.Cycles, idx int, key uint64, issued config.Cycles) {
+	o := c.create(openKey{key: key, l2: int8(idx)}, now)
 	// The record starts at the thread's issue cycle, not the MSHR
 	// allocation, so the total is the latency the thread observed and
 	// the stage vector sums to it exactly.
@@ -432,12 +412,11 @@ func (c *Collector) DemandIssued(l2 int, key uint64, issued, now config.Cycles) 
 // (initial issue, upgrade restarts and post-fill ownership claims all
 // arbitrate through here; a missing record — the follow-up transaction
 // cases — opens one).
-func (c *Collector) DemandStart(l2 int, key uint64, kind coherence.TxnKind, switchOn bool, now, combineAt config.Cycles) {
-	k := openKey{key: key, l2: int8(l2)}
+func (c *Collector) DemandStart(now config.Cycles, idx int, key uint64, kind coherence.TxnKind, switchOn bool, combineAt config.Cycles) {
+	k := openKey{key: key, l2: int8(idx)}
 	o, ok := c.get(k)
 	if !ok {
 		o = c.create(k, now)
-		o.switchOn = switchOn
 	}
 	o.kind = kind
 	o.switchOn = switchOn // restarts reclassify under the final state
@@ -445,49 +424,64 @@ func (c *Collector) DemandStart(l2 int, key uint64, kind coherence.TxnKind, swit
 	o.last = combineAt
 }
 
-// DemandCombine records the combined response's chosen data source.
-func (c *Collector) DemandCombine(l2 int, key uint64, src coherence.Source, now config.Cycles) {
-	if o, ok := c.get(openKey{key: key, l2: int8(l2)}); ok {
-		o.out = outcomeForSource(src)
+// DemandCombine records the combined response's chosen data source. An
+// upgrade moves no data, so its outcome stays OutNone.
+func (c *Collector) DemandCombine(now config.Cycles, idx int, key uint64, kind coherence.TxnKind, out coherence.Outcome) {
+	if o, ok := c.get(openKey{key: key, l2: int8(idx)}); ok && kind != coherence.Upgrade {
+		o.out = outcomeForSource(out.Source)
 		o.last = now
 	}
 }
 
 // DemandSourceReady closes the source-access stage: the line is ready
 // to leave its supplier (peer L2, L3 slice or memory bank).
-func (c *Collector) DemandSourceReady(l2 int, key uint64, now config.Cycles) {
-	if o, ok := c.get(openKey{key: key, l2: int8(l2)}); ok {
+func (c *Collector) DemandSourceReady(now config.Cycles, idx int, key uint64) {
+	if o, ok := c.get(openKey{key: key, l2: int8(idx)}); ok {
 		o.stages[StageSource] += uint64(now - o.last)
 		o.last = now
 	}
 }
 
-// DemandComplete commits a demand transaction at data delivery (fills)
-// or at the combined response (upgrades, which move no data).
-func (c *Collector) DemandComplete(l2 int, key uint64, now config.Cycles) {
-	k := openKey{key: key, l2: int8(l2)}
+// DemandComplete commits a demand transaction at data delivery.
+func (c *Collector) DemandComplete(now config.Cycles, idx int, key uint64) {
+	k := openKey{key: key, l2: int8(idx)}
 	if o, ok := c.get(k); ok {
 		o.stages[StageXfer] += uint64(now - o.last)
 		c.commit(k, o, now, false)
 	}
 }
 
+// Upgrade commits an ownership claim at its combined response, as it
+// moves no data; a restarted claim stays open and re-arbitrates as an
+// RWITM.
+func (c *Collector) Upgrade(now config.Cycles, idx int, key uint64, restarted, _ bool, _ coherence.State) {
+	if !restarted {
+		c.DemandComplete(now, idx, key)
+	}
+}
+
 // --- write-back hooks ---
 
-// WBQueued opens a write-back record when the victim enters the castout
-// queue.
-func (c *Collector) WBQueued(l2 int, key uint64, kind coherence.TxnKind, switchOn bool, now config.Cycles) {
-	o := c.create(openKey{key: key, l2: int8(l2), wb: true}, now)
+// Victim opens a write-back record when the victim enters the castout
+// queue, as a dirty write back when the line was dirty.
+func (c *Collector) Victim(now config.Cycles, idx int, key uint64, st coherence.State, action l2.VictimAction, _, switchOn bool) {
+	if action != l2.VictimQueued {
+		return
+	}
+	o := c.create(openKey{key: key, l2: int8(idx), wb: true}, now)
 	o.wb = true
-	o.kind = kind
+	o.kind = coherence.CleanWB
+	if st.Dirty() {
+		o.kind = coherence.DirtyWB
+	}
 	o.switchOn = switchOn
 }
 
 // WBIssued records a write back winning the castout machine and
 // arbitrating for the address ring. Queue wait (or, after a retry, the
 // backoff round) closes here; the arbitration stage runs to combineAt.
-func (c *Collector) WBIssued(l2 int, key uint64, now, combineAt config.Cycles) {
-	o, ok := c.get(openKey{key: key, l2: int8(l2), wb: true})
+func (c *Collector) WBIssued(now config.Cycles, idx int, key uint64, combineAt config.Cycles) {
+	o, ok := c.get(openKey{key: key, l2: int8(idx), wb: true})
 	if !ok {
 		return
 	}
@@ -503,38 +497,64 @@ func (c *Collector) WBIssued(l2 int, key uint64, now, combineAt config.Cycles) {
 
 // WBRetry marks a retried combined response: cycles until the entry's
 // next bus issue are attributed to the retry stage.
-func (c *Collector) WBRetry(l2 int, key uint64, now config.Cycles) {
-	if o, ok := c.get(openKey{key: key, l2: int8(l2), wb: true}); ok {
+func (c *Collector) WBRetry(now config.Cycles, idx int, key uint64) {
+	if o, ok := c.get(openKey{key: key, l2: int8(idx), wb: true}); ok {
 		o.retrying = true
 		o.last = now
 	}
 }
 
-// WBDone commits a write back that finished at its combined response
-// (squashes, snarfs, on-bus cancellations).
-func (c *Collector) WBDone(l2 int, key uint64, out Outcome, now config.Cycles) {
-	k := openKey{key: key, l2: int8(l2), wb: true}
-	if o, ok := c.get(k); ok {
-		o.out = out
-		c.commit(k, o, now, false)
-	}
-}
-
-// WBCancelled commits a queued write back reclaimed by a demand access
-// before it reached the bus.
-func (c *Collector) WBCancelled(l2 int, key uint64, now config.Cycles) {
-	k := openKey{key: key, l2: int8(l2), wb: true}
-	if o, ok := c.get(k); ok {
+// WBReinstall commits a write back that a demand access reclaimed while
+// it was still queued. One already on the bus commits at its combined
+// response (WBCancelled).
+func (c *Collector) WBReinstall(now config.Cycles, idx int, e l2.WBEntry) {
+	k := openKey{key: e.Key, l2: int8(idx), wb: true}
+	if o, ok := c.get(k); ok && !e.InFlight {
 		o.stages[StageWBQueue] += uint64(now - o.last)
 		o.out = OutWBCancelled
 		c.commit(k, o, now, false)
 	}
 }
 
+// WBInvalidated commits a queued write back that a peer's invalidating
+// demand cancelled, like WBReinstall.
+func (c *Collector) WBInvalidated(now config.Cycles, idx int, e l2.WBEntry) {
+	c.WBReinstall(now, idx, e)
+}
+
+// WBCancelled commits a write back whose bus transaction a demand
+// access had cancelled.
+func (c *Collector) WBCancelled(now config.Cycles, idx int, key uint64, _ bool) {
+	c.wbDone(now, idx, key, OutWBCancelled)
+}
+
+// WBSquashed commits a write back squashed by the L3 or by a peer.
+func (c *Collector) WBSquashed(now config.Cycles, idx int, e l2.WBEntry, byL3 bool, _ int) {
+	out := OutWBSquashPeer
+	if byL3 {
+		out = OutWBSquashL3
+	}
+	c.wbDone(now, idx, e.Key, out)
+}
+
+// WBSnarfed commits a write back a peer L2 absorbed.
+func (c *Collector) WBSnarfed(now config.Cycles, idx int, e l2.WBEntry, _ int, _ uint64, _ bool) {
+	c.wbDone(now, idx, e.Key, OutWBSnarf)
+}
+
+// wbDone commits a write back that finished at its combined response.
+func (c *Collector) wbDone(now config.Cycles, idx int, key uint64, out Outcome) {
+	k := openKey{key: key, l2: int8(idx), wb: true}
+	if o, ok := c.get(k); ok {
+		o.out = out
+		c.commit(k, o, now, false)
+	}
+}
+
 // WBToL3 moves an accepted write back into the retirement-wait set; the
-// record commits at L3 array retirement (WBRetired).
-func (c *Collector) WBToL3(l2 int, key uint64, now config.Cycles) {
-	k := openKey{key: key, l2: int8(l2), wb: true}
+// record commits at L3 array retirement (L3Retire).
+func (c *Collector) WBToL3(now config.Cycles, idx int, e l2.WBEntry) {
+	k := openKey{key: e.Key, l2: int8(idx), wb: true}
 	o, ok := c.get(k)
 	if !ok {
 		return
@@ -542,12 +562,12 @@ func (c *Collector) WBToL3(l2 int, key uint64, now config.Cycles) {
 	o.out = OutWBToL3
 	o.last = now
 	delete(c.opens, k)
-	c.retireWait[key] = append(c.retireWait[key], o)
+	c.retireWait[e.Key] = append(c.retireWait[e.Key], o)
 }
 
-// WBRetired commits the oldest retirement-waiting write back of key at
+// L3Retire commits the oldest retirement-waiting write back of key at
 // its L3 array write.
-func (c *Collector) WBRetired(key uint64, now config.Cycles) {
+func (c *Collector) L3Retire(now config.Cycles, key uint64, _ coherence.TxnKind, _ uint64, _ bool) {
 	q := c.retireWait[key]
 	if len(q) == 0 {
 		return
@@ -569,12 +589,7 @@ func (c *Collector) Finish(end config.Cycles) *Report {
 		return &c.report
 	}
 	c.finished = true
-	if c.interval > 0 {
-		c.Tick(end)
-		if start := c.nextClose - c.interval; end > start {
-			c.emitWindow(start, end)
-		}
-	}
+	c.win.Finish(end)
 	c.report = c.buildReport()
 	return &c.report
 }

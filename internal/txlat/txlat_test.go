@@ -6,6 +6,7 @@ import (
 
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
+	"cmpcache/internal/l2"
 )
 
 func findGroup(t *testing.T, r *Report, kind, outcome string, sw bool) *GroupReport {
@@ -36,14 +37,14 @@ func stageOf(t *testing.T, g *GroupReport, name string) StageReport {
 func TestDemandLifecycle(t *testing.T) {
 	c := New(Config{})
 	// issued at 10, MSHR allocated at 14 (frontend = 4)
-	c.DemandIssued(0, 0x100, 10, 14)
+	c.DemandIssued(14, 0, 0x100, 10)
 	// bus start at 14, combined response at 40 (arb = 26)
-	c.DemandStart(0, 0x100, coherence.Read, false, 14, 40)
-	c.DemandCombine(0, 0x100, coherence.SourceL3, 40)
+	c.DemandStart(14, 0, 0x100, coherence.Read, false, 40)
+	c.DemandCombine(40, 0, 0x100, coherence.Read, coherence.Outcome{Source: coherence.SourceL3})
 	// source data ready at 140 (source = 100)
-	c.DemandSourceReady(0, 0x100, 140)
+	c.DemandSourceReady(140, 0, 0x100)
 	// delivered at 160 (xfer = 20)
-	c.DemandComplete(0, 0x100, 160)
+	c.DemandComplete(160, 0, 0x100)
 
 	r := c.Finish(200)
 	g := findGroup(t, r, "READ", "l3", false)
@@ -91,13 +92,15 @@ func TestDemandLifecycle(t *testing.T) {
 // source/xfer cycles.
 func TestUpgradeRestart(t *testing.T) {
 	c := New(Config{})
-	c.DemandIssued(1, 0x200, 0, 2)
-	c.DemandStart(1, 0x200, coherence.Read, false, 2, 10) // arb 8
-	// retried: restarts as RWITM, re-arbitrates
-	c.DemandStart(1, 0x200, coherence.RWITM, true, 30, 44) // arb += 14
-	c.DemandCombine(1, 0x200, coherence.SourcePeerL2, 44)
-	c.DemandSourceReady(1, 0x200, 60)
-	c.DemandComplete(1, 0x200, 70)
+	c.DemandIssued(2, 1, 0x200, 0)
+	c.DemandStart(2, 1, 0x200, coherence.Upgrade, false, 10) // arb 8
+	c.DemandCombine(10, 1, 0x200, coherence.Upgrade, coherence.Outcome{})
+	// stale claim: restarts as RWITM, re-arbitrates
+	c.Upgrade(10, 1, 0x200, true, false, coherence.Invalid)
+	c.DemandStart(30, 1, 0x200, coherence.RWITM, true, 44) // arb += 14
+	c.DemandCombine(44, 1, 0x200, coherence.RWITM, coherence.Outcome{Source: coherence.SourcePeerL2})
+	c.DemandSourceReady(60, 1, 0x200)
+	c.DemandComplete(70, 1, 0x200)
 
 	r := c.Finish(100)
 	// Final kind/switch state win: RWITM with switch active.
@@ -106,10 +109,10 @@ func TestUpgradeRestart(t *testing.T) {
 		t.Errorf("arb = %d, want 22 (8+14)", got.Max)
 	}
 
-	// A pure upgrade: start (no prior issue) then complete at combine.
+	// A pure upgrade: start (no prior issue) then commit at combine.
 	c2 := New(Config{})
-	c2.DemandStart(0, 0x300, coherence.Upgrade, false, 5, 25)
-	c2.DemandComplete(0, 0x300, 25)
+	c2.DemandStart(5, 0, 0x300, coherence.Upgrade, false, 25)
+	c2.Upgrade(25, 0, 0x300, false, false, coherence.Modified)
 	r2 := c2.Finish(50)
 	g2 := findGroup(t, r2, "UPGRADE", "none", false)
 	if g2.Total.Max != 20 {
@@ -124,12 +127,12 @@ func TestUpgradeRestart(t *testing.T) {
 // retry round, and L3 retirement.
 func TestWriteBackLifecycle(t *testing.T) {
 	c := New(Config{})
-	c.WBQueued(2, 0x400, coherence.DirtyWB, false, 100)
-	c.WBIssued(2, 0x400, 110, 130) // queue 10, arb 20
-	c.WBRetry(2, 0x400, 130)
-	c.WBIssued(2, 0x400, 180, 200) // retry 50, arb += 20
-	c.WBToL3(2, 0x400, 200)
-	c.WBRetired(0x400, 260) // wb_l3 = 60
+	c.Victim(100, 2, 0x400, coherence.Modified, l2.VictimQueued, false, false)
+	c.WBIssued(110, 2, 0x400, 130) // queue 10, arb 20
+	c.WBRetry(130, 2, 0x400)
+	c.WBIssued(180, 2, 0x400, 200) // retry 50, arb += 20
+	c.WBToL3(200, 2, l2.WBEntry{Key: 0x400})
+	c.L3Retire(260, 0x400, coherence.CleanWB, 0, false) // wb_l3 = 60
 
 	r := c.Finish(300)
 	g := findGroup(t, r, "DIRTY_WB", "to-l3", false)
@@ -149,16 +152,16 @@ func TestWriteBackLifecycle(t *testing.T) {
 // TestWriteBackShortPaths covers squash, snarf and cancel dispositions.
 func TestWriteBackShortPaths(t *testing.T) {
 	c := New(Config{})
-	c.WBQueued(0, 1, coherence.CleanWB, false, 0)
-	c.WBIssued(0, 1, 5, 15)
-	c.WBDone(0, 1, OutWBSquashL3, 15)
+	c.Victim(0, 0, 1, coherence.Exclusive, l2.VictimQueued, false, false)
+	c.WBIssued(5, 0, 1, 15)
+	c.WBSquashed(15, 0, l2.WBEntry{Key: 1}, true, -1)
 
-	c.WBQueued(1, 2, coherence.DirtyWB, true, 0)
-	c.WBIssued(1, 2, 3, 13)
-	c.WBDone(1, 2, OutWBSnarf, 13)
+	c.Victim(0, 1, 2, coherence.Modified, l2.VictimQueued, false, true)
+	c.WBIssued(3, 1, 2, 13)
+	c.WBSnarfed(13, 1, l2.WBEntry{Key: 2}, 0, 0, false)
 
-	c.WBQueued(2, 3, coherence.DirtyWB, false, 0)
-	c.WBCancelled(2, 3, 7)
+	c.Victim(0, 2, 3, coherence.Modified, l2.VictimQueued, false, false)
+	c.WBReinstall(7, 2, l2.WBEntry{Key: 3})
 
 	r := c.Finish(20)
 	if g := findGroup(t, r, "CLEAN_WB", "squash-l3", false); g.Total.Max != 15 {
@@ -179,15 +182,15 @@ func TestWriteBackShortPaths(t *testing.T) {
 // TestRetireFIFO checks two same-key write backs retire in order.
 func TestRetireFIFO(t *testing.T) {
 	c := New(Config{})
-	c.WBQueued(0, 9, coherence.CleanWB, false, 0)
-	c.WBIssued(0, 9, 0, 10)
-	c.WBToL3(0, 9, 10)
-	c.WBQueued(1, 9, coherence.CleanWB, false, 0)
-	c.WBIssued(1, 9, 0, 20)
-	c.WBToL3(1, 9, 20)
-	c.WBRetired(9, 30) // first: l3 stage 20
-	c.WBRetired(9, 50) // second: l3 stage 30
-	c.WBRetired(9, 60) // spurious: must be a no-op
+	c.Victim(0, 0, 9, coherence.Exclusive, l2.VictimQueued, false, false)
+	c.WBIssued(0, 0, 9, 10)
+	c.WBToL3(10, 0, l2.WBEntry{Key: 9})
+	c.Victim(0, 1, 9, coherence.Exclusive, l2.VictimQueued, false, false)
+	c.WBIssued(0, 1, 9, 20)
+	c.WBToL3(20, 1, l2.WBEntry{Key: 9})
+	c.L3Retire(30, 9, coherence.CleanWB, 0, false) // first: l3 stage 20
+	c.L3Retire(50, 9, coherence.CleanWB, 0, false) // second: l3 stage 30
+	c.L3Retire(60, 9, coherence.CleanWB, 0, false) // spurious: must be a no-op
 
 	r := c.Finish(100)
 	g := findGroup(t, r, "CLEAN_WB", "to-l3", false)
@@ -203,15 +206,15 @@ func TestRetireFIFO(t *testing.T) {
 // never saw open must be silently ignored.
 func TestMissingRecordsAreNoOps(t *testing.T) {
 	c := New(Config{})
-	c.DemandCombine(0, 1, coherence.SourceL3, 10)
-	c.DemandSourceReady(0, 1, 20)
-	c.DemandComplete(0, 1, 30)
-	c.WBIssued(0, 2, 5, 10)
-	c.WBRetry(0, 2, 10)
-	c.WBDone(0, 2, OutWBSnarf, 10)
-	c.WBCancelled(0, 2, 10)
-	c.WBToL3(0, 2, 10)
-	c.WBRetired(2, 20)
+	c.DemandCombine(10, 0, 1, coherence.Read, coherence.Outcome{Source: coherence.SourceL3})
+	c.DemandSourceReady(20, 0, 1)
+	c.DemandComplete(30, 0, 1)
+	c.WBIssued(5, 0, 2, 10)
+	c.WBRetry(10, 0, 2)
+	c.WBSnarfed(10, 0, l2.WBEntry{Key: 2}, 0, 0, false)
+	c.WBReinstall(10, 0, l2.WBEntry{Key: 2})
+	c.WBToL3(10, 0, l2.WBEntry{Key: 2})
+	c.L3Retire(20, 2, coherence.CleanWB, 0, false)
 	r := c.Finish(50)
 	if len(r.Groups) != 0 || len(r.Slowest) != 0 {
 		t.Errorf("expected empty report, got %+v", r)
@@ -224,9 +227,9 @@ func TestTopKReservoir(t *testing.T) {
 	c := New(Config{TopK: 3})
 	for i := uint64(1); i <= 10; i++ {
 		key := 0x1000 + i
-		c.DemandStart(0, key, coherence.Read, false, 0, config.Cycles(i))
-		c.DemandCombine(0, key, coherence.SourceMemory, config.Cycles(i))
-		c.DemandComplete(0, key, config.Cycles(10*i))
+		c.DemandStart(0, 0, key, coherence.Read, false, config.Cycles(i))
+		c.DemandCombine(config.Cycles(i), 0, key, coherence.Read, coherence.Outcome{Source: coherence.SourceMemory})
+		c.DemandComplete(config.Cycles(10*i), 0, key)
 	}
 	r := c.Finish(1000)
 	if len(r.Slowest) != 3 {
@@ -243,14 +246,11 @@ func TestTopKReservoir(t *testing.T) {
 // of their completion cycle and the final partial window is emitted.
 func TestWindows(t *testing.T) {
 	c := New(Config{Interval: 100})
-	if !c.Windowed() {
-		t.Fatal("expected windowed collector")
-	}
 	complete := func(key uint64, start, end config.Cycles) {
 		c.Tick(end)
-		c.DemandStart(0, key, coherence.Read, false, start, start)
-		c.DemandCombine(0, key, coherence.SourceL3, start)
-		c.DemandComplete(0, key, end)
+		c.DemandStart(start, 0, key, coherence.Read, false, start)
+		c.DemandCombine(start, 0, key, coherence.Read, coherence.Outcome{Source: coherence.SourceL3})
+		c.DemandComplete(end, 0, key)
 	}
 	complete(1, 10, 50)   // window 0, latency 40
 	complete(2, 60, 120)  // window 1, latency 60
@@ -275,11 +275,11 @@ func TestWindows(t *testing.T) {
 // drop (indicates an unhooked close path).
 func TestDroppedCount(t *testing.T) {
 	c := New(Config{})
-	c.DemandIssued(0, 7, 0, 1)
-	c.DemandIssued(0, 7, 2, 3) // supersedes the first
-	c.DemandStart(0, 7, coherence.Read, false, 3, 5)
-	c.DemandCombine(0, 7, coherence.SourceL3, 5)
-	c.DemandComplete(0, 7, 9)
+	c.DemandIssued(1, 0, 7, 0)
+	c.DemandIssued(3, 0, 7, 2) // supersedes the first
+	c.DemandStart(3, 0, 7, coherence.Read, false, 5)
+	c.DemandCombine(5, 0, 7, coherence.Read, coherence.Outcome{Source: coherence.SourceL3})
+	c.DemandComplete(9, 0, 7)
 	r := c.Finish(20)
 	if r.Dropped != 1 {
 		t.Errorf("dropped = %d, want 1", r.Dropped)
@@ -290,11 +290,11 @@ func TestDroppedCount(t *testing.T) {
 // cmpsim -lat-out → cmpreport contract).
 func TestReportJSONRoundTrip(t *testing.T) {
 	c := New(Config{})
-	c.DemandIssued(0, 1, 0, 2)
-	c.DemandStart(0, 1, coherence.Read, true, 2, 12)
-	c.DemandCombine(0, 1, coherence.SourcePeerL2, 12)
-	c.DemandSourceReady(0, 1, 40)
-	c.DemandComplete(0, 1, 55)
+	c.DemandIssued(2, 0, 1, 0)
+	c.DemandStart(2, 0, 1, coherence.Read, true, 12)
+	c.DemandCombine(12, 0, 1, coherence.Read, coherence.Outcome{Source: coherence.SourcePeerL2})
+	c.DemandSourceReady(40, 0, 1)
+	c.DemandComplete(55, 0, 1)
 	run := RunLatency{Workload: "tp", Mechanism: "snarf", Outstanding: 2, Cycles: 100, Latency: c.Finish(100)}
 	data, err := json.Marshal(run)
 	if err != nil {
@@ -322,13 +322,13 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // group.
 func TestRenderersSmoke(t *testing.T) {
 	c := New(Config{Interval: 50})
-	c.DemandStart(0, 1, coherence.Read, false, 0, 10)
-	c.DemandCombine(0, 1, coherence.SourceL3, 10)
-	c.DemandComplete(0, 1, 90)
-	c.WBQueued(0, 2, coherence.DirtyWB, false, 0)
-	c.WBIssued(0, 2, 10, 20)
-	c.WBToL3(0, 2, 20)
-	c.WBRetired(2, 80)
+	c.DemandStart(0, 0, 1, coherence.Read, false, 10)
+	c.DemandCombine(10, 0, 1, coherence.Read, coherence.Outcome{Source: coherence.SourceL3})
+	c.DemandComplete(90, 0, 1)
+	c.Victim(0, 0, 2, coherence.Modified, l2.VictimQueued, false, false)
+	c.WBIssued(10, 0, 2, 20)
+	c.WBToL3(20, 0, l2.WBEntry{Key: 2})
+	c.L3Retire(80, 2, coherence.CleanWB, 0, false)
 	r := c.Finish(120)
 	for _, out := range []string{
 		r.QuantileTable("q"), r.StageBreakdown("s"), r.CriticalPath("c"),
