@@ -39,6 +39,8 @@
 package cmpcache
 
 import (
+	"context"
+
 	"cmpcache/internal/audit"
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
@@ -177,14 +179,15 @@ type RunOptions = system.Attachments
 // attachments are observation-only, so they never change them.
 // Results.Metrics and Results.Latency carry the probe series and the
 // latency report; inspect the auditor afterward through its own
-// methods.
+// methods. A trace stream that fails mid-run returns an error naming
+// its thread.
 func Run(cfg Config, src TraceSource, opts RunOptions) (*Results, error) {
 	s, err := system.NewStream(cfg, src)
 	if err != nil {
 		return nil, err
 	}
 	s.Attach(opts)
-	return s.Run(), nil
+	return s.RunContext(context.Background())
 }
 
 // Workloads lists the built-in synthetic commercial workloads:

@@ -1,10 +1,12 @@
 package cmpcache_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"cmpcache"
+	"cmpcache/internal/trace"
 )
 
 // memSource splits tr into a source every run of a test can replay.
@@ -68,6 +70,50 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	cfg.MaxOutstanding = 0
 	if _, err := cmpcache.Run(cfg, memSource(t, tr), cmpcache.RunOptions{}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// failingSource fails one thread's stream after its first chunk.
+type failingSource struct {
+	cmpcache.TraceSource
+	thread int
+}
+
+func (s failingSource) Stream(tid int) trace.Stream {
+	if tid != s.thread {
+		return s.TraceSource.Stream(tid)
+	}
+	return &failAfterFirst{Stream: s.TraceSource.Stream(tid)}
+}
+
+var errBrokenStream = errors.New("broken stream")
+
+// failAfterFirst serves its stream's first chunk, then fails.
+type failAfterFirst struct {
+	trace.Stream
+	served bool
+}
+
+func (f *failAfterFirst) NextChunk() ([]trace.Record, error) {
+	if f.served {
+		return nil, errBrokenStream
+	}
+	f.served = true
+	return f.Stream.NextChunk()
+}
+
+// TestRunReturnsMidRunStreamError: a trace stream failing mid-run ends
+// Run with an error, not a panic, and the error names the chip thread —
+// thread 13, the second thread of the fourth L2 slice.
+func TestRunReturnsMidRunStreamError(t *testing.T) {
+	tr, err := cmpcache.GenerateWorkloadSized("tp", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := failingSource{TraceSource: memSource(t, tr), thread: 13}
+	_, err = cmpcache.Run(cmpcache.DefaultConfig(), src, cmpcache.RunOptions{})
+	if !errors.Is(err, errBrokenStream) || !strings.Contains(err.Error(), "thread 13 stream") {
+		t.Fatalf("Run = %v, want the stream error naming thread 13", err)
 	}
 }
 

@@ -27,6 +27,22 @@ import (
 // called exactly once, at the simulation time the access completes.
 type IssueFunc func(op trace.Op, key uint64, done func(config.Cycles))
 
+// StreamError is a thread's stream failing to deliver a chunk. New
+// returns it for a stream's first chunk. A later chunk's failure panics
+// with it, because the event that refills a thread cannot return an
+// error; System.RunContext recovers it and returns it as the run's
+// error.
+type StreamError struct {
+	Thread int // the chip thread whose stream failed
+	Err    error
+}
+
+func (e *StreamError) Error() string {
+	return fmt.Sprintf("cpu: thread %d stream: %v", e.Thread, e.Err)
+}
+
+func (e *StreamError) Unwrap() error { return e.Err }
+
 // thread is one SMT hardware context. recs is the current chunk of its
 // reference stream; draining recs refills it from src until the stream
 // is exhausted.
@@ -67,15 +83,15 @@ type Complex struct {
 }
 
 // New builds a thread complex fed by chunked per-thread streams
-// (trace.Source.Stream); streams[i] is thread i's stream and nil entries
-// are idle threads. cfg supplies the line size and the outstanding-miss
-// limit. Each thread holds one chunk at a time, so replay memory is
-// bounded by the source's chunk size rather than the trace length. The
-// first chunk of every stream is fetched eagerly so open/decode errors
-// surface at construction; a mid-run stream error panics — the
-// simulation cannot meaningfully continue on a truncated stream, and the
-// sweep worker's recover converts the panic into a per-job error.
-func New(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
+// (trace.Source.Stream); streams[i] is chip thread first+i's stream and
+// nil entries are idle threads. cfg supplies the line size and the
+// outstanding-miss limit. Each thread holds one chunk at a time, so
+// replay memory is bounded by the source's chunk size rather than the
+// trace length. The first chunk of every stream is fetched eagerly so
+// open/decode errors surface at construction; a mid-run stream error
+// panics with a *StreamError — the simulation cannot meaningfully
+// continue on a truncated stream.
+func New(engine *sim.Engine, cfg *config.Config, first int, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
 	if issue == nil {
 		panic("cpu: nil issue function")
 	}
@@ -87,12 +103,12 @@ func New(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, issue I
 	}
 	c.hTryIssue = func(d sim.EventData) { c.tryIssue(d.Ptr.(*thread)) }
 	for i, src := range streams {
-		th := &thread{id: i, src: src}
+		th := &thread{id: first + i, src: src}
 		th.doneFn = func(at config.Cycles) { c.complete(th, at) }
 		if src != nil {
 			chunk, err := src.NextChunk()
 			if err != nil {
-				return nil, fmt.Errorf("cpu: thread %d stream: %w", i, err)
+				return nil, &StreamError{Thread: th.id, Err: err}
 			}
 			th.recs = chunk
 		}
@@ -114,7 +130,7 @@ func (c *Complex) refill(th *thread) bool {
 	}
 	chunk, err := th.src.NextChunk()
 	if err != nil {
-		panic(fmt.Sprintf("cpu: thread %d stream: %v", th.id, err))
+		panic(&StreamError{Thread: th.id, Err: err})
 	}
 	if len(chunk) == 0 {
 		th.exhausted = true

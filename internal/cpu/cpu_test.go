@@ -62,10 +62,11 @@ func streams(recs ...[]trace.Record) []trace.Stream {
 	return out
 }
 
-// newComplex builds a complex that must construct cleanly.
+// newComplex builds a complex of chip threads from 0 that must
+// construct cleanly.
 func newComplex(t *testing.T, e *sim.Engine, cfg *config.Config, ss []trace.Stream, issue IssueFunc) *Complex {
 	t.Helper()
-	c, err := New(e, cfg, ss, issue)
+	c, err := New(e, cfg, 0, ss, issue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestNilIssuePanics(t *testing.T) {
 			t.Fatal("nil issue accepted")
 		}
 	}()
-	New(sim.NewEngine(), &cfg, nil, nil)
+	New(sim.NewEngine(), &cfg, 0, nil, nil)
 }
 
 // TestChunkBoundariesInvisible: the chunk size a stream is delivered in
@@ -243,32 +244,38 @@ func TestChunkBoundariesInvisible(t *testing.T) {
 }
 
 // TestFirstChunkErrorFailsNew: a stream that cannot deliver its first
-// chunk fails construction with an error naming its thread.
+// chunk fails construction with an error naming its chip thread: the
+// complex's third stream, from chip thread 4 on, is thread 6.
 func TestFirstChunkErrorFailsNew(t *testing.T) {
 	cfg := config.Default()
 	e := sim.NewEngine()
 	issue, _ := instantIssue(e, 1)
-	ss := append(streams(mkStream(0, 3, 0), nil), &chunkStream{recs: mkStream(2, 3, 0), failAfter: 0})
-	_, err := New(e, &cfg, ss, issue)
-	if !errors.Is(err, errBroken) || !strings.Contains(err.Error(), "thread 2") {
-		t.Fatalf("New = %v, want the stream error naming thread 2", err)
+	ss := append(streams(mkStream(4, 3, 0), nil), &chunkStream{recs: mkStream(6, 3, 0), failAfter: 0})
+	_, err := New(e, &cfg, 4, ss, issue)
+	var se *StreamError
+	if !errors.As(err, &se) || se.Thread != 6 || !errors.Is(err, errBroken) || !strings.Contains(err.Error(), "thread 6") {
+		t.Fatalf("New = %v, want the stream error naming thread 6", err)
 	}
 }
 
 // TestMidStreamErrorPanics: a stream that fails after its first chunk
-// panics with its thread id; the sweep worker turns that panic into a
-// job error.
+// panics with a *StreamError naming its chip thread (the complex's
+// second stream, from chip thread 8 on, is thread 9), which the system
+// recovers as the run's error.
 func TestMidStreamErrorPanics(t *testing.T) {
 	cfg := config.Default()
 	e := sim.NewEngine()
 	issue, _ := instantIssue(e, 1)
-	ss := []trace.Stream{nil, &chunkStream{recs: mkStream(1, 6, 0), size: 2, failAfter: 1}}
-	c := newComplex(t, e, &cfg, ss, issue)
+	ss := []trace.Stream{nil, &chunkStream{recs: mkStream(9, 6, 0), size: 2, failAfter: 1}}
+	c, err := New(e, &cfg, 8, ss, issue)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Start()
 	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "thread 1") || !strings.Contains(msg, errBroken.Error()) {
-			t.Fatalf("panic %q, want the stream error naming thread 1", msg)
+		se, _ := recover().(*StreamError)
+		if se == nil || se.Thread != 9 || !errors.Is(se, errBroken) || !strings.Contains(se.Error(), "thread 9") {
+			t.Fatalf("panic %v, want the stream error naming thread 9", se)
 		}
 	}()
 	e.Run()
