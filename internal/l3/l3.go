@@ -49,11 +49,7 @@ type Cache struct {
 	demandHits       uint64
 	loadLookups      uint64
 	loadHits         uint64
-	wbSnooped        uint64
-	wbSquashed       uint64
-	wbAccepted       uint64
 	retriesIssued    uint64
-	inserts          uint64
 	castouts         uint64
 	evictions        uint64
 	invalidations    uint64
@@ -123,33 +119,22 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind, isLoad bool) coh
 // holds one queue token that the caller must return via ReleaseToken
 // once the data transfer and array write complete.
 func (c *Cache) SnoopWB(key uint64, kind coherence.TxnKind) coherence.Response {
-	c.wbSnooped++
-	present := c.tags.Contains(key)
 	if kind == coherence.CleanWB {
 		c.cleanWBSnooped++
-		if present {
+		if c.tags.Contains(key) {
 			c.cleanWBRedundant++
-			c.wbSquashed++
 			c.tags.Touch(key)
 			return coherence.RespWBRedundant
 		}
 	}
-	if kind == coherence.DirtyWB && present {
-		// The copy is stale relative to the incoming dirty data: accept
-		// as an update if queue space allows (no new allocation needed,
-		// but the data transfer still uses a queue entry).
-		if !c.queue.TryAcquire() {
-			c.retriesIssued++
-			return coherence.RespRetry
-		}
-		c.wbAccepted++
-		return coherence.RespWBAccept
-	}
+	// A dirty write back of a line already present finds that copy
+	// stale relative to the incoming dirty data: accept as an update if
+	// queue space allows (no new allocation needed, but the data
+	// transfer still uses a queue entry).
 	if !c.queue.TryAcquire() {
 		c.retriesIssued++
 		return coherence.RespRetry
 	}
-	c.wbAccepted++
 	return coherence.RespWBAccept
 }
 
@@ -162,7 +147,6 @@ func (c *Cache) ReleaseToken() { c.queue.Release() }
 // dirty victim that must be cast out to memory, if any. Insertion is at
 // MRU. A line already present is updated in place (dirty data overwrite).
 func (c *Cache) Insert(key uint64, kind coherence.TxnKind) (Castout, bool) {
-	c.inserts++
 	state := stClean
 	if kind == coherence.DirtyWB {
 		state = stDirty
@@ -206,11 +190,7 @@ func (c *Cache) DemandLookups() uint64  { return c.demandLookups }
 func (c *Cache) DemandHits() uint64     { return c.demandHits }
 func (c *Cache) LoadLookups() uint64    { return c.loadLookups }
 func (c *Cache) LoadHits() uint64       { return c.loadHits }
-func (c *Cache) WBSnooped() uint64      { return c.wbSnooped }
-func (c *Cache) WBSquashed() uint64     { return c.wbSquashed }
-func (c *Cache) WBAccepted() uint64     { return c.wbAccepted }
 func (c *Cache) RetriesIssued() uint64  { return c.retriesIssued }
-func (c *Cache) Inserts() uint64        { return c.inserts }
 func (c *Cache) Castouts() uint64       { return c.castouts }
 func (c *Cache) Invalidations() uint64  { return c.invalidations }
 func (c *Cache) CleanWBSnooped() uint64 { return c.cleanWBSnooped }
