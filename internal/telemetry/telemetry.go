@@ -13,8 +13,8 @@
 //   - Nil-safe everywhere. Every method on every instrument (and on the
 //     Registry itself) no-ops on a nil receiver, so a component can be
 //     wired for telemetry unconditionally and run detached at the cost
-//     of one nil check — the same discipline as the metrics probe
-//     (DESIGN.md §11).
+//     of one nil check — the same zero-cost-when-detached discipline as
+//     the simulator's observers (DESIGN.md §11).
 //   - No dependencies beyond the standard library, and no global state:
 //     a Registry is an explicit value, so tests and multiple daemons
 //     never share counters by accident.
