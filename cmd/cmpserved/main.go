@@ -1,8 +1,8 @@
 // Command cmpserved is the simulation-as-a-service daemon: a
 // long-running HTTP server that accepts single configurations or whole
-// sweep grids, executes them on the shared worker pool, and memoizes
-// every result in a two-level (memory L1 / disk L2) content-addressed
-// cache. Because the simulator is bit-deterministic, a cache hit is the
+// sweep grids, executes them on its own bounded worker pool (each run
+// through one shared sweep.Simulator), and memoizes every result in a
+// two-level (memory L1 / disk L2) content-addressed cache. Because the simulator is bit-deterministic, a cache hit is the
 // exact bytes a fresh run would produce — resubmitting a grid that has
 // already been computed costs zero simulation work. Grids may mix
 // synthetic workloads with captured traces (the request's "traces"

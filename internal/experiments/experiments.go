@@ -1,14 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5) on the simulator, printing paper-reported
-// values alongside measured ones. Results are cached per configuration
-// within a Runner, so the baseline runs that several experiments share
-// execute once.
+// values alongside measured ones. A Runner caches results by sweep.Job,
+// so the baseline runs that several experiments share execute once.
 //
-// Each artifact first assembles the full set of configurations it
-// needs, then dispatches the uncached ones through the internal/sweep
-// worker pool, so independent simulation runs execute concurrently
-// (Options.Workers; default GOMAXPROCS) while rendering stays fully
-// deterministic.
+// Each artifact first assembles the full set of jobs it needs, then
+// dispatches the uncached ones through the internal/sweep worker pool,
+// so independent simulation runs execute concurrently (Options.Workers;
+// default GOMAXPROCS) while rendering, which only reads the cache, stays
+// fully deterministic.
 //
 // Absolute magnitudes differ from the paper by construction — the
 // original traces are proprietary captures billions of references long,
@@ -70,27 +69,12 @@ func (o Options) tableSizes() []int {
 	return TableSizeSweep
 }
 
-// runKey identifies a unique simulation configuration.
-type runKey struct {
-	workload     string
-	mech         config.Mechanism
-	outstanding  int
-	wbhtEntries  int
-	snarfEntries int
-	global       bool
-	noSwitch     bool
-	snarfLRU     bool
-	invalidOnly  bool
-	coarse       int  // WBHT LinesPerEntry override (0 = 1)
-	historyRepl  bool // WBHT-informed L2 replacement (Section 7)
-}
-
 // Runner executes and caches simulation runs for the experiment set.
 // Fresh runs are dispatched through the internal/sweep pool.
 type Runner struct {
 	opts  Options
 	sim   *sweep.Simulator
-	cache map[runKey]*system.Results
+	cache map[sweep.Job]*system.Results
 	// Progress, when non-nil, receives a line per fresh simulation run.
 	// It may be invoked from pool goroutines, but never concurrently.
 	Progress func(string)
@@ -101,54 +85,35 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{
 		opts:  opts,
 		sim:   sweep.NewSimulator(),
-		cache: make(map[runKey]*system.Results),
+		cache: make(map[sweep.Job]*system.Results),
 	}
 }
 
-// jobFor translates a run key into its sweep job.
-func (r *Runner) jobFor(k runKey) sweep.Job {
-	return sweep.Job{
-		Workload:      k.workload,
-		Mechanism:     k.mech,
-		Outstanding:   k.outstanding,
-		WBHTEntries:   k.wbhtEntries,
-		SnarfEntries:  k.snarfEntries,
-		GlobalWBHT:    k.global,
-		NoSwitch:      k.noSwitch,
-		SnarfLRU:      k.snarfLRU,
-		InvalidOnly:   k.invalidOnly,
-		LinesPerEntry: k.coarse,
-		HistoryRepl:   k.historyRepl,
-		RefsPerThread: r.opts.RefsPerThread,
-	}
+// sized sets the runner's workload length on j: every job the runner
+// caches or looks up goes through it.
+func (r *Runner) sized(j sweep.Job) sweep.Job {
+	j.RefsPerThread = r.opts.RefsPerThread
+	return j
 }
 
-// configFor materializes the simulated configuration for a key — the
-// exact configuration the sweep executor runs.
-func (r *Runner) configFor(k runKey) config.Config {
-	return r.jobFor(k).Config()
-}
-
-// prefetch executes every uncached key on the sweep pool and fills the
-// cache. Artifacts call it with their complete key set before
+// prefetch executes every uncached job on the sweep pool and fills the
+// cache. Artifacts call it with their complete job set before
 // rendering, so independent runs proceed concurrently while table
 // rendering stays strictly ordered.
-func (r *Runner) prefetch(keys []runKey) error {
-	var jobs []sweep.Job
-	var fresh []runKey
-	seen := make(map[runKey]bool, len(keys))
-	for _, k := range keys {
-		if _, ok := r.cache[k]; ok || seen[k] {
+func (r *Runner) prefetch(jobs []sweep.Job) error {
+	var fresh []sweep.Job
+	seen := make(map[sweep.Job]bool, len(jobs))
+	for _, j := range jobs {
+		j = r.sized(j)
+		if _, ok := r.cache[j]; ok || seen[j] {
 			continue
 		}
-		seen[k] = true
-		fresh = append(fresh, k)
-		jobs = append(jobs, r.jobFor(k))
+		seen[j] = true
+		fresh = append(fresh, j)
 	}
-	if len(jobs) == 0 {
+	if len(fresh) == 0 {
 		return nil
 	}
-	jobs = sweep.OverrideJobs(jobs, r.opts.Overrides)
 	opts := sweep.Options{Workers: r.opts.Workers, Run: r.sim.Run}
 	if r.Progress != nil {
 		opts.Progress = func(p sweep.Progress) {
@@ -160,8 +125,10 @@ func (r *Runner) prefetch(keys []runKey) error {
 				p.Job.WBHTEntries, p.Job.SnarfEntries, p.Done, p.Total))
 		}
 	}
-	results := sweep.Run(context.Background(), jobs, opts)
-	for i, res := range results {
+	// The overrides rewrite a copy: the cache stays keyed by the jobs
+	// the artifacts name.
+	jobs = sweep.OverrideJobs(append([]sweep.Job(nil), fresh...), r.opts.Overrides)
+	for i, res := range sweep.Run(context.Background(), jobs, opts) {
 		if res.Err != nil {
 			return fmt.Errorf("experiments: %w", res.Err)
 		}
@@ -170,72 +137,70 @@ func (r *Runner) prefetch(keys []runKey) error {
 	return nil
 }
 
-// result runs (or recalls) one simulation.
-func (r *Runner) result(k runKey) (*system.Results, error) {
-	if res, ok := r.cache[k]; ok {
-		return res, nil
-	}
-	if err := r.prefetch([]runKey{k}); err != nil {
-		return nil, err
-	}
-	return r.cache[k], nil
+// result recalls a prefetched run.
+func (r *Runner) result(j sweep.Job) *system.Results {
+	return r.cache[r.sized(j)]
 }
 
-// base returns the baseline run for a workload at an outstanding level.
-func (r *Runner) base(workload string, outstanding int) (*system.Results, error) {
-	return r.result(runKey{workload: workload, mech: config.Baseline, outstanding: outstanding})
+// base recalls the prefetched baseline run for a workload at an
+// outstanding level.
+func (r *Runner) base(workload string, outstanding int) *system.Results {
+	return r.result(baseJob(workload, outstanding))
+}
+
+// baseJob is the baseline configuration every improvement figure
+// compares against.
+func baseJob(workload string, outstanding int) sweep.Job {
+	return sweep.Job{Workload: workload, Mechanism: config.Baseline, Outstanding: outstanding}
+}
+
+// artifacts pairs each experiment Run accepts with its renderer, in
+// presentation order.
+var artifacts = []struct {
+	name   string
+	render func(*Runner, io.Writer) error
+}{
+	{"summary", (*Runner).SummaryTable},
+	{"table1", (*Runner).Table1},
+	{"table2", (*Runner).Table2},
+	{"table3", (*Runner).Table3},
+	{"table4", (*Runner).Table4},
+	{"table5", (*Runner).Table5},
+	{"fig2", (*Runner).Figure2},
+	{"fig3", (*Runner).Figure3},
+	{"fig4", (*Runner).Figure4},
+	{"fig5", (*Runner).Figure5},
+	{"fig6", (*Runner).Figure6},
+	{"fig7", (*Runner).Figure7},
+	{"ablation", (*Runner).Ablations},
+	{"policies", (*Runner).Policies},
 }
 
 // Experiment names accepted by Run, in presentation order.
-var Names = []string{
-	"summary",
-	"table1", "table2", "table3", "table4", "table5",
-	"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"ablation",
-	"policies",
-}
+var Names = func() []string {
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
+	}
+	return names
+}()
 
 // Run executes one named experiment (or "all") and writes its artifact
 // to w.
 func (r *Runner) Run(name string, w io.Writer) error {
-	switch name {
-	case "summary":
-		return r.SummaryTable(w)
-	case "table1":
-		return r.Table1(w)
-	case "table2":
-		return r.Table2(w)
-	case "table3":
-		return r.Table3(w)
-	case "table4":
-		return r.Table4(w)
-	case "table5":
-		return r.Table5(w)
-	case "fig2":
-		return r.Figure2(w)
-	case "fig3":
-		return r.Figure3(w)
-	case "fig4":
-		return r.Figure4(w)
-	case "fig5":
-		return r.Figure5(w)
-	case "fig6":
-		return r.Figure6(w)
-	case "fig7":
-		return r.Figure7(w)
-	case "ablation":
-		return r.Ablations(w)
-	case "policies":
-		return r.Policies(w)
-	case "all":
-		for _, n := range Names {
-			if err := r.Run(n, w); err != nil {
+	if name == "all" {
+		for _, a := range artifacts {
+			if err := a.render(r, w); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
 		}
 		return nil
-	default:
-		return fmt.Errorf("experiments: unknown experiment %q (want %v or all)", name, Names)
 	}
+	for _, a := range artifacts {
+		if a.name == name {
+			return a.render(r, w)
+		}
+	}
+	return fmt.Errorf("experiments: unknown experiment %q (want %v or all)", name, Names)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cmpcache/internal/config"
+	"cmpcache/internal/sweep"
 )
 
 // tinyRunner keeps experiment tests fast: short traces, trimmed grids.
@@ -17,14 +18,16 @@ func TestRunnerCachesResults(t *testing.T) {
 	r := tinyRunner()
 	runs := 0
 	r.Progress = func(string) { runs++ }
-	if _, err := r.base("tp", 6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.base("tp", 6); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := r.prefetch([]sweep.Job{baseJob("tp", 6)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if runs != 1 {
-		t.Fatalf("cache miss: %d runs for identical key", runs)
+		t.Fatalf("cache miss: %d runs for identical job", runs)
+	}
+	if r.base("tp", 6) == nil {
+		t.Fatal("prefetched baseline not cached")
 	}
 }
 
@@ -32,36 +35,22 @@ func TestRunnerDistinctKeysRunSeparately(t *testing.T) {
 	r := tinyRunner()
 	runs := 0
 	r.Progress = func(string) { runs++ }
-	keys := []runKey{
-		{workload: "tp", mech: config.Baseline, outstanding: 6},
-		{workload: "tp", mech: config.WBHT, outstanding: 6},
-		{workload: "tp", mech: config.WBHT, outstanding: 6, global: true},
-		{workload: "tp", mech: config.WBHT, outstanding: 6, wbhtEntries: 512},
+	jobs := []sweep.Job{
+		baseJob("tp", 6),
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, GlobalWBHT: true},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: 512},
 	}
-	for _, k := range keys {
-		if _, err := r.result(k); err != nil {
+	for _, j := range jobs {
+		if err := r.prefetch([]sweep.Job{j}); err != nil {
 			t.Fatal(err)
 		}
+		if r.result(j) == nil {
+			t.Fatalf("%v: prefetched run not cached", j)
+		}
 	}
-	if runs != len(keys) {
-		t.Fatalf("runs = %d, want %d", runs, len(keys))
-	}
-}
-
-func TestConfigForVariants(t *testing.T) {
-	r := tinyRunner()
-	cfg := r.configFor(runKey{workload: "tp", mech: config.Snarf, outstanding: 3,
-		snarfEntries: 1024, snarfLRU: true, invalidOnly: true})
-	if cfg.Mechanism != config.Snarf || cfg.MaxOutstanding != 3 {
-		t.Fatalf("cfg = %+v", cfg)
-	}
-	if cfg.Snarf.Entries != 1024 || cfg.Snarf.InsertMRU || cfg.Snarf.VictimizeShared {
-		t.Fatalf("snarf overrides not applied: %+v", cfg.Snarf)
-	}
-	cfg = r.configFor(runKey{workload: "tp", mech: config.WBHT, outstanding: 6,
-		wbhtEntries: 2048, global: true, noSwitch: true})
-	if cfg.WBHT.Entries != 2048 || !cfg.WBHT.GlobalAllocate || cfg.WBHT.SwitchEnabled {
-		t.Fatalf("wbht overrides not applied: %+v", cfg.WBHT)
+	if runs != len(jobs) {
+		t.Fatalf("runs = %d, want %d", runs, len(jobs))
 	}
 }
 
@@ -170,19 +159,19 @@ func TestPrefetchDeduplicatesSharedBaselines(t *testing.T) {
 	r := tinyRunner()
 	runs := 0
 	r.Progress = func(string) { runs++ }
-	keys := []runKey{
-		baseKey("tp", 6),
-		baseKey("tp", 6),
-		{workload: "tp", mech: config.WBHT, outstanding: 6},
+	jobs := []sweep.Job{
+		baseJob("tp", 6),
+		baseJob("tp", 6),
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6},
 	}
-	if err := r.prefetch(keys); err != nil {
+	if err := r.prefetch(jobs); err != nil {
 		t.Fatal(err)
 	}
 	if runs != 2 {
 		t.Fatalf("prefetch ran %d simulations, want 2", runs)
 	}
-	// A second prefetch of the same keys is fully cached.
-	if err := r.prefetch(keys); err != nil {
+	// A second prefetch of the same jobs is fully cached.
+	if err := r.prefetch(jobs); err != nil {
 		t.Fatal(err)
 	}
 	if runs != 2 {
@@ -192,7 +181,7 @@ func TestPrefetchDeduplicatesSharedBaselines(t *testing.T) {
 
 func TestPrefetchReportsBadWorkload(t *testing.T) {
 	r := tinyRunner()
-	if err := r.prefetch([]runKey{{workload: "bogus", mech: config.Baseline, outstanding: 6}}); err == nil {
+	if err := r.prefetch([]sweep.Job{baseJob("bogus", 6)}); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
 }

@@ -6,26 +6,21 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/stats"
+	"cmpcache/internal/sweep"
 	"cmpcache/internal/workload"
 )
-
-// baseKey is the baseline configuration every improvement figure
-// compares against.
-func baseKey(workload string, outstanding int) runKey {
-	return runKey{workload: workload, mech: config.Baseline, outstanding: outstanding}
-}
 
 // sweepImprovement renders one pressure-sweep figure: percentage runtime
 // improvement over the baseline at each outstanding-miss level. All
 // grid points are prefetched through the sweep pool before rendering.
-func (r *Runner) sweepImprovement(w io.Writer, title string, variant func(string, int) runKey) error {
-	var keys []runKey
+func (r *Runner) sweepImprovement(w io.Writer, title string, variant func(string, int) sweep.Job) error {
+	var jobs []sweep.Job
 	for _, name := range Workloads {
 		for _, o := range r.opts.outstanding() {
-			keys = append(keys, baseKey(name, o), variant(name, o))
+			jobs = append(jobs, baseJob(name, o), variant(name, o))
 		}
 	}
-	if err := r.prefetch(keys); err != nil {
+	if err := r.prefetch(jobs); err != nil {
 		return err
 	}
 	headers := []string{"Workload"}
@@ -38,15 +33,7 @@ func (r *Runner) sweepImprovement(w io.Writer, title string, variant func(string
 		cells := []string{workload.PaperName(name)}
 		var series []float64
 		for _, o := range r.opts.outstanding() {
-			base, err := r.base(name, o)
-			if err != nil {
-				return err
-			}
-			res, err := r.result(variant(name, o))
-			if err != nil {
-				return err
-			}
-			imp := stats.Improvement(base.Cycles, res.Cycles)
+			imp := stats.Improvement(r.base(name, o).Cycles, r.result(variant(name, o)).Cycles)
 			series = append(series, imp)
 			cells = append(cells, fmt.Sprintf("%+.2f%%", imp))
 		}
@@ -62,8 +49,8 @@ func (r *Runner) sweepImprovement(w io.Writer, title string, variant func(string
 func (r *Runner) Figure2(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 2 — WBHT runtime improvement vs outstanding misses (paper: rises with pressure to ~5-13%; NotesBench flat; TP negative at 2)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.WBHT, outstanding: o}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: o}
 		})
 }
 
@@ -72,23 +59,23 @@ func (r *Runner) Figure2(w io.Writer) error {
 func (r *Runner) Figure3(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 3 — WBHT with global allocation vs outstanding misses (paper: same trends as Fig 2, small extra gain at high pressure)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.WBHT, outstanding: o, global: true}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: o, GlobalWBHT: true}
 		})
 }
 
 // sizeSweep renders one table-size figure: runtime normalized to the
 // 512-entry configuration at 6 outstanding misses. All grid points are
 // prefetched through the sweep pool before rendering.
-func (r *Runner) sizeSweep(w io.Writer, title string, variant func(string, int) runKey) error {
-	var keys []runKey
+func (r *Runner) sizeSweep(w io.Writer, title string, variant func(string, int) sweep.Job) error {
+	var jobs []sweep.Job
 	for _, name := range Workloads {
-		keys = append(keys, variant(name, 512))
+		jobs = append(jobs, variant(name, 512))
 		for _, entries := range r.opts.tableSizes() {
-			keys = append(keys, variant(name, entries))
+			jobs = append(jobs, variant(name, entries))
 		}
 	}
-	if err := r.prefetch(keys); err != nil {
+	if err := r.prefetch(jobs); err != nil {
 		return err
 	}
 	headers := []string{"Workload"}
@@ -97,18 +84,11 @@ func (r *Runner) sizeSweep(w io.Writer, title string, variant func(string, int) 
 	}
 	t := stats.NewTable(title, headers...)
 	for _, name := range Workloads {
-		baseKey := variant(name, 512)
-		baseRes, err := r.result(baseKey)
-		if err != nil {
-			return err
-		}
+		base := r.result(variant(name, 512))
 		cells := []string{workload.PaperName(name)}
 		for _, entries := range r.opts.tableSizes() {
-			res, err := r.result(variant(name, entries))
-			if err != nil {
-				return err
-			}
-			cells = append(cells, fmt.Sprintf("%.4f", stats.Normalized(baseRes.Cycles, res.Cycles)))
+			res := r.result(variant(name, entries))
+			cells = append(cells, fmt.Sprintf("%.4f", stats.Normalized(base.Cycles, res.Cycles)))
 		}
 		t.AddRow(cells...)
 	}
@@ -121,8 +101,8 @@ func (r *Runner) sizeSweep(w io.Writer, title string, variant func(string, int) 
 func (r *Runner) Figure4(w io.Writer) error {
 	return r.sizeSweep(w,
 		"Figure 4 — runtime vs WBHT entries, normalized to 512 (paper: all improve with size; Trade2 most, to ~0.78)",
-		func(name string, entries int) runKey {
-			return runKey{workload: name, mech: config.WBHT, outstanding: 6, wbhtEntries: entries}
+		func(name string, entries int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: entries}
 		})
 }
 
@@ -131,8 +111,8 @@ func (r *Runner) Figure4(w io.Writer) error {
 func (r *Runner) Figure5(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 5 — L2 snarfing runtime improvement vs outstanding misses (paper: TP largest ~13%; CPW2/NotesBench flat ~2%)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.Snarf, outstanding: o}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: o}
 		})
 }
 
@@ -142,8 +122,8 @@ func (r *Runner) Figure5(w io.Writer) error {
 func (r *Runner) Figure6(w io.Writer) error {
 	return r.sizeSweep(w,
 		"Figure 6 — runtime vs snarf-table entries, normalized to 512 (paper: weak sensitivity; Trade2 up to ~4.5%)",
-		func(name string, entries int) runKey {
-			return runKey{workload: name, mech: config.Snarf, outstanding: 6, snarfEntries: entries}
+		func(name string, entries int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: 6, SnarfEntries: entries}
 		})
 }
 
@@ -153,63 +133,62 @@ func (r *Runner) Figure6(w io.Writer) error {
 func (r *Runner) Figure7(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 7 — combined WBHT+snarfing (16K-entry tables) vs outstanding misses (paper: not additive; TP better than either alone)",
-		func(name string, o int) runKey {
-			return runKey{workload: name, mech: config.Combined, outstanding: o}
+		func(name string, o int) sweep.Job {
+			return sweep.Job{Workload: name, Mechanism: config.Combined, Outstanding: o}
 		})
 }
 
 // Ablations exercises the design choices DESIGN.md calls out beyond the
 // paper's own figures, at 6 outstanding misses.
 func (r *Runner) Ablations(w io.Writer) error {
-	t := stats.NewTable("Ablations (6 outstanding) — runtime improvement over baseline",
-		"Workload", "WBHT", "WBHT no-switch", "Snarf", "Snarf LRU-insert",
-		"Snarf invalid-only", "Combined", "WBHT coarse x4", "WBHT hist-repl")
 	variants := []struct {
 		name string
-		key  func(string) runKey
+		job  func(string) sweep.Job
 	}{
-		{"WBHT", func(n string) runKey { return runKey{workload: n, mech: config.WBHT, outstanding: 6} }},
-		{"WBHT no-switch", func(n string) runKey {
-			return runKey{workload: n, mech: config.WBHT, outstanding: 6, noSwitch: true}
+		{"WBHT", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6} }},
+		{"WBHT no-switch", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, NoSwitch: true}
 		}},
-		{"Snarf", func(n string) runKey { return runKey{workload: n, mech: config.Snarf, outstanding: 6} }},
-		{"Snarf LRU-insert", func(n string) runKey {
-			return runKey{workload: n, mech: config.Snarf, outstanding: 6, snarfLRU: true}
+		{"Snarf", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6} }},
+		{"Snarf LRU-insert", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, SnarfLRU: true}
 		}},
-		{"Snarf invalid-only", func(n string) runKey {
-			return runKey{workload: n, mech: config.Snarf, outstanding: 6, invalidOnly: true}
+		{"Snarf invalid-only", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, InvalidOnly: true}
 		}},
-		{"Combined", func(n string) runKey { return runKey{workload: n, mech: config.Combined, outstanding: 6} }},
-		{"WBHT coarse x4", func(n string) runKey {
-			return runKey{workload: n, mech: config.WBHT, outstanding: 6, coarse: 4}
+		{"Combined", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.Combined, Outstanding: 6} }},
+		{"WBHT coarse x4", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, LinesPerEntry: 4}
 		}},
-		{"WBHT hist-repl", func(n string) runKey {
-			return runKey{workload: n, mech: config.WBHT, outstanding: 6, historyRepl: true}
+		{"WBHT hist-repl", func(n string) sweep.Job {
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, HistoryRepl: true}
 		}},
 	}
-	var keys []runKey
+	// The low-pressure pair: the adaptive WBHT and one forced on.
+	adaptive := func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 1} }
+	forced := func(n string) sweep.Job {
+		return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 1, NoSwitch: true}
+	}
+	var jobs []sweep.Job
 	for _, name := range Workloads {
-		keys = append(keys, baseKey(name, 6), baseKey(name, 1),
-			runKey{workload: name, mech: config.WBHT, outstanding: 1},
-			runKey{workload: name, mech: config.WBHT, outstanding: 1, noSwitch: true})
+		jobs = append(jobs, baseJob(name, 6), baseJob(name, 1), adaptive(name), forced(name))
 		for _, v := range variants {
-			keys = append(keys, v.key(name))
+			jobs = append(jobs, v.job(name))
 		}
 	}
-	if err := r.prefetch(keys); err != nil {
+	if err := r.prefetch(jobs); err != nil {
 		return err
 	}
+	headers := []string{"Workload"}
+	for _, v := range variants {
+		headers = append(headers, v.name)
+	}
+	t := stats.NewTable("Ablations (6 outstanding) — runtime improvement over baseline", headers...)
 	for _, name := range Workloads {
-		base, err := r.base(name, 6)
-		if err != nil {
-			return err
-		}
+		base := r.base(name, 6)
 		cells := []string{workload.PaperName(name)}
 		for _, v := range variants {
-			res, err := r.result(v.key(name))
-			if err != nil {
-				return err
-			}
+			res := r.result(v.job(name))
 			cells = append(cells, fmt.Sprintf("%+.2f%%", stats.Improvement(base.Cycles, res.Cycles)))
 		}
 		t.AddRow(cells...)
@@ -224,42 +203,24 @@ func (r *Runner) Ablations(w io.Writer) error {
 	t2 := stats.NewTable("Ablation — retry switch at low pressure (1 outstanding): improvement over baseline",
 		"Workload", "WBHT adaptive", "WBHT forced on")
 	for _, name := range Workloads {
-		base, err := r.base(name, 1)
-		if err != nil {
-			return err
-		}
-		adaptive, err := r.result(runKey{workload: name, mech: config.WBHT, outstanding: 1})
-		if err != nil {
-			return err
-		}
-		forced, err := r.result(runKey{workload: name, mech: config.WBHT, outstanding: 1, noSwitch: true})
-		if err != nil {
-			return err
-		}
+		base := r.base(name, 1)
 		t2.AddRowf(workload.PaperName(name),
-			fmt.Sprintf("%+.2f%%", stats.Improvement(base.Cycles, adaptive.Cycles)),
-			fmt.Sprintf("%+.2f%%", stats.Improvement(base.Cycles, forced.Cycles)))
+			fmt.Sprintf("%+.2f%%", stats.Improvement(base.Cycles, r.result(adaptive(name)).Cycles)),
+			fmt.Sprintf("%+.2f%%", stats.Improvement(base.Cycles, r.result(forced(name)).Cycles)))
 	}
 	return r.render(w, t2)
 }
 
-// Summary returns a compact per-workload baseline characterization used
-// by cmpbench's header output.
+// SummaryTable renders a compact per-workload baseline characterization
+// used by cmpbench's header output.
 func (r *Runner) SummaryTable(w io.Writer) error {
-	var keys []runKey
-	for _, name := range Workloads {
-		keys = append(keys, baseKey(name, 6))
-	}
-	if err := r.prefetch(keys); err != nil {
+	if err := r.prefetchBaselines(6); err != nil {
 		return err
 	}
 	t := stats.NewTable("Baseline characterization (6 outstanding)",
 		"Workload", "Cycles", "L2 hit %", "L3 load hit %", "Already-in-L3 %", "WB requests", "L3 retries")
 	for _, name := range Workloads {
-		res, err := r.base(name, 6)
-		if err != nil {
-			return err
-		}
+		res := r.base(name, 6)
 		t.AddRowf(workload.PaperName(name), res.Cycles,
 			100*res.L2HitRate(), 100*res.L3LoadHitRate(),
 			res.PctCleanWBAlreadyInL3(), res.WBRequests, res.L3RetriesIssued)

@@ -5,6 +5,7 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/stats"
+	"cmpcache/internal/sweep"
 	"cmpcache/internal/workload"
 )
 
@@ -23,13 +24,13 @@ var policyMechs = []config.Mechanism{
 // are judged against the paper by Tables 4/5 and Figures 2..7; this
 // artifact ranks the plug-ins against each other on equal traces.
 func (r *Runner) Policies(w io.Writer) error {
-	var keys []runKey
+	var jobs []sweep.Job
 	for _, name := range Workloads {
 		for _, m := range policyMechs {
-			keys = append(keys, runKey{workload: name, mech: m, outstanding: 6})
+			jobs = append(jobs, sweep.Job{Workload: name, Mechanism: m, Outstanding: 6})
 		}
 	}
-	if err := r.prefetch(keys); err != nil {
+	if err := r.prefetch(jobs); err != nil {
 		return err
 	}
 
@@ -37,15 +38,9 @@ func (r *Runner) Policies(w io.Writer) error {
 		"Workload", "Policy", "Cycles", "Improvement %", "Off-chip accesses",
 		"Off-chip reduction %", "L2 WB requests", "WB reduction %")
 	for _, name := range Workloads {
-		base, err := r.base(name, 6)
-		if err != nil {
-			return err
-		}
+		base := r.base(name, 6)
 		for i, m := range policyMechs {
-			res, err := r.result(runKey{workload: name, mech: m, outstanding: 6})
-			if err != nil {
-				return err
-			}
+			res := r.result(sweep.Job{Workload: name, Mechanism: m, Outstanding: 6})
 			label := workload.PaperName(name)
 			if i > 0 {
 				label = ""
@@ -69,10 +64,7 @@ func (r *Runner) Policies(w io.Writer) error {
 		"Workload", "Evictions", "Samples", "Consults", "Cold passes",
 		"Aborts", "Aborts w/ line in L3")
 	for _, name := range Workloads {
-		res, err := r.result(runKey{workload: name, mech: config.ReuseDist, outstanding: 6})
-		if err != nil {
-			return err
-		}
+		res := r.result(sweep.Job{Workload: name, Mechanism: config.ReuseDist, Outstanding: 6})
 		p := res.Policy
 		rd.AddRowf(workload.PaperName(name), p.SketchEvictions, p.SketchSamples,
 			p.PredictConsults, p.PredictCold, p.PredictAborts, p.AbortsLineInL3)
@@ -88,10 +80,7 @@ func (r *Runner) Policies(w io.Writer) error {
 		"Workload", "Scored reads", "Update pushes", "Invalidate upgrades",
 		"Update share %", "Upgrades committed as updates")
 	for _, name := range Workloads {
-		res, err := r.result(runKey{workload: name, mech: config.HybridUI, outstanding: 6})
-		if err != nil {
-			return err
-		}
+		res := r.result(sweep.Job{Workload: name, Mechanism: config.HybridUI, Outstanding: 6})
 		p := res.Policy
 		share := 0.0
 		if total := p.UpdatePushes + p.InvalidateUpgrades; total > 0 {

@@ -6,6 +6,7 @@ import (
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/stats"
+	"cmpcache/internal/sweep"
 	"cmpcache/internal/system"
 	"cmpcache/internal/workload"
 )
@@ -73,10 +74,7 @@ func (r *Runner) Table1(w io.Writer) error {
 	t := stats.NewTable("Table 1 — Clean L2 write backs already present in the L3 (baseline, 6 outstanding)",
 		"Workload", "Paper %", "Measured %", "Clean WBs snooped")
 	for _, name := range Workloads {
-		res, err := r.base(name, 6)
-		if err != nil {
-			return err
-		}
+		res := r.base(name, 6)
 		t.AddRowf(workload.PaperName(name), paperTable1[name],
 			res.PctCleanWBAlreadyInL3(), res.L3CleanWBSnooped)
 	}
@@ -93,10 +91,7 @@ func (r *Runner) Table2(w io.Writer) error {
 		"Workload", "Paper % total", "Measured % total",
 		"Paper % accepted", "Measured % accepted", "Max rerefs/line")
 	for _, name := range Workloads {
-		res, err := r.base(name, 6)
-		if err != nil {
-			return err
-		}
+		res := r.base(name, 6)
 		t.AddRowf(workload.PaperName(name),
 			paperTable2Total[name], res.Reuse.PctTotalReused(),
 			paperTable2Accepted[name], res.Reuse.PctAcceptedReused(),
@@ -136,14 +131,8 @@ func (r *Runner) Table4(w io.Writer) error {
 		"Workload", "Config", "WBHT correct % (paper)", "WBHT correct %",
 		"L3 load hit % (paper)", "L3 load hit %", "L2 WB requests", "L3 retries")
 	for _, name := range Workloads {
-		base, err := r.base(name, 6)
-		if err != nil {
-			return err
-		}
-		wbht, err := r.result(runKey{workload: name, mech: config.WBHT, outstanding: 6})
-		if err != nil {
-			return err
-		}
+		base := r.base(name, 6)
+		wbht := r.result(sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 6})
 		t.AddRowf(workload.PaperName(name), "base", "N/A", "N/A",
 			paperTable4L3HitBase[name], 100*base.L3LoadHitRate(),
 			base.WBRequests, base.L3RetriesIssued)
@@ -163,53 +152,47 @@ func (r *Runner) Table5(w io.Writer) error {
 	type row struct {
 		metric string
 		paper  map[string]float64
-		value  func(base, snarf *resultsPair) float64
+		value  func(p resultsPair) float64
 	}
 	if err := r.prefetchPairs(config.Snarf, 6); err != nil {
 		return err
 	}
-	measured := map[string]*resultsPair{}
+	measured := map[string]resultsPair{}
 	for _, name := range Workloads {
-		base, err := r.base(name, 6)
-		if err != nil {
-			return err
+		measured[name] = resultsPair{
+			base:  r.base(name, 6),
+			snarf: r.result(sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: 6}),
 		}
-		snarf, err := r.result(runKey{workload: name, mech: config.Snarf, outstanding: 6})
-		if err != nil {
-			return err
-		}
-		measured[name] = &resultsPair{base: base, snarf: snarf}
 	}
 	rows := []row{
-		{"Performance improvement %", paperTable5Improvement, func(_, p *resultsPair) float64 {
+		{"Performance improvement %", paperTable5Improvement, func(p resultsPair) float64 {
 			return stats.Improvement(p.base.Cycles, p.snarf.Cycles)
 		}},
-		{"Reduction in off-chip accesses %", paperTable5OffChip, func(_, p *resultsPair) float64 {
+		{"Reduction in off-chip accesses %", paperTable5OffChip, func(p resultsPair) float64 {
 			return stats.Reduction(p.base.OffChipAccesses(), p.snarf.OffChipAccesses())
 		}},
-		{"Write backs snarfed %", paperTable5Snarfed, func(_, p *resultsPair) float64 {
+		{"Write backs snarfed %", paperTable5Snarfed, func(p resultsPair) float64 {
 			return p.snarf.PctWBSnarfed()
 		}},
-		{"Snarfed lines used locally %", paperTable5UsedLocally, func(_, p *resultsPair) float64 {
+		{"Snarfed lines used locally %", paperTable5UsedLocally, func(p resultsPair) float64 {
 			return p.snarf.PctSnarfedUsedLocally()
 		}},
-		{"Snarfed lines for interventions %", paperTable5Interventions, func(_, p *resultsPair) float64 {
+		{"Snarfed lines for interventions %", paperTable5Interventions, func(p resultsPair) float64 {
 			return p.snarf.PctSnarfedInterventions()
 		}},
 		{"Increase in local L2 hit rate (pts)", map[string]float64{
 			"cpw2": 0.4, "notesbench": 1.2, "tp": 0.3, "trade2": 3.7,
-		}, func(_, p *resultsPair) float64 {
+		}, func(p resultsPair) float64 {
 			return 100 * (p.snarf.L2HitRate() - p.base.L2HitRate())
 		}},
-		{"L3-issued retry reduction %", paperTable5RetryReduction, func(_, p *resultsPair) float64 {
+		{"L3-issued retry reduction %", paperTable5RetryReduction, func(p resultsPair) float64 {
 			return stats.Reduction(p.base.L3RetriesIssued, p.snarf.L3RetriesIssued)
 		}},
 	}
 	for _, rw := range rows {
 		cells := []string{rw.metric}
 		for _, name := range Workloads {
-			p := measured[name]
-			cells = append(cells, fmt.Sprintf("%.1f / %.1f", rw.paper[name], rw.value(p, p)))
+			cells = append(cells, fmt.Sprintf("%.1f / %.1f", rw.paper[name], rw.value(measured[name])))
 		}
 		t.AddRow(cells...)
 	}
@@ -224,20 +207,20 @@ type resultsPair struct {
 // prefetchBaselines warms the cache with every workload's baseline run
 // at the given outstanding level.
 func (r *Runner) prefetchBaselines(outstanding int) error {
-	var keys []runKey
+	var jobs []sweep.Job
 	for _, name := range Workloads {
-		keys = append(keys, baseKey(name, outstanding))
+		jobs = append(jobs, baseJob(name, outstanding))
 	}
-	return r.prefetch(keys)
+	return r.prefetch(jobs)
 }
 
 // prefetchPairs warms the cache with (baseline, mech) pairs for every
 // workload at the given outstanding level.
 func (r *Runner) prefetchPairs(mech config.Mechanism, outstanding int) error {
-	var keys []runKey
+	var jobs []sweep.Job
 	for _, name := range Workloads {
-		keys = append(keys, baseKey(name, outstanding),
-			runKey{workload: name, mech: mech, outstanding: outstanding})
+		jobs = append(jobs, baseJob(name, outstanding),
+			sweep.Job{Workload: name, Mechanism: mech, Outstanding: outstanding})
 	}
-	return r.prefetch(keys)
+	return r.prefetch(jobs)
 }

@@ -1,7 +1,8 @@
 // Package serve is the simulation-as-a-service layer: a long-running
 // HTTP daemon (cmd/cmpserved) that accepts single configurations or
-// whole sweep grids, executes them on the internal/sweep pool, and
-// memoizes every result in a two-level content-addressed cache.
+// whole sweep grids, executes them on its own bounded worker pool, each
+// run through one shared sweep.Simulator, and memoizes every result in
+// a two-level content-addressed cache.
 //
 // Because the simulator is bit-deterministic — the same (config,
 // workload, seed) always produces the identical result bytes — caching

@@ -8,8 +8,6 @@ import (
 	"net/http/pprof"
 
 	"cmpcache/internal/sweep"
-	"cmpcache/internal/trace"
-	"cmpcache/internal/workload"
 )
 
 // SubmitRequest is the POST /v1/jobs body: either an explicit job list
@@ -32,24 +30,13 @@ type SubmitRequest struct {
 	Refs        int      `json:"refs,omitempty"`
 }
 
-// expand materializes the request into concrete jobs.
+// expand materializes the request into concrete jobs. An explicit job's
+// workload or trace is checked later, when SubmitOrigin keys it.
 func (r *SubmitRequest) expand() ([]sweep.Job, error) {
 	if len(r.Jobs) > 0 {
 		for _, j := range r.Jobs {
 			if j.RefsPerThread < 0 {
 				return nil, fmt.Errorf("job RefsPerThread = %d, must be >= 0", j.RefsPerThread)
-			}
-			if j.TraceFile != "" {
-				if j.Workload != "" {
-					return nil, fmt.Errorf("job sets both TraceFile %q and Workload %q", j.TraceFile, j.Workload)
-				}
-				if _, err := trace.Describe(j.TraceFile); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if _, err := workload.ByName(j.Workload); err != nil {
-				return nil, err
 			}
 		}
 		return r.Jobs, nil

@@ -40,15 +40,13 @@ type Event func()
 type Handler func(d EventData)
 
 // EventData is the payload carried by a scheduled event. The fields are
-// generic slots — a component pointer, a cache-line key, an auxiliary
-// integer, a discriminator and a flag — that cover every scheduling site
-// in the simulator without per-event heap state. Ptr holds pointer-shaped
-// values (pointers, funcs, maps); storing those in an interface does not
-// allocate.
+// generic slots — a component pointer, a cache-line key, a discriminator
+// and a flag — that cover every scheduling site in the simulator without
+// per-event heap state. Ptr holds pointer-shaped values (pointers, funcs,
+// maps); storing those in an interface does not allocate.
 type EventData struct {
 	Ptr  any
 	Key  uint64
-	Aux  int64
 	Kind int8
 	Flag bool
 }
@@ -110,9 +108,8 @@ func runClosure(d EventData) { d.Ptr.(Event)() }
 // was still at least wheelSlots away, so before any wheel event of that
 // cycle, which keeps the firing order (time, scheduling order) exactly.
 type Engine struct {
-	now     Time
-	stopped bool
-	fired   uint64
+	now   Time
+	fired uint64
 
 	// The wheel. slots[s] is the tail node index of slot s's circle (0:
 	// empty; nodes[0] is a sentinel, so the zero Engine is ready to
@@ -256,16 +253,6 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// Stop makes the current Run, RunUntil or Step-driven loop observe the
-// stop after the currently executing event's handler returns. Calling
-// it from inside an event handler is the intended use (a watchdog or
-// deadline event halting its own run); calling it between runs is a
-// no-op because Run and RunUntil both clear the flag on entry. Stop
-// never discards events: everything still pending (including events the
-// stopping handler itself scheduled) remains queued and a subsequent
-// Run/RunUntil resumes exactly where the stopped one left off.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single earliest pending event and reports whether one
 // was available.
 func (e *Engine) Step() bool {
@@ -335,11 +322,10 @@ func (e *Engine) scan(from Time) Time {
 	panic("sim: wheel occupancy lost") // unreachable: nearLen > 0
 }
 
-// Run executes events until none remain or Stop is called. It returns the
-// final simulation time.
+// Run executes events until none remain. It returns the final
+// simulation time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 	return e.now
 }
@@ -348,8 +334,7 @@ func (e *Engine) Run() Time {
 // scheduled beyond the deadline remain pending. It returns the final
 // simulation time, which never exceeds deadline.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		if e.nearFirst(deadline) {
 			e.fireNear()
 		} else if e.NextTime() <= deadline {

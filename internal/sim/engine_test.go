@@ -107,26 +107,6 @@ func TestEngineNilEventPanics(t *testing.T) {
 	e.At(1, nil)
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("events after Stop: count = %d, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("Pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -182,12 +162,12 @@ func TestEngineHandlerForm(t *testing.T) {
 	var got []EventData
 	h := func(d EventData) { got = append(got, d) }
 	e.ScheduleCall(4, h, EventData{Key: 2})
-	e.AtCall(1, h, EventData{Key: 1, Kind: 7, Flag: true, Aux: -3})
+	e.AtCall(1, h, EventData{Key: 1, Kind: 7, Flag: true})
 	e.Run()
 	if len(got) != 2 || got[0].Key != 1 || got[1].Key != 2 {
 		t.Fatalf("handler events = %+v, want Key order [1 2]", got)
 	}
-	if d := got[0]; d.Kind != 7 || !d.Flag || d.Aux != -3 {
+	if d := got[0]; d.Kind != 7 || !d.Flag {
 		t.Fatalf("EventData payload not preserved: %+v", d)
 	}
 	if e.Fired() != 2 {
@@ -207,13 +187,13 @@ func TestEngineNilHandlerPanics(t *testing.T) {
 
 func TestEngineGrow(t *testing.T) {
 	e := NewEngine()
-	var sum int64
-	h := func(d EventData) { sum += d.Aux }
-	e.ScheduleCall(3, h, EventData{Aux: 1})
+	var sum uint64
+	h := func(d EventData) { sum += d.Key }
+	e.ScheduleCall(3, h, EventData{Key: 1})
 	e.Grow(4096)
-	e.ScheduleCall(1, h, EventData{Aux: 2})
+	e.ScheduleCall(1, h, EventData{Key: 2})
 	for i := 0; i < 100; i++ {
-		e.ScheduleCall(Time(i%10), h, EventData{Aux: 10})
+		e.ScheduleCall(Time(i%10), h, EventData{Key: 10})
 	}
 	e.Run()
 	if sum != 1003 {
@@ -249,15 +229,14 @@ func (h *refQueue) popMin() refEvent { return heap.Pop(h).(refEvent) }
 func (h *refQueue) add(ev refEvent)  { heap.Push(h, ev) }
 
 // refEngine runs refQueue with the engine's clock contract — Step, Run,
-// RunUntil, AdvanceTo and Stop — so a test can drive it call for call
-// beside the engine.
+// RunUntil and AdvanceTo — so a test can drive it call for call beside
+// the engine.
 type refEngine struct {
-	q       refQueue
-	now     Time
-	seq     uint64
-	fired   uint64
-	stopped bool
-	fire    func(id int)
+	q     refQueue
+	now   Time
+	seq   uint64
+	fired uint64
+	fire  func(id int)
 }
 
 func (r *refEngine) at(t Time, id int) {
@@ -284,14 +263,12 @@ func (r *refEngine) step() bool {
 }
 
 func (r *refEngine) run() {
-	r.stopped = false
-	for !r.stopped && r.step() {
+	for r.step() {
 	}
 }
 
 func (r *refEngine) runUntil(deadline Time) {
-	r.stopped = false
-	for !r.stopped && r.nextTime() <= deadline {
+	for r.nextTime() <= deadline {
 		r.step()
 	}
 }
@@ -321,16 +298,13 @@ func refChildren(id int) []Time {
 	return nil
 }
 
-// refStops reports whether event id stops the run that fires it.
-func refStops(id int) bool { return id%17 == 5 }
-
 // TestEngineMatchesReferenceQueue drives the engine and the reference
 // queue with identical randomized schedules — events that schedule
 // further events, root delays across three horizons, child delays of
 // horizon-1, horizon and horizon+1, and events aimed at the very cycle
 // of an event scheduled a horizon or more earlier — while RunUntil,
-// AdvanceTo, Step and handler-issued Stop interleave on both. After
-// every call the clocks, Pending, NextTime and Fired must agree, and the
+// AdvanceTo and Step interleave on both. After every call the clocks,
+// Pending, NextTime and Fired must agree, and the
 // two firing logs must be identical. This is the bit-exact determinism
 // contract every experiment golden rests on: events fire in (time,
 // scheduling order), so same-cycle events fire in FIFO scheduling order.
@@ -356,18 +330,12 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 				e.ScheduleCall(delay, h, EventData{Key: uint64(eNext)})
 				eNext++
 			}
-			if refStops(id) {
-				e.Stop()
-			}
 		}
 		ref.fire = func(id int) {
 			rLog = append(rLog, firing{id, ref.now})
 			for _, delay := range refChildren(id) {
 				ref.at(ref.now+delay, rNext)
 				rNext++
-			}
-			if refStops(id) {
-				ref.stopped = true
 			}
 		}
 		both := func(at Time) {
@@ -440,13 +408,8 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 			}
 			check(step)
 		}
-		// Handler-issued Stops cut runs short; resume until both drain.
-		for e.Pending() > 0 {
-			e.Run()
-		}
-		for len(ref.q) > 0 {
-			ref.run()
-		}
+		e.Run()
+		ref.run()
 		check("drain")
 
 		if len(eLog) != len(rLog) {
@@ -546,65 +509,6 @@ func TestEngineDeepQueueAllocationFree(t *testing.T) {
 	}
 	if e.Pending() != 1000 {
 		t.Fatalf("Pending = %d, want the standing 1000", e.Pending())
-	}
-}
-
-// TestEngineStopInsideHandlerResumes pins the documented Stop contract
-// end to end: a handler stopping its own run discards nothing — not
-// even events it scheduled itself — and the next Run resumes exactly
-// where the stopped one left off, because Run clears the flag on entry
-// (so a stale Stop between runs is a no-op).
-func TestEngineStopInsideHandlerResumes(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.Schedule(5, func() {
-		fired = append(fired, e.Now())
-		// Schedule more work, then halt: both the pre-existing event at
-		// 10 and this fresh one at 7 must survive the stop.
-		e.Schedule(2, func() { fired = append(fired, e.Now()) })
-		e.Stop()
-	})
-	e.Schedule(10, func() { fired = append(fired, e.Now()) })
-
-	if at := e.Run(); at != 5 {
-		t.Fatalf("stopped Run returned time %d, want 5", at)
-	}
-	if len(fired) != 1 || e.Pending() != 2 {
-		t.Fatalf("after stop: fired %v, pending %d; want [5] and 2 queued", fired, e.Pending())
-	}
-	if nt := e.NextTime(); nt != 7 {
-		t.Fatalf("NextTime after stop = %d, want 7 (handler's own event kept)", nt)
-	}
-
-	e.Stop() // between runs: must be a no-op, Run clears it on entry
-	e.Run()
-	want := []Time{5, 7, 10}
-	if len(fired) != 3 || fired[1] != want[1] || fired[2] != want[2] {
-		t.Fatalf("resumed run fired %v, want %v", fired, want)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after full drain, want 0", e.Pending())
-	}
-	if nt := e.NextTime(); nt != Forever {
-		t.Fatalf("NextTime on empty wheel = %d, want Forever", nt)
-	}
-}
-
-// TestEngineStopInsideRunUntil: the same contract under a deadline.
-func TestEngineStopInsideRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(3, func() { count++; e.Stop() })
-	e.Schedule(4, func() { count++ })
-	e.Schedule(9, func() { count++ })
-	if at := e.RunUntil(6); at != 3 {
-		t.Fatalf("stopped RunUntil returned %d, want 3", at)
-	}
-	if count != 1 || e.Pending() != 2 {
-		t.Fatalf("after stop: count %d pending %d, want 1 and 2", count, e.Pending())
-	}
-	if at := e.RunUntil(6); at != 4 || count != 2 {
-		t.Fatalf("resume ran to %d with count %d, want 4 and 2 (event at 9 past deadline)", at, count)
 	}
 }
 

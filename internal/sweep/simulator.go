@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"cmpcache/internal/config"
@@ -16,7 +17,8 @@ import (
 // Simulator is the default job executor: it builds (and caches) each
 // job's trace source and runs the job's configuration over it. It is
 // safe for concurrent use. A synthetic workload is generated and split
-// per thread once per (workload, length); a trace file is opened once
+// per thread once per (workload, length), and at most
+// maxSyntheticSources of them stay cached; a trace file is opened once
 // per content version. Sources are shared across concurrent runs: the
 // simulator only reads them, each run takes its own per-thread streams,
 // and the sharded reader serves them with positioned reads.
@@ -43,7 +45,16 @@ type Simulator struct {
 
 	mu      sync.Mutex
 	sources map[sourceKey]*sourceEntry
+	// synthetic lists the cached synthetic keys, least recently used
+	// first.
+	synthetic []sourceKey
 }
+
+// maxSyntheticSources bounds the cached synthetic sources: one per
+// built-in workload, so a grid over every workload at one length (the
+// experiment harness's) generates each trace once, while a long-lived
+// daemon asked for many lengths keeps only the latest few resident.
+const maxSyntheticSources = 4
 
 // sourceKey identifies a cached source: a trace file by path AND
 // content hash (a file edited in place between jobs is reopened, never
@@ -87,6 +98,9 @@ func (s *Simulator) source(ctx context.Context, j Job) (trace.Source, error) {
 		e = &sourceEntry{ready: make(chan struct{})}
 		s.sources[key] = e
 	}
+	if key.path == "" {
+		s.touchSynthetic(key)
+	}
 	s.mu.Unlock()
 	if !ok {
 		opens.Inc()
@@ -100,6 +114,21 @@ func (s *Simulator) source(ctx context.Context, j Job) (trace.Source, error) {
 		return e.src, e.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// touchSynthetic marks a synthetic key most recently used and drops the
+// least recently used synthetic source past the bound. A run still
+// replaying a dropped source keeps it alive through its own reference.
+// The caller holds s.mu.
+func (s *Simulator) touchSynthetic(key sourceKey) {
+	if i := slices.Index(s.synthetic, key); i >= 0 {
+		s.synthetic = slices.Delete(s.synthetic, i, i+1)
+	}
+	s.synthetic = append(s.synthetic, key)
+	if len(s.synthetic) > maxSyntheticSources {
+		delete(s.sources, s.synthetic[0])
+		s.synthetic = slices.Delete(s.synthetic, 0, 1)
 	}
 }
 

@@ -36,9 +36,9 @@ import (
 	"cmpcache/internal/txlat"
 )
 
-// Job identifies one simulation configuration, keyed the same way the
-// experiment harness keys its run cache. The zero value of every
-// override field means "paper default". Within a sweep, jobs are
+// Job identifies one simulation configuration; the experiment harness
+// caches its runs by Job itself. The zero value of every override field
+// means "paper default". Within a sweep, jobs are
 // deduplicated by their canonical content hash (Key), so two jobs that
 // materialize to the same (config, workload, seed) — even spelled
 // differently, e.g. a defaulted field vs. its explicit paper value —

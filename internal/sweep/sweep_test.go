@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/system"
+	"cmpcache/internal/trace"
+	"cmpcache/internal/workload"
 )
 
 // stubRun returns a deterministic fake result derived from the job, so
@@ -296,6 +299,67 @@ func TestSimulatorRejectsBadJob(t *testing.T) {
 	bad := Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: 1000}
 	if _, err := sim.Run(context.Background(), bad); err == nil {
 		t.Fatal("invalid table geometry accepted")
+	}
+}
+
+// TestSimulatorBoundsSyntheticSources requests more synthetic lengths
+// than the source cache keeps: the cache stays within its bound, a
+// repeated length is served without regenerating its source, and the
+// least recently used length is the one dropped.
+func TestSimulatorBoundsSyntheticSources(t *testing.T) {
+	if maxSyntheticSources < len(workload.Names()) {
+		t.Fatalf("bound %d cannot hold one source per built-in workload (%d)",
+			maxSyntheticSources, len(workload.Names()))
+	}
+	sim := NewSimulator()
+	get := func(refs int) trace.Source {
+		t.Helper()
+		src, err := sim.source(context.Background(), Job{Workload: "tp", RefsPerThread: refs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(sim.sources); n > maxSyntheticSources {
+			t.Fatalf("cache holds %d sources, bound %d", n, maxSyntheticSources)
+		}
+		return src
+	}
+	const first = 100
+	srcs := make([]trace.Source, maxSyntheticSources)
+	for i := range srcs {
+		srcs[i] = get(first + i)
+	}
+	if get(first) != srcs[0] { // now the most recently used
+		t.Fatal("cached length regenerated")
+	}
+	latest := get(first + maxSyntheticSources) // drops first+1
+	if get(first+maxSyntheticSources) != latest {
+		t.Fatal("latest length regenerated")
+	}
+	if get(first) != srcs[0] {
+		t.Fatal("recently used length dropped")
+	}
+	if get(first+1) == srcs[1] {
+		t.Fatal("least recently used length still cached")
+	}
+
+	// Concurrent callers cycling through twice the bound (run under
+	// -race) leave the cache within it too.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2*maxSyntheticSources; i++ {
+				refs := first + (g+i)%(2*maxSyntheticSources)
+				if _, err := sim.source(context.Background(), Job{Workload: "tp", RefsPerThread: refs}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(sim.sources); n > maxSyntheticSources {
+		t.Fatalf("cache holds %d sources after concurrent use, bound %d", n, maxSyntheticSources)
 	}
 }
 

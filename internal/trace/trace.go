@@ -54,12 +54,13 @@ func ParseOp(s string) (Op, error) {
 
 // Record is one memory reference. Gap is the number of compute cycles
 // separating this reference from the thread's previous one — it encodes
-// per-thread issue density and therefore memory pressure.
+// per-thread issue density and therefore memory pressure. The fields
+// run from widest to narrowest, so a record packs into 16 bytes.
 type Record struct {
-	Thread uint16
-	Op     Op
 	Addr   uint64
 	Gap    uint32
+	Thread uint16
+	Op     Op
 }
 
 // Trace is a complete workload: an interleaving-free set of per-thread
