@@ -14,7 +14,7 @@ import (
 // per-line tables to the trace. A rise means a hot path started
 // allocating (or a detached observation hook stopped being free); a
 // fall is welcome — lower the constant.
-const detachedRunAllocs = 695
+const detachedRunAllocs = 638
 
 // TestDetachedRunAllocs pins detachedRunAllocs. testing.AllocsPerRun
 // runs at GOMAXPROCS(1), so runtime background work does not leak into

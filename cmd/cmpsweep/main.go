@@ -227,7 +227,7 @@ func printTable(w io.Writer, results []sweep.Result, elapsed time.Duration) erro
 	baselines := make(map[pair]uint64)
 	for _, r := range results {
 		if r.Job.Mechanism == config.Baseline && r.Err == nil {
-			baselines[pair{jobWorkload(r.Job), r.Job.Outstanding}] = r.Results.Cycles
+			baselines[pair{r.Job.Input(), r.Job.Outstanding}] = r.Results.Cycles
 		}
 	}
 	t := stats.NewTable(
@@ -235,19 +235,19 @@ func printTable(w io.Writer, results []sweep.Result, elapsed time.Duration) erro
 		"Workload", "Mechanism", "Out", "WBHT", "Snarf", "Cycles", "vs base", "L2 hit %", "L3 load hit %", "Wall")
 	for _, r := range results {
 		if r.Err != nil {
-			t.AddRowf(jobWorkload(r.Job), r.Job.Mechanism, r.Job.Outstanding,
+			t.AddRowf(r.Job.Input(), r.Job.Mechanism, r.Job.Outstanding,
 				r.Job.WBHTEntries, r.Job.SnarfEntries, "error: "+r.Err.Error(), "", "", "", "")
 			continue
 		}
 		improvement := ""
-		if base, ok := baselines[pair{jobWorkload(r.Job), r.Job.Outstanding}]; ok && r.Job.Mechanism != config.Baseline {
+		if base, ok := baselines[pair{r.Job.Input(), r.Job.Outstanding}]; ok && r.Job.Mechanism != config.Baseline {
 			improvement = fmt.Sprintf("%+.2f%%", stats.Improvement(base, r.Results.Cycles))
 		}
 		wall := fmt.Sprintf("%.2fs", r.Duration.Seconds())
 		if r.Cached {
 			wall = "cached"
 		}
-		t.AddRowf(jobWorkload(r.Job), r.Job.Mechanism, r.Job.Outstanding,
+		t.AddRowf(r.Job.Input(), r.Job.Mechanism, r.Job.Outstanding,
 			r.Job.WBHTEntries, r.Job.SnarfEntries, r.Results.Cycles, improvement,
 			fmt.Sprintf("%.2f", 100*r.Results.L2HitRate()),
 			fmt.Sprintf("%.2f", 100*r.Results.L3LoadHitRate()), wall)
@@ -289,7 +289,7 @@ func writeLatencyDir(dir string, results []sweep.Result) error {
 			continue
 		}
 		run := txlat.RunLatency{
-			Workload:    jobWorkload(r.Job),
+			Workload:    r.Job.Input(),
 			Mechanism:   r.Job.Mechanism.String(),
 			Outstanding: r.Job.Config().MaxOutstanding,
 			Cycles:      r.Results.Cycles,
@@ -352,15 +352,6 @@ func writeTelemetry(path string, reg *telemetry.Registry) error {
 		return err
 	}
 	return f.Close()
-}
-
-// jobWorkload renders the job's workload column: the synthetic
-// workload name, or the trace input's base name for replay jobs.
-func jobWorkload(j sweep.Job) string {
-	if j.TraceFile != "" {
-		return "trace:" + filepath.Base(j.TraceFile)
-	}
-	return j.Workload
 }
 
 // jobSlug renders a job as a filesystem-safe file stem.

@@ -22,10 +22,11 @@ import (
 	"cmpcache/internal/trace"
 )
 
-// IssueFunc submits one reference to the memory hierarchy. key is the
-// line address (byte address pre-shifted by the line size); done must be
-// called exactly once, at the simulation time the access completes.
-type IssueFunc func(op trace.Op, key uint64, done func(config.Cycles))
+// IssueFunc submits one reference from the given chip thread to the
+// memory hierarchy. key is the line address (byte address pre-shifted
+// by the line size); done must be called exactly once, at the
+// simulation time the access completes.
+type IssueFunc func(thread int, op trace.Op, key uint64, done func(config.Cycles))
 
 // StreamError is a thread's stream failing to deliver a chunk. New
 // returns it for a stream's first chunk. A later chunk's failure panics
@@ -83,15 +84,15 @@ type Complex struct {
 }
 
 // New builds a thread complex fed by chunked per-thread streams
-// (trace.Source.Stream); streams[i] is chip thread first+i's stream and
-// nil entries are idle threads. cfg supplies the line size and the
+// (trace.Source.Stream); streams[i] is chip thread i's stream and nil
+// entries are idle threads. cfg supplies the line size and the
 // outstanding-miss limit. Each thread holds one chunk at a time, so
 // replay memory is bounded by the source's chunk size rather than the
 // trace length. The first chunk of every stream is fetched eagerly so
 // open/decode errors surface at construction; a mid-run stream error
 // panics with a *StreamError — the simulation cannot meaningfully
 // continue on a truncated stream.
-func New(engine *sim.Engine, cfg *config.Config, first int, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
+func New(engine *sim.Engine, cfg *config.Config, streams []trace.Stream, issue IssueFunc) (*Complex, error) {
 	if issue == nil {
 		panic("cpu: nil issue function")
 	}
@@ -103,7 +104,7 @@ func New(engine *sim.Engine, cfg *config.Config, first int, streams []trace.Stre
 	}
 	c.hTryIssue = func(d sim.EventData) { c.tryIssue(d.Ptr.(*thread)) }
 	for i, src := range streams {
-		th := &thread{id: first + i, src: src}
+		th := &thread{id: i, src: src}
 		th.doneFn = func(at config.Cycles) { c.complete(th, at) }
 		if src != nil {
 			chunk, err := src.NextChunk()
@@ -173,7 +174,7 @@ func (c *Complex) tryIssue(th *thread) {
 		th.issued++
 		th.lastIssue = now
 		key := r.Addr >> c.lineShift
-		c.issue(r.Op, key, th.doneFn)
+		c.issue(th.id, r.Op, key, th.doneFn)
 		now = c.engine.Now() // issue may run nested events
 	}
 	c.checkDone(th, now)

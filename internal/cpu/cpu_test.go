@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // instantIssue completes every access after a fixed latency.
 func instantIssue(e *sim.Engine, latency config.Cycles) (IssueFunc, *[]uint64) {
 	var keys []uint64
-	return func(op trace.Op, key uint64, done func(config.Cycles)) {
+	return func(_ int, op trace.Op, key uint64, done func(config.Cycles)) {
 		keys = append(keys, key)
 		at := e.Now() + latency
 		e.At(at, func() { done(at) })
@@ -62,11 +63,10 @@ func streams(recs ...[]trace.Record) []trace.Stream {
 	return out
 }
 
-// newComplex builds a complex of chip threads from 0 that must
-// construct cleanly.
+// newComplex builds a complex that must construct cleanly.
 func newComplex(t *testing.T, e *sim.Engine, cfg *config.Config, ss []trace.Stream, issue IssueFunc) *Complex {
 	t.Helper()
-	c, err := New(e, cfg, 0, ss, issue)
+	c, err := New(e, cfg, ss, issue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMaxOutstandingNeverExceeded(t *testing.T) {
 	cfg.MaxOutstanding = 3
 	var c *Complex
 	maxSeen := 0
-	issue := func(op trace.Op, key uint64, done func(config.Cycles)) {
+	issue := func(_ int, op trace.Op, key uint64, done func(config.Cycles)) {
 		if c.Outstanding() > maxSeen {
 			maxSeen = c.Outstanding()
 		}
@@ -173,6 +173,28 @@ func TestMultipleThreadsIndependent(t *testing.T) {
 	}
 }
 
+// TestIssueNamesChipThread: the issue callback receives each
+// reference's chip thread, the index of the stream it came from.
+func TestIssueNamesChipThread(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := config.Default()
+	issued := map[int]int{}
+	issue := func(thread int, _ trace.Op, _ uint64, done func(config.Cycles)) {
+		issued[thread]++
+		at := e.Now() + 1
+		e.At(at, func() { done(at) })
+	}
+	ss := make([]trace.Stream, 6)
+	ss[0] = streams(mkStream(0, 2, 0))[0]
+	ss[5] = streams(mkStream(5, 3, 0))[0]
+	c := newComplex(t, e, &cfg, ss, issue)
+	c.Start()
+	e.Run()
+	if want := map[int]int{0: 2, 5: 3}; !maps.Equal(issued, want) {
+		t.Errorf("issues per thread %v, want %v", issued, want)
+	}
+}
+
 func TestEmptyStreamsDoneImmediately(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := config.Default()
@@ -193,7 +215,7 @@ func TestNilIssuePanics(t *testing.T) {
 			t.Fatal("nil issue accepted")
 		}
 	}()
-	New(sim.NewEngine(), &cfg, 0, nil, nil)
+	New(sim.NewEngine(), &cfg, nil, nil)
 }
 
 // TestChunkBoundariesInvisible: the chunk size a stream is delivered in
@@ -214,7 +236,7 @@ func TestChunkBoundariesInvisible(t *testing.T) {
 		cfg := config.Default()
 		cfg.MaxOutstanding = maxOut
 		var o outcome
-		issue := func(op trace.Op, key uint64, done func(config.Cycles)) {
+		issue := func(_ int, op trace.Op, key uint64, done func(config.Cycles)) {
 			o.issues = append(o.issues, fmt.Sprintf("%d:%d", e.Now(), key))
 			at := e.Now() + 7
 			e.At(at, func() { done(at) })
@@ -244,14 +266,15 @@ func TestChunkBoundariesInvisible(t *testing.T) {
 }
 
 // TestFirstChunkErrorFailsNew: a stream that cannot deliver its first
-// chunk fails construction with an error naming its chip thread: the
-// complex's third stream, from chip thread 4 on, is thread 6.
+// chunk fails construction with an error naming its chip thread, 6.
 func TestFirstChunkErrorFailsNew(t *testing.T) {
 	cfg := config.Default()
 	e := sim.NewEngine()
 	issue, _ := instantIssue(e, 1)
-	ss := append(streams(mkStream(4, 3, 0), nil), &chunkStream{recs: mkStream(6, 3, 0), failAfter: 0})
-	_, err := New(e, &cfg, 4, ss, issue)
+	ss := make([]trace.Stream, 8)
+	ss[4] = streams(mkStream(4, 3, 0))[0]
+	ss[6] = &chunkStream{recs: mkStream(6, 3, 0), failAfter: 0}
+	_, err := New(e, &cfg, ss, issue)
 	var se *StreamError
 	if !errors.As(err, &se) || se.Thread != 6 || !errors.Is(err, errBroken) || !strings.Contains(err.Error(), "thread 6") {
 		t.Fatalf("New = %v, want the stream error naming thread 6", err)
@@ -259,15 +282,15 @@ func TestFirstChunkErrorFailsNew(t *testing.T) {
 }
 
 // TestMidStreamErrorPanics: a stream that fails after its first chunk
-// panics with a *StreamError naming its chip thread (the complex's
-// second stream, from chip thread 8 on, is thread 9), which the system
-// recovers as the run's error.
+// panics with a *StreamError naming its chip thread, 9, which the
+// system recovers as the run's error.
 func TestMidStreamErrorPanics(t *testing.T) {
 	cfg := config.Default()
 	e := sim.NewEngine()
 	issue, _ := instantIssue(e, 1)
-	ss := []trace.Stream{nil, &chunkStream{recs: mkStream(9, 6, 0), size: 2, failAfter: 1}}
-	c, err := New(e, &cfg, 8, ss, issue)
+	ss := make([]trace.Stream, 10)
+	ss[9] = &chunkStream{recs: mkStream(9, 6, 0), size: 2, failAfter: 1}
+	c, err := New(e, &cfg, ss, issue)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ type L1Filter struct {
 	lineShift uint
 
 	refs     uint64
-	emitted  uint64
 	absorbed uint64
 }
 
@@ -74,7 +73,6 @@ func (f *L1Filter) Filter(recs []trace.Record) []trace.Record {
 			pendingGap += uint64(r.Gap) + 1 // +1: L1 hit occupies a cycle
 			continue
 		}
-		f.emitted++
 		r.Gap = saturate32(uint64(r.Gap) + pendingGap)
 		pendingGap = 0
 		out = append(out, r)
@@ -88,15 +86,6 @@ func saturate32(v uint64) uint32 {
 	}
 	return uint32(v)
 }
-
-// Refs returns raw references seen.
-func (f *L1Filter) Refs() uint64 { return f.refs }
-
-// Emitted returns records passed through to the L2 stream.
-func (f *L1Filter) Emitted() uint64 { return f.emitted }
-
-// Absorbed returns references the L1 filtered out.
-func (f *L1Filter) Absorbed() uint64 { return f.absorbed }
 
 // HitRate returns the filter's absorption rate.
 func (f *L1Filter) HitRate() float64 {

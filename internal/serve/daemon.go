@@ -203,10 +203,6 @@ func New(opts Options) (*Daemon, error) {
 	return d, nil
 }
 
-// Registry exposes the daemon's metric registry (GET /metrics renders
-// it; tests read it).
-func (d *Daemon) Registry() *telemetry.Registry { return d.reg }
-
 // Ready reports whether the daemon is accepting work: the pool is up
 // and drain has not begun. GET /readyz maps this to 200/503 so load
 // balancers stop routing during the shutdown drain window.

@@ -305,7 +305,7 @@ func (d *Daemon) handleLatency(w http.ResponseWriter, r *http.Request) {
 		Cycles      uint64          `json:"Cycles"`
 		Latency     json.RawMessage `json:"Latency"`
 	}{
-		Workload:    j.Job.Workload,
+		Workload:    j.Job.Input(),
 		Mechanism:   j.Job.Mechanism.String(),
 		Outstanding: j.Job.Config().MaxOutstanding,
 		Cycles:      payload.Cycles,

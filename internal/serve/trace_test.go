@@ -96,6 +96,55 @@ func TestServerTraceSubmit(t *testing.T) {
 	}
 }
 
+// TestLatencyNamesTraceCapture: a trace job's latency report names its
+// capture as the run's workload, which cmpreport sorts and labels by.
+func TestLatencyNamesTraceCapture(t *testing.T) {
+	p, err := workload.ByName("tp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RefsPerThread = 300
+	tr, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "capture.cmps")
+	if _, err := trace.WriteSharded(dir, tr, trace.ShardOptions{Shards: 2, BatchRecords: 128}); err != nil {
+		t.Fatal(err)
+	}
+
+	d := mustDaemon(t, Options{Workers: 1, Latency: true})
+	defer d.Shutdown(context.Background())
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	body := fmt.Sprintf(`{"traces":[%q],"mechanisms":["baseline"]}`, dir)
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || len(sub.Jobs) != 1 {
+		t.Fatalf("submit = %d, %d jobs, %v", resp.StatusCode, len(sub.Jobs), err)
+	}
+	pollDone(t, srv.URL, sub.Jobs[0].ID)
+
+	resp, err = http.Get(srv.URL + "/v1/jobs/" + sub.Jobs[0].ID + "/latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var run struct{ Workload string }
+	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("latency endpoint = %d, %v", resp.StatusCode, err)
+	}
+	if run.Workload != "trace:capture.cmps" {
+		t.Errorf("latency Workload = %q, want %q", run.Workload, "trace:capture.cmps")
+	}
+}
+
 // TestSubmitRejectsAmbiguousTraceJob: an explicit job naming both a
 // trace and a workload is a 400, not a simulation.
 func TestSubmitRejectsAmbiguousTraceJob(t *testing.T) {

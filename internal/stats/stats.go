@@ -137,25 +137,6 @@ func (h *Histogram) CountAtLeast(v uint64) uint64 {
 	return total
 }
 
-// Merge folds other's samples into h, as if every sample observed by
-// other had been observed by h. The result is independent of merge
-// order because buckets, counts and sums are all additive and max is
-// commutative — which is what lets per-shard histograms combine into a
-// deterministic whole regardless of how the shards executed.
-func (h *Histogram) Merge(other *Histogram) {
-	for len(h.buckets) < len(other.buckets) {
-		h.buckets = append(h.buckets, 0)
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // Buckets returns a copy of the bucket counts; bucket 0 counts zero
 // samples and bucket i>0 counts samples in [2^(i-1), 2^i).
 func (h *Histogram) Buckets() []uint64 {

@@ -54,7 +54,7 @@ func WriteCSV(w io.Writer, results []Result) error {
 	}
 	for _, r := range results {
 		row := []string{
-			r.Job.Workload,
+			r.Job.Input(),
 			r.Job.Mechanism.String(),
 			strconv.Itoa(r.Job.Outstanding),
 			strconv.Itoa(r.Job.WBHTEntries),

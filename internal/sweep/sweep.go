@@ -25,6 +25,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -127,6 +128,16 @@ func (j Job) Config() config.Config {
 	}
 	cfg.WBHT.HistoryReplacement = j.HistoryRepl
 	return cfg
+}
+
+// Input names the job's input for tables, exports and reports: the
+// synthetic workload's name, or "trace:" and the base name of a replay
+// job's capture.
+func (j Job) Input() string {
+	if j.TraceFile != "" {
+		return "trace:" + filepath.Base(j.TraceFile)
+	}
+	return j.Workload
 }
 
 // String renders the job compactly for progress lines and errors,

@@ -3,8 +3,10 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,6 +264,30 @@ func TestExportExcludesWallClock(t *testing.T) {
 		if strings.Contains(buf.String(), field) {
 			t.Fatalf("export leaks scheduling-dependent field %q", field)
 		}
+	}
+}
+
+// TestCSVNamesTraceInputs: a replay job's workload cell names its
+// capture, so two captures' rows can be told apart.
+func TestCSVNamesTraceInputs(t *testing.T) {
+	results := []Result{
+		{Job: Job{TraceFile: "captures/tp.cmps", Mechanism: config.Baseline, Outstanding: 6}, Results: &system.Results{}},
+		{Job: Job{TraceFile: "captures/t2.cmps", Mechanism: config.Baseline, Outstanding: 6}, Results: &system.Results{}},
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []string
+	for _, row := range rows[1:] {
+		cells = append(cells, row[0])
+	}
+	if want := []string{"trace:tp.cmps", "trace:t2.cmps"}; !slices.Equal(cells, want) {
+		t.Errorf("workload cells %q, want %q", cells, want)
 	}
 }
 

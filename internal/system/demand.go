@@ -9,17 +9,17 @@ import (
 
 // pendingAccess carries one thread reference through the L2 front end:
 // issue, probe (including structural-stall retries) and completion.
-// Nodes are pooled per shard; completeFn is bound once per node, so in
-// steady state an access consumes no allocations from issue to the
-// latency observation at completion.
+// Nodes come from the System's access pool; completeFn is bound once per
+// node, so in steady state an access consumes no allocations from issue
+// to the latency observation at completion.
 type pendingAccess struct {
-	sh      *shard
+	cache   l2Handle // the issuing thread's L2
 	key     uint64
 	issued  config.Cycles
 	done    func(config.Cycles) // thread completion (cpu doneFn)
 	isStore bool
 	count   bool       // false on re-attempts after a structural stall
-	stall   l2.StallID // registration while stalled (see shard.repoll)
+	stall   l2.StallID // registration while stalled (see System.repoll)
 
 	// completeFn is this node's completion callback: it observes the
 	// fill latency, releases the node and calls done. It is what gets
@@ -28,8 +28,8 @@ type pendingAccess struct {
 }
 
 // startDemand arbitrates for the address ring at cycle now and
-// schedules the transaction's combined-response event. Global context
-// only: shard context posts a busPost instead, and the drain at the end
+// schedules the transaction's combined-response event. Global lane
+// only: the slice lane posts a busPost instead, and the drain at the end
 // of the post's cycle calls this — so a request arbitrates at the same
 // time whether it was raised on the global lane or on the slice lane.
 func (s *System) startDemand(cache l2Handle, key uint64, kind coherence.TxnKind, now config.Cycles) {
@@ -234,7 +234,7 @@ func (s *System) commitFill(cache l2Handle, key uint64, kind coherence.TxnKind, 
 }
 
 // fillDataReady books the data ring for the arrived source line and
-// schedules delivery (hFillReady). Delivery is a shard-local event —
+// schedules delivery (hCompleteFill). Delivery is a slice event —
 // waking waiters touches only the requesting L2's front end — so it is
 // scheduled onto the slice wheel.
 func (s *System) fillDataReady(d sim.EventData) {
@@ -250,7 +250,7 @@ func (s *System) fillDataReady(d sim.EventData) {
 // write-back policy from global context (fill installs and snarf
 // displacements, which commit at bus events): the Victim hook runs
 // directly and a queued entry pumps the write-back machinery in place.
-// Shard-context evictions go through (*shard).handleVictim instead.
+// Slice-lane evictions go through System.handleVictim instead.
 func (s *System) handleVictimGlobal(cache l2Handle, vKey uint64, vState coherence.State, now config.Cycles) {
 	switchActive := s.policy.GatedBySwitch() && s.rswitch.ActiveNow()
 	inL3 := s.l3.Contains(vKey) // oracle peek, used only for scoring

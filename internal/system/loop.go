@@ -11,12 +11,12 @@ import (
 // This file is the event loop that fixes the simulator's event order
 // (DESIGN.md §15).
 //
-// Events run on two lanes. The slice lane is one wheel, shared by every
-// shard, holding each L2 slice's front-end events: thread issues,
-// probes, re-polls and fill deliveries. The global lane is a second
-// wheel holding every bus-combine event and everything behind it (ring,
-// L3, memory). The loop runs one cycle t at a time, t being the earlier
-// of the two wheels' next events:
+// Events run on two lanes. The slice lane is one wheel holding every
+// L2 slice's front-end events: thread issues, probes, re-polls and fill
+// deliveries (slice.go). The global lane is a second wheel holding
+// every bus-combine event and everything behind it (ring, L3, memory).
+// The loop runs one cycle t at a time, t being the earlier of the two
+// wheels' next events:
 //
 //  1. Tick — the first time the loop reaches t, every observer ticks
 //     (closing the windows ending at or before t) and the retry
@@ -29,7 +29,7 @@ import (
 //     thread whose next slice event is due at t, step 2 runs again
 //     before the next global event.
 //
-// A shard event touches only its own slice's state, so firing the
+// A slice event touches only its own slice's state, so firing the
 // slices' events interleaved in (time, scheduling order) is exact: each
 // slice sees its own events in the same order as on a wheel of its own.
 // The only cross-slice effects are the posts and observations, and they
@@ -52,9 +52,7 @@ func (s *System) runLoop(ctx context.Context) (err error) {
 			err = se
 		}
 	}()
-	for _, sh := range s.shards {
-		sh.threads.Start()
-	}
+	s.threads.Start()
 
 	ticked := config.Cycles(-1)
 	for iter := 1; ; iter++ {
@@ -88,7 +86,7 @@ func (s *System) runLoop(ctx context.Context) (err error) {
 }
 
 // wakeWaiters completes a bus commit's coalesced waiters from the
-// global lane. They re-enter their shard's front end (a completion may
+// global lane. They re-enter their slice's front end (a completion may
 // issue the thread's next access), so the slice wheel's clock first
 // advances to now.
 func (s *System) wakeWaiters(now config.Cycles, loads, stores []func(config.Cycles)) {

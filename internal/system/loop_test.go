@@ -88,9 +88,9 @@ func TestBarrierLogOrder(t *testing.T) {
 		const at = 15
 		appended := []int{3, 1, 1, 0, 2, 2, 2, 0, 1, 3, 1, 0, 3}
 		for i, slice := range appended {
-			sh, key := s.shards[slice], uint64(i+1)
-			sh.postDemandTxn(key, coherence.Read)
-			sh.logObs(obsRec{kind: obsVictim, key: key, vState: coherence.Shared, vAction: l2.VictimAborted})
+			cache, key := s.l2s[slice], uint64(i+1)
+			s.postDemandTxn(cache, key, coherence.Read)
+			s.logObs(cache, obsRec{kind: obsVictim, key: key, vState: coherence.Shared, vAction: l2.VictimAborted})
 		}
 		order := make([]int, len(appended))
 		for i := range order {
@@ -151,7 +151,7 @@ func TestBarrierLogOrder(t *testing.T) {
 			}
 		}
 		for _, slice := range slicesDesc {
-			s.shards[slice].access(trace.Load, queued[slice], func(config.Cycles) {})
+			s.access(s.l2s[slice], trace.Load, queued[slice], func(config.Cycles) {})
 		}
 		s.Run()
 

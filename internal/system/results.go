@@ -160,16 +160,12 @@ type Results struct {
 
 // results gathers all component statistics after a run.
 func (s *System) results() *Results {
-	elapsed := s.finishTime()
-	var fillLatency stats.Histogram
-	for _, sh := range s.shards {
-		fillLatency.Merge(&sh.fillLatency)
-	}
+	elapsed := s.threads.FinishTime()
 	r := &Results{
 		Config:        s.cfg,
 		Cycles:        uint64(elapsed),
-		RefsIssued:    s.threadsIssued(),
-		RefsCompleted: s.threadsCompleted(),
+		RefsIssued:    s.threads.Issued(),
+		RefsCompleted: s.threads.Completed(),
 
 		FillsFromPeer: s.fillsFromPeer,
 		FillsFromL3:   s.fillsFromL3,
@@ -210,7 +206,7 @@ func (s *System) results() *Results {
 		SwitchTotalWindows:  s.rswitch.TotalWindows(),
 
 		Reuse:       s.reuse.snapshot(),
-		FillLatency: fillLatency,
+		FillLatency: s.fillLatency,
 
 		UpgradeRestarts: s.upgradeRestarts,
 		SnarfFallbacks:  s.snarfFallbacks,

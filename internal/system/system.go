@@ -36,6 +36,7 @@ import (
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/core"
+	"cmpcache/internal/cpu"
 	"cmpcache/internal/l2"
 	"cmpcache/internal/l3"
 	"cmpcache/internal/mem"
@@ -43,6 +44,7 @@ import (
 	"cmpcache/internal/observe"
 	"cmpcache/internal/ring"
 	"cmpcache/internal/sim"
+	"cmpcache/internal/stats"
 	"cmpcache/internal/trace"
 	"cmpcache/internal/txlat"
 	"cmpcache/internal/wbpolicy"
@@ -52,11 +54,16 @@ import (
 type System struct {
 	cfg        config.Config
 	engine     *sim.Engine // global wheel: bus combines and everything behind them
-	sliceWheel *sim.Engine // every shard's front-end events
+	sliceWheel *sim.Engine // every L2 slice's front-end events
 
-	shards []*shard // one per L2 slice; shards[i] owns l2s[i]
+	// threads is every chip thread, each issuing into its L2's front end
+	// (access) on the slice wheel. accessPool holds the pending-access
+	// nodes, and fillLatency their issue-to-completion times.
+	threads     *cpu.Complex
+	accessPool  *sim.Pool[pendingAccess]
+	fillLatency stats.Histogram
 
-	// obs and posts are the shards' deferred observations and bus
+	// obs and posts are the slice lane's deferred observations and bus
 	// requests of the current cycle, each in (slice, append) order,
 	// drained at the end of the slice lane's cycle (see logStamp).
 	obs   []obsRec
@@ -89,8 +96,10 @@ type System struct {
 	// (the collector never retains it).
 	responses []coherence.AgentResponse
 
-	// Event handlers, bound once in New so scheduling a transaction
-	// phase never allocates a closure.
+	// Event handlers, bound once in newCore so scheduling an access or
+	// a transaction phase never allocates a closure.
+	hResolve        sim.Handler
+	hRepoll         sim.Handler
 	hCombineDemand  sim.Handler
 	hFillReady      sim.Handler
 	hCompleteFill   sim.Handler
@@ -110,7 +119,7 @@ type System struct {
 	creditedFired uint64
 
 	// repollCheck, set only by tests, is called on every re-poll that
-	// skips the probe (see shard.repoll) to check that the full probe
+	// skips the probe (see System.repoll) to check that the full probe
 	// would have stalled.
 	repollCheck func(c *l2.Cache, key uint64)
 
@@ -135,7 +144,8 @@ type System struct {
 }
 
 // newCore builds everything but the thread feed: components, policy,
-// and the bound event handlers. NewStream attaches the shards.
+// the access pool and the bound event handlers. NewStream attaches the
+// threads.
 func newCore(cfg config.Config) *System {
 	s := &System{
 		cfg:        cfg,
@@ -154,13 +164,20 @@ func newCore(cfg config.Config) *System {
 	}
 	s.wbInFlight = make([]bool, cfg.NumL2())
 	s.responses = make([]coherence.AgentResponse, 0, cfg.NumL2()+2)
+	s.accessPool = sim.NewPool(func() *pendingAccess {
+		p := &pendingAccess{}
+		p.completeFn = func(at config.Cycles) { s.finishAccess(p, at) }
+		return p
+	})
 
+	s.hResolve = func(d sim.EventData) { s.resolve(d.Ptr.(*pendingAccess)) }
+	s.hRepoll = func(d sim.EventData) { s.repoll(d.Ptr.(*pendingAccess)) }
 	s.hCombineDemand = func(d sim.EventData) {
 		s.combineDemand(d.Ptr.(l2Handle), d.Key, coherence.TxnKind(d.Kind))
 	}
 	s.hFillReady = s.fillDataReady
 	s.hCompleteFill = func(d sim.EventData) {
-		s.shards[d.Ptr.(l2Handle).ID()].completeFill(d.Key, coherence.TxnKind(d.Kind))
+		s.completeFill(d.Ptr.(l2Handle), d.Key, coherence.TxnKind(d.Kind))
 	}
 	s.hCombineWB = func(d sim.EventData) {
 		s.combineWB(d.Ptr.(l2Handle), d.Key, coherence.TxnKind(d.Kind), d.Flag)
@@ -197,27 +214,40 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 		}
 		return int(n)
 	}
-	// One stream per chip thread keeps the thread->L2 mapping fixed;
-	// threads without records keep a nil (idle) stream.
-	streams := make([]trace.Stream, cfg.Threads())
+	// One stream per chip thread, and one L2 per chip thread in
+	// threadL2: thread tid feeds L2 tid/ThreadsPerL2. Threads without
+	// records keep a nil (idle) stream. Each L2's threads size the slice
+	// wheel and the access pool from their record count.
 	tpl := cfg.ThreadsPerL2()
-	sliceEvents := 0
-	for i := 0; i < cfg.NumL2(); i++ {
+	streams := make([]trace.Stream, cfg.Threads())
+	threadL2 := make([]*l2.Cache, cfg.Threads())
+	perL2 := tpl * cfg.MaxOutstanding
+	sliceEvents, inflight := 0, 0
+	for i, cache := range s.l2s {
 		var recs int64
-		for tid := i * tpl; tid < (i+1)*tpl && tid < src.Threads(); tid++ {
+		for tid := i * tpl; tid < (i+1)*tpl; tid++ {
+			threadL2[tid] = cache
+			if tid >= src.Threads() {
+				continue
+			}
 			if n := src.ThreadRecords(tid); n > 0 {
 				streams[tid] = src.Stream(tid)
 				recs += n
 			}
 		}
-		sh, err := newShard(s, i, streams[i*tpl:(i+1)*tpl])
-		if err != nil {
-			return nil, err
-		}
-		sliceEvents += sh.size(clamp(recs))
-		s.shards = append(s.shards, sh)
+		sliceEvents += min(perL2*8+64, 2*clamp(recs)+64)
+		inflight += min(perL2, clamp(recs))
 	}
+	threads, err := cpu.New(s.sliceWheel, &s.cfg, streams,
+		func(tid int, op trace.Op, key uint64, done func(config.Cycles)) {
+			s.access(threadL2[tid], op, key, done)
+		})
+	if err != nil {
+		return nil, err
+	}
+	s.threads = threads
 	s.sliceWheel.Grow(sliceEvents)
+	s.accessPool.Prime(inflight)
 
 	// Pre-size the global event queue from the workload: its high-water
 	// mark tracks in-flight bus transactions, bounded by what the trace
@@ -245,7 +275,7 @@ type Attachments struct {
 	// periodic sweeps (per global event, and per slice-lane cycle for
 	// that cycle's slice events), and the protocol commit points call its
 	// semantic hooks — directly from global context, through the replay
-	// at the end of each slice-lane cycle from shard context.
+	// at the end of each slice-lane cycle from the slice lane.
 	Auditor *audit.Auditor
 	// Latency is the per-transaction latency collector: the demand and
 	// write-back commit points stamp every transaction's stage boundaries
@@ -291,9 +321,6 @@ func (s *System) Attach(a Attachments) {
 	}
 }
 
-// Config returns the system's configuration.
-func (s *System) Config() *config.Config { return &s.cfg }
-
 // Run executes the workload to completion and returns the results. It
 // panics if every event wheel drains while threads still have work,
 // which would indicate a lost completion (a simulator bug, not a
@@ -329,8 +356,8 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 // finish asserts the drained wheels left no thread mid-access, drains
 // the auditor and gathers results.
 func (s *System) finish() *Results {
-	if !s.threadsDone() {
-		panic(fmt.Sprintf("system: engine drained with %d accesses outstanding", s.threadsOutstanding()))
+	if !s.threads.Done() {
+		panic(fmt.Sprintf("system: engine drained with %d accesses outstanding", s.threads.Outstanding()))
 	}
 	if a := s.attached.Auditor; a != nil {
 		a.Drain(s.lastTime())
@@ -342,51 +369,6 @@ func (s *System) finish() *Results {
 // simulation ended.
 func (s *System) lastTime() config.Cycles {
 	return max(s.engine.Now(), s.sliceWheel.Now())
-}
-
-// --- thread-complex aggregation across shards ---
-
-func (s *System) threadsDone() bool {
-	for _, sh := range s.shards {
-		if !sh.threads.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *System) threadsOutstanding() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.threads.Outstanding()
-	}
-	return n
-}
-
-func (s *System) threadsIssued() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.threads.Issued()
-	}
-	return n
-}
-
-func (s *System) threadsCompleted() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.threads.Completed()
-	}
-	return n
-}
-
-func (s *System) finishTime() config.Cycles {
-	var t config.Cycles
-	for _, sh := range s.shards {
-		if f := sh.threads.FinishTime(); f > t {
-			t = f
-		}
-	}
-	return t
 }
 
 func (s *System) eventsFired() uint64 {

@@ -40,6 +40,33 @@ func run(t *testing.T, cfg config.Config, tr *trace.Trace) (*System, *Results) {
 	return s, s.Run()
 }
 
+// TestThreadFeedsItsL2: on an 8-L2 chip, two threads per L2, every
+// reference of chip thread t probes L2 t/2 and no other.
+func TestThreadFeedsItsL2(t *testing.T) {
+	cfg := config.Default()
+	cfg.CoresPerL2 = 1
+	if cfg.NumL2() != 8 || cfg.ThreadsPerL2() != 2 {
+		t.Fatalf("chip has %d L2s of %d threads, want 8 of 2", cfg.NumL2(), cfg.ThreadsPerL2())
+	}
+	const refs = 5
+	for tid := 0; tid < cfg.Threads(); tid++ {
+		recs := make([]trace.Record, refs)
+		for i := range recs {
+			recs[i] = trace.Record{Thread: uint16(tid), Op: trace.Load, Addr: uint64(i+1) << 12}
+		}
+		s, _ := run(t, cfg, mkTrace(recs...))
+		for idx, c := range s.l2s {
+			want := uint64(0)
+			if idx == tid/2 {
+				want = refs
+			}
+			if got := c.StatsSnapshot().Accesses; got != want {
+				t.Errorf("thread %d: L2 %d saw %d accesses, want %d", tid, idx, got, want)
+			}
+		}
+	}
+}
+
 func TestMemoryLatencyMatchesTable3(t *testing.T) {
 	cfg := config.Default()
 	_, r := run(t, cfg, mkTrace(

@@ -29,7 +29,7 @@ const (
 // pumpWB issues the next write back from l2idx's queue onto the ring,
 // one bus transaction in flight per L2 (the queue drains head-first, as
 // a hardware castout machine would). now is the cycle the pump was
-// woken — the global clock on the global lane, or the posting shard
+// woken — the global clock on the global lane, or the posting slice
 // event's cycle when the wake arrives through the slice lane's drain.
 func (s *System) pumpWB(l2idx int, now config.Cycles) {
 	if s.wbInFlight[l2idx] {

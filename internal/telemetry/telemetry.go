@@ -375,25 +375,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.fam.childFor(labelValues).c
 }
 
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ fam *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{fam: r.family(name, help, kindGauge, labelNames, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.fam.childFor(labelValues).g
-}
-
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ fam *family }
 

@@ -608,8 +608,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	cv := r.CounterVec("v_total", "V.", "l")
 	cv.With("a").Inc()
-	gv := r.GaugeVec("u", "U.", "l")
-	gv.With("a").Set(2)
 	hv := r.HistogramVec("t_seconds", "T.", []float64{1}, "l")
 	hv.With("a").Observe(1)
 	if n, err := r.WritePrometheus(io.Discard); n != 0 || err != nil {

@@ -134,16 +134,6 @@ func (g *GroupReport) label() string {
 	return s
 }
 
-// stage returns the named stage report (zero value if absent).
-func (g *GroupReport) stage(name string) stats.Summary {
-	for _, s := range g.Stages {
-		if s.Stage == name {
-			return s.Summary
-		}
-	}
-	return stats.Summary{}
-}
-
 // QuantileTable renders every group's total-latency quantiles.
 func (r *Report) QuantileTable(title string) string {
 	t := stats.NewTable(title, "class", "n", "mean", "p50", "p90", "p99", "max", "svc mean")

@@ -19,7 +19,7 @@ import (
 // holds but will evict before any reuse.
 //
 // Everything is per-L2 (agent-owned) and counted in that L2's own
-// misses, so training runs in shard context with no shared state and
+// misses, so training runs on the slice lane with no shared state and
 // no switch gating; the chip half is entirely passive.
 type reuseChip struct {
 	agents []*reuseAgent

@@ -64,12 +64,12 @@ type Agent interface {
 	AcceptOffer(key uint64) bool
 
 	// ObserveLocalMiss: this L2 started a new demand bus transaction
-	// for key (shard context).
+	// for key (on the slice lane).
 	ObserveLocalMiss(key uint64)
 
 	// ObserveEviction: a valid line left this L2's tag array (any
-	// state, before the write-back decision runs; shard or serial
-	// context, always single-threaded per L2).
+	// state, before the write-back decision runs; on either lane, one
+	// event at a time).
 	ObserveEviction(key uint64)
 
 	// WBHT exposes the agent's Write Back History Table for statistics
