@@ -6,8 +6,8 @@
 // exact bytes a fresh run would produce — resubmitting a grid that has
 // already been computed costs zero simulation work. Grids may mix
 // synthetic workloads with captured traces (the request's "traces"
-// field names server-local sharded trace directories or flat trace
-// files); trace jobs are cached by capture content, never by path.
+// field names server-local sharded trace directories); trace jobs are
+// cached by capture content, never by path.
 //
 // Usage:
 //

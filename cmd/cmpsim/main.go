@@ -4,14 +4,11 @@
 // Usage:
 //
 //	cmpsim -workload trade2 -mechanism wbht -outstanding 6
-//	cmpsim -trace capture.cmpt -mechanism snarf
 //	cmpsim -trace capture.cmps -mechanism wbht
 //
 // The workload is either a built-in synthetic profile (tp, cpw2,
-// notesbench, trade2), a flat trace file produced by tracegen (binary
-// CMPT or text format, selected by content), or a sharded trace
-// directory (tracegen -shards), which replays as a bounded-memory
-// stream.
+// notesbench, trade2) or a sharded trace directory written by tracegen,
+// which replays as a bounded-memory stream.
 package main
 
 import (
@@ -26,13 +23,12 @@ import (
 	"cmpcache"
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
-	"cmpcache/internal/trace"
 )
 
 func main() {
 	var (
 		workloadName = flag.String("workload", "trade2", "built-in workload: tp, cpw2, notesbench, trade2")
-		traceFile    = flag.String("trace", "", "trace file to replay instead of a built-in workload")
+		traceFile    = flag.String("trace", "", "sharded trace directory to replay instead of a built-in workload")
 		mechanism    = flag.String("mechanism", "base", "write-back policy: base, wbht, snarf, combined, reusedist, hybridui")
 		outstanding  = flag.Int("outstanding", 6, "max outstanding misses per thread (1-6 in the paper)")
 		refs         = flag.Int("refs", 0, "references per thread for built-in workloads (0 = default)")
@@ -128,14 +124,13 @@ func main() {
 	}
 
 	// The workload is either a sharded trace directory (streamed with
-	// bounded memory), a flat trace file, or a built-in synthetic
-	// profile.
+	// bounded memory) or a built-in synthetic profile.
 	var (
 		src     cmpcache.TraceSource
 		sharded *cmpcache.ShardedTrace
 		err     error
 	)
-	if *traceFile != "" && cmpcache.IsShardedTraceDir(*traceFile) {
+	if *traceFile != "" {
 		sharded, err = cmpcache.OpenTraceDir(*traceFile)
 		if err != nil {
 			fatalf("%v", err)
@@ -143,9 +138,9 @@ func main() {
 		defer sharded.Close()
 		src = sharded
 	} else {
-		tr, lerr := loadTrace(*traceFile, *workloadName, *refs)
-		if lerr != nil {
-			fatalf("%v", lerr)
+		tr, gerr := generate(*workloadName, *refs)
+		if gerr != nil {
+			fatalf("%v", gerr)
 		}
 		if src, err = cmpcache.NewMemSource(tr); err != nil {
 			fatalf("%v", err)
@@ -275,14 +270,11 @@ func writeJSON(path string, v any) error {
 	return enc.Encode(v)
 }
 
-func loadTrace(path, workloadName string, refs int) (*cmpcache.Trace, error) {
-	if path == "" {
-		if refs > 0 {
-			return cmpcache.GenerateWorkloadSized(workloadName, refs)
-		}
-		return cmpcache.GenerateWorkload(workloadName)
+func generate(workloadName string, refs int) (*cmpcache.Trace, error) {
+	if refs > 0 {
+		return cmpcache.GenerateWorkloadSized(workloadName, refs)
 	}
-	return trace.ReadFile(path)
+	return cmpcache.GenerateWorkload(workloadName)
 }
 
 func fatalf(format string, args ...any) {

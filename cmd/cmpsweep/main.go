@@ -10,8 +10,8 @@
 //	cmpsweep -traces tp.cmps -mechanisms all -outstanding 1-6
 //
 // The workload axis mixes built-in synthetic profiles (-workloads) with
-// captured traces (-traces: sharded trace directories or flat trace
-// files, replayed as bounded-memory streams and cached by content).
+// captured traces (-traces: sharded trace directories written by
+// tracegen, replayed as bounded-memory streams and cached by content).
 //
 // The grid is the cross product of the axes. Every job is an
 // independent deterministic simulation, so exports are byte-identical
@@ -43,7 +43,7 @@ import (
 func main() {
 	var (
 		workloads    = flag.String("workloads", "all", "comma-separated workloads (tp,cpw2,notesbench,trade2) or all")
-		traces       = flag.String("traces", "", "comma-separated captured-trace inputs (sharded trace dirs or flat trace files) swept alongside the workloads; with -traces and no explicit -workloads, only the traces run")
+		traces       = flag.String("traces", "", "comma-separated captured-trace inputs (sharded trace dirs) swept alongside the workloads; with -traces and no explicit -workloads, only the traces run")
 		mechanisms   = flag.String("mechanisms", "all", "comma-separated mechanisms (base,wbht,snarf,combined,reusedist,hybridui), all, or paper (the original four)")
 		outstanding  = flag.String("outstanding", "6", "outstanding-miss axis: list and/or ranges, e.g. 1-6 or 1,2,4")
 		tableSizes   = flag.String("table-sizes", "", "table-entry axis for the active mechanism, e.g. 512,2048,8192 (empty = paper defaults)")
@@ -217,17 +217,20 @@ func main() {
 }
 
 // printTable renders the sweep as a markdown table; when the grid
-// includes a baseline run for a (workload, outstanding) pair, variant
-// rows show their runtime improvement over it.
+// includes a baseline run for a variant's input and outstanding limit,
+// the variant's row shows its runtime improvement over it. Baselines
+// are keyed by the input itself, not its label: two captures sharing a
+// base name in different directories share a label.
 func printTable(w io.Writer, results []sweep.Result, elapsed time.Duration) error {
-	type pair struct {
-		workload    string
-		outstanding int
+	type input struct {
+		workload, traceFile string
+		outstanding         int
 	}
-	baselines := make(map[pair]uint64)
+	key := func(j sweep.Job) input { return input{j.Workload, j.TraceFile, j.Outstanding} }
+	baselines := make(map[input]uint64)
 	for _, r := range results {
 		if r.Job.Mechanism == config.Baseline && r.Err == nil {
-			baselines[pair{r.Job.Input(), r.Job.Outstanding}] = r.Results.Cycles
+			baselines[key(r.Job)] = r.Results.Cycles
 		}
 	}
 	t := stats.NewTable(
@@ -240,7 +243,7 @@ func printTable(w io.Writer, results []sweep.Result, elapsed time.Duration) erro
 			continue
 		}
 		improvement := ""
-		if base, ok := baselines[pair{r.Job.Input(), r.Job.Outstanding}]; ok && r.Job.Mechanism != config.Baseline {
+		if base, ok := baselines[key(r.Job)]; ok && r.Job.Mechanism != config.Baseline {
 			improvement = fmt.Sprintf("%+.2f%%", stats.Improvement(base, r.Results.Cycles))
 		}
 		wall := fmt.Sprintf("%.2fs", r.Duration.Seconds())

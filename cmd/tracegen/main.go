@@ -1,16 +1,16 @@
-// Command tracegen synthesizes a workload trace and writes it to a
-// file — or, with -shards, to a sharded trace directory (batched,
-// compressed, manifest-indexed; see DESIGN.md §17) that cmpsim,
-// cmpsweep and cmpserved replay with bounded memory. The raw reference
-// stream can optionally pass through the per-core L1 filter first
-// (mirroring how the paper's L2-traffic traces were captured on real
-// machines).
+// Command tracegen synthesizes a workload trace and writes it as a
+// sharded trace directory (batched, compressed, manifest-indexed; see
+// DESIGN.md §17), the one on-disk trace format, which cmpsim, cmpsweep
+// and cmpserved replay with bounded memory and traceinfo summarizes.
+// The raw reference stream can optionally pass through the per-core L1
+// filter first (mirroring how the paper's L2-traffic traces were
+// captured on real machines).
 //
 // Usage:
 //
-//	tracegen -workload tp -o tp.cmpt
-//	tracegen -workload trade2 -refs 100000 -l1-filter -text -o trade2.txt
-//	tracegen -workload tp -shards 4 -o tp.cmps
+//	tracegen -workload tp
+//	tracegen -workload trade2 -refs 100000 -l1-filter -o trade2.cmps
+//	tracegen -workload tp -shards 8 -batch-records 1024 -o tp.cmps
 package main
 
 import (
@@ -27,21 +27,17 @@ import (
 func main() {
 	var (
 		name     = flag.String("workload", "trade2", "built-in workload: tp, cpw2, notesbench, trade2")
-		out      = flag.String("o", "", "output file, or directory with -shards (default <workload>.cmpt / <workload>.cmps)")
+		out      = flag.String("o", "", "output directory (default <workload>.cmps)")
 		refs     = flag.Int("refs", 0, "references per thread (unset = profile default; an explicit 0 is honored)")
 		seed     = flag.Uint64("seed", 0, "override the profile's seed (unset = profile default; an explicit 0 is honored)")
-		text     = flag.Bool("text", false, "write the human-readable text format")
 		l1Filter = flag.Bool("l1-filter", false, "filter the stream through per-core L1 caches")
-		shards   = flag.Int("shards", 0, "write a sharded trace directory with this many shard files (0 = single flat file)")
-		batchRec = flag.Int("batch-records", 0, "records per compressed batch in sharded output (0 = default)")
+		shards   = flag.Int("shards", trace.DefaultShards, "shard files in the trace directory")
+		batchRec = flag.Int("batch-records", 0, "records per compressed batch (0 = default)")
 	)
 	flag.Parse()
 
-	if *shards > 0 && *text {
-		fatalf("-shards and -text are mutually exclusive")
-	}
-	if *shards < 0 {
-		fatalf("-shards must be >= 0")
+	if *shards < 1 {
+		fatalf("-shards must be >= 1")
 	}
 
 	p, err := workload.ByName(*name)
@@ -71,53 +67,17 @@ func main() {
 
 	path := *out
 	if path == "" {
-		switch {
-		case *shards > 0:
-			path = p.Name + ".cmps"
-		case *text:
-			path = p.Name + ".trace.txt"
-		default:
-			path = p.Name + ".cmpt"
-		}
+		path = p.Name + ".cmps"
 	}
-
-	if *shards > 0 {
-		man, err := trace.WriteSharded(path, tr, trace.ShardOptions{
-			Shards:       *shards,
-			BatchRecords: *batchRec,
-		})
-		if err != nil {
-			fatalf("writing %s: %v", path, err)
-		}
-		printSummary(path, tr, cfg.LineBytes)
-		fmt.Printf("sharded into %d files, content hash %s\n", len(man.Shards), man.ContentHash())
-		return
-	}
-
-	if err := writeFlat(path, tr, *text); err != nil {
+	man, err := trace.WriteSharded(path, tr, trace.ShardOptions{
+		Shards:       *shards,
+		BatchRecords: *batchRec,
+	})
+	if err != nil {
 		fatalf("writing %s: %v", path, err)
 	}
 	printSummary(path, tr, cfg.LineBytes)
-}
-
-// writeFlat writes tr to path, reporting Close errors: the codecs
-// buffer, so a full disk can surface only when the file closes — a
-// dropped Close would report truncated output as success.
-func writeFlat(path string, tr *trace.Trace, text bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if text {
-		err = trace.WriteText(f, tr)
-	} else {
-		err = trace.WriteBinary(f, tr)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	fmt.Printf("sharded into %d files, content hash %s\n", len(man.Shards), man.ContentHash())
 }
 
 // printSummary reports the written trace's shape. One line size drives

@@ -1,12 +1,11 @@
-// Command traceinfo summarizes a trace input: record and thread counts,
-// operation mix, footprint, per-thread balance and gap statistics. It
-// accepts flat trace files (binary CMPT or text, selected by content)
-// and sharded trace directories, which it summarizes as a stream
-// without materializing the capture.
+// Command traceinfo summarizes sharded trace directories: record and
+// thread counts, operation mix, footprint, per-thread balance, gap
+// statistics, shard layout and content hash. It streams each capture
+// without materializing it.
 //
 // Usage:
 //
-//	traceinfo tp.cmpt [more.cmpt ...]
+//	traceinfo tp.cmps [more.cmps ...]
 //	traceinfo -verify tp.cmps
 package main
 
@@ -24,7 +23,7 @@ func main() {
 	verify := flag.Bool("verify", false, "re-hash sharded trace contents against the manifest")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: traceinfo [-line-bytes N] [-verify] <trace file or sharded dir>...")
+		fmt.Fprintln(os.Stderr, "usage: traceinfo [-line-bytes N] [-verify] <sharded trace dir>...")
 		os.Exit(2)
 	}
 	exit := 0
@@ -38,18 +37,6 @@ func main() {
 }
 
 func describe(path string, lineBytes int, verify bool) error {
-	if trace.IsShardedDir(path) {
-		return describeSharded(path, lineBytes, verify)
-	}
-	tr, err := trace.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	report(path, tr.Name, tr.Threads, tr.Summarize(lineBytes), lineBytes)
-	return nil
-}
-
-func describeSharded(path string, lineBytes int, verify bool) error {
 	sh, err := trace.OpenSharded(path)
 	if err != nil {
 		return err

@@ -93,12 +93,9 @@ func NewMemSource(tr *Trace) (TraceSource, error) {
 }
 
 // ShardedTrace is the streaming reader over a sharded trace directory
-// written by tracegen -shards (or trace.WriteSharded); see DESIGN.md
-// §17.
+// written by tracegen (or trace.WriteSharded), the one on-disk trace
+// format; see DESIGN.md §17.
 type ShardedTrace = trace.Sharded
-
-// IsShardedTraceDir reports whether path is a sharded trace directory.
-func IsShardedTraceDir(path string) bool { return trace.IsShardedDir(path) }
 
 // OpenTraceDir opens a sharded trace directory for streaming replay.
 // Close it when done.

@@ -388,3 +388,20 @@ func TestFilterTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFilterTraceGroupsByThread: the filtered trace lists each thread's
+// records together, in ascending thread order and each in its own
+// order, whatever the input's interleaving.
+func TestFilterTraceGroupsByThread(t *testing.T) {
+	cfg := config.Default()
+	tr := &trace.Trace{Name: "x", Threads: 2, Records: []trace.Record{
+		{Thread: 1, Op: trace.Load, Addr: 0x2000},
+		{Thread: 0, Op: trace.Load, Addr: 0x1000},
+		{Thread: 1, Op: trace.Store, Addr: 0x3000},
+		{Thread: 0, Op: trace.Ifetch, Addr: 0x4000},
+	}}
+	want := []trace.Record{tr.Records[1], tr.Records[3], tr.Records[0], tr.Records[2]}
+	if got := FilterTrace(&cfg, tr).Records; !slices.Equal(got, want) {
+		t.Fatalf("filtered records %+v, want %+v", got, want)
+	}
+}

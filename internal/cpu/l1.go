@@ -96,7 +96,8 @@ func (f *L1Filter) HitRate() float64 {
 }
 
 // FilterTrace applies per-thread L1 filters to a whole trace, returning
-// the L2-traffic trace. Each thread gets private L1 state, matching the
+// the L2-traffic trace with its records grouped by thread in ascending
+// thread order. Each thread gets private L1 state, matching the
 // per-core Harvard caches of Figure 1 (SMT siblings sharing an L1 is a
 // second-order effect we fold into per-thread filtering).
 func FilterTrace(cfg *config.Config, t *trace.Trace) *trace.Trace {
@@ -106,6 +107,5 @@ func FilterTrace(cfg *config.Config, t *trace.Trace) *trace.Trace {
 		f := NewL1Filter(cfg)
 		out.Records = append(out.Records, f.Filter(recs)...)
 	}
-	out.SortByThread()
 	return out
 }

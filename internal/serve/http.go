@@ -20,9 +20,9 @@ type SubmitRequest struct {
 	Jobs []sweep.Job `json:"jobs,omitempty"`
 
 	Workloads []string `json:"workloads,omitempty"`
-	// Traces are captured-trace inputs (sharded trace directories or
-	// flat trace files, as server-local paths) swept alongside — or
-	// instead of — the synthetic workloads.
+	// Traces are captured-trace inputs (sharded trace directories, as
+	// server-local paths) swept alongside — or instead of — the
+	// synthetic workloads.
 	Traces      []string `json:"traces,omitempty"`
 	Mechanisms  []string `json:"mechanisms,omitempty"`
 	Outstanding []int    `json:"outstanding,omitempty"`

@@ -81,7 +81,7 @@ func newDaemonMetrics(reg *telemetry.Registry) *daemonMetrics {
 			"Wall-clock simulation time of executed jobs.",
 			telemetry.SecondsBuckets),
 		traceOpens: reg.Counter("cmpserved_trace_source_opens_total",
-			"Trace-source container opens (sharded directory or flat file)."),
+			"Trace-source opens (one per sharded capture directory and content version)."),
 		traceHits: reg.Counter("cmpserved_trace_source_cache_hits_total",
 			"Trace-source lookups served from the simulator's source cache."),
 	}

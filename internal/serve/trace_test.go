@@ -153,7 +153,7 @@ func TestSubmitRejectsAmbiguousTraceJob(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	body := `{"jobs":[{"Workload":"tp","TraceFile":"x.cmpt"}]}`
+	body := `{"jobs":[{"Workload":"tp","TraceFile":"x.cmps"}]}`
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

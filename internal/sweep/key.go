@@ -27,11 +27,11 @@ import (
 // values because the config is materialized before serialization.
 // Trace-replay jobs key on the trace's content identity instead of a
 // workload profile: the material is {Config, Trace: FileRef}, where
-// FileRef carries the capture's SHA-256 (the manifest content hash for
-// sharded stores) but not its path. The struct shape differs from the
-// synthetic material — "Trace" vs. "Workload"+"Seed" keys — so a trace
-// replay can never alias the synthetic twin it was captured from, and
-// two traces differing in any byte hash apart.
+// FileRef carries the capture's manifest content hash but not its
+// path. The struct shape differs from the synthetic material — "Trace"
+// vs. "Workload"+"Seed" keys — so a trace replay can never alias the
+// synthetic twin it was captured from, and two traces differing in any
+// byte hash apart.
 func KeyMaterial(j Job) ([]byte, error) {
 	if j.TraceFile != "" {
 		if j.Workload != "" {

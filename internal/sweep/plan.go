@@ -17,10 +17,10 @@ import (
 // and the paper-default table sizes.
 type Plan struct {
 	Workloads []string
-	// TraceFiles are captured-trace inputs (sharded trace directories or
-	// flat trace files) swept alongside — or instead of — the synthetic
-	// workloads. When TraceFiles is non-empty and Workloads is empty, the
-	// grid runs only the traces (workloads do NOT default to "all").
+	// TraceFiles are captured-trace inputs (sharded trace directories)
+	// swept alongside — or instead of — the synthetic workloads. When
+	// TraceFiles is non-empty and Workloads is empty, the grid runs only
+	// the traces (workloads do NOT default to "all").
 	TraceFiles  []string
 	Mechanisms  []config.Mechanism
 	Outstanding []int

@@ -18,7 +18,7 @@ import (
 // job's trace source and runs the job's configuration over it. It is
 // safe for concurrent use. A synthetic workload is generated and split
 // per thread once per (workload, length), and at most
-// maxSyntheticSources of them stay cached; a trace file is opened once
+// maxSyntheticSources of them stay cached; a capture is opened once
 // per content version. Sources are shared across concurrent runs: the
 // simulator only reads them, each run takes its own per-thread streams,
 // and the sharded reader serves them with positioned reads.
@@ -36,9 +36,9 @@ type Simulator struct {
 	// worker count. Set before the sweep starts.
 	Latency *txlat.Config
 
-	// SourceOpens / SourceHits count trace-file container opens and
-	// source-cache hits for trace files (synthetic workloads are not
-	// counted). Nil-safe telemetry instruments: leave nil for zero-cost
+	// SourceOpens / SourceHits count capture opens and source-cache
+	// hits for captures (synthetic workloads are not counted).
+	// Nil-safe telemetry instruments: leave nil for zero-cost
 	// detachment. Set before the sweep starts.
 	SourceOpens *telemetry.Counter
 	SourceHits  *telemetry.Counter
@@ -56,8 +56,8 @@ type Simulator struct {
 // daemon asked for many lengths keeps only the latest few resident.
 const maxSyntheticSources = 4
 
-// sourceKey identifies a cached source: a trace file by path AND
-// content hash (a file edited in place between jobs is reopened, never
+// sourceKey identifies a cached source: a capture by path AND content
+// hash (a capture rewritten in place between jobs is reopened, never
 // served stale from the cache), a synthetic workload by name and
 // per-thread length.
 type sourceKey struct {
@@ -78,9 +78,8 @@ func NewSimulator() *Simulator {
 }
 
 // source returns j's trace source, building it at most once per key
-// even under concurrent callers. A sharded directory streams from disk;
-// a flat file or a synthetic workload is held in memory, split per
-// thread.
+// even under concurrent callers. A capture streams from disk; a
+// synthetic workload is held in memory, split per thread.
 func (s *Simulator) source(ctx context.Context, j Job) (trace.Source, error) {
 	key := sourceKey{workload: j.Workload, refs: j.RefsPerThread}
 	var opens, hits *telemetry.Counter
@@ -134,16 +133,10 @@ func (s *Simulator) touchSynthetic(key sourceKey) {
 
 // openSource builds the source key names.
 func openSource(key sourceKey) (trace.Source, error) {
-	var t *trace.Trace
-	var err error
-	switch {
-	case key.path == "":
-		t, err = generate(key.workload, key.refs)
-	case trace.IsShardedDir(key.path):
+	if key.path != "" {
 		return trace.OpenSharded(key.path)
-	default:
-		t, err = trace.ReadFile(key.path)
 	}
+	t, err := generate(key.workload, key.refs)
 	if err != nil {
 		return nil, err
 	}

@@ -57,11 +57,11 @@ type Job struct {
 	Outstanding int // 0 = config default (6)
 
 	// TraceFile, when non-empty, replays a captured trace — a sharded
-	// trace directory or a flat binary/text trace file — instead of
-	// synthesizing Workload (which must then be empty). The trace's
-	// content identity (trace.Describe), not its path, flows into the
-	// job's cache key: two paths holding identical captures share a
-	// result, and editing a file in place changes the key.
+	// trace directory — instead of synthesizing Workload (which must
+	// then be empty). The capture's content identity (trace.Describe),
+	// not its path, flows into the job's cache key: two paths holding
+	// identical captures share a result, and rewriting a capture in
+	// place changes the key.
 	TraceFile string
 
 	// Table-size overrides (0 = mechanism default, negative = explicit 0).

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -87,56 +86,10 @@ func TestKeyTraceNeverAliasesSynthetic(t *testing.T) {
 	}
 }
 
-// TestKeyTraceFlatFile covers the flat-file branch: content identity is
-// the file bytes, so a byte-identical copy keys equal and an edited copy
-// keys apart.
-func TestKeyTraceFlatFile(t *testing.T) {
-	tr := genTrace(t, "cpw2", 100)
-	dir := t.TempDir()
-	write := func(name string, tr *trace.Trace) string {
-		p := filepath.Join(dir, name)
-		f, err := os.Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.WriteBinary(f, tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	p1 := write("a.cmpt", tr)
-	p2 := write("b.cmpt", tr)
-	edited := genTrace(t, "cpw2", 100)
-	edited.Records[5].Gap++
-	p3 := write("c.cmpt", edited)
-
-	k1, err := Key(Job{TraceFile: p1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := Key(Job{TraceFile: p2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k3, err := Key(Job{TraceFile: p3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatal("byte-identical flat traces key apart")
-	}
-	if k1 == k3 {
-		t.Fatal("edited flat trace keys equal")
-	}
-}
-
 // TestKeyTraceRejectsAmbiguousJob: a job naming both a trace and a
 // synthetic workload is a contradiction, not a preference.
 func TestKeyTraceRejectsAmbiguousJob(t *testing.T) {
-	if _, err := Key(Job{TraceFile: "x.cmpt", Workload: "tp"}); err == nil {
+	if _, err := Key(Job{TraceFile: "x.cmps", Workload: "tp"}); err == nil {
 		t.Fatal("job with both TraceFile and Workload accepted")
 	}
 }
@@ -184,7 +137,7 @@ func TestPlanTraceFiles(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("valid trace plan rejected: %v", err)
 	}
-	bad := Plan{TraceFiles: []string{filepath.Join(t.TempDir(), "missing.cmpt")}}
+	bad := Plan{TraceFiles: []string{filepath.Join(t.TempDir(), "missing.cmps")}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("plan with missing trace input validated")
 	}

@@ -1,67 +1,15 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// encodeBinary is a test helper that panics on writer failure (a
-// bytes.Buffer cannot fail).
-func encodeBinary(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadBinaryHugeCountHeader is the OOM regression test: a crafted
-// header claiming 2^60 records must fail cleanly on the (absent) record
-// data instead of preallocating petabytes.
-func TestReadBinaryHugeCountHeader(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	var varbuf [binary.MaxVarintLen64]byte
-	put := func(v uint64) { buf.Write(varbuf[:binary.PutUvarint(varbuf[:], v)]) }
-	put(formatVersion)
-	put(0)       // empty name
-	put(4)       // threads
-	put(1 << 60) // record count far beyond the data that follows
-	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("2^60-record header accepted")
-	}
-}
-
-// TestReadBinaryHugeNameLength guards the name-length cap the same way.
-func TestReadBinaryHugeNameLength(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	var varbuf [binary.MaxVarintLen64]byte
-	put := func(v uint64) { buf.Write(varbuf[:binary.PutUvarint(varbuf[:], v)]) }
-	put(formatVersion)
-	put(1 << 40) // name length
-	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil ||
-		!strings.Contains(err.Error(), "name length") {
-		t.Fatalf("err = %v, want implausible-name-length rejection", err)
-	}
-}
-
-// TestReadBinaryRejectsTrailingGarbage: data past the declared record
-// count is corruption, not padding.
-func TestReadBinaryRejectsTrailingGarbage(t *testing.T) {
-	b := append(encodeBinary(t, sample()), 0x00)
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil ||
-		!strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("err = %v, want trailing-data rejection", err)
-	}
-}
-
 // TestBinaryExtremeDeltas round-trips addresses whose per-thread deltas
 // span the full signed 64-bit range (0 -> MaxUint64 -> 0), the zigzag
-// edge cases.
+// edge cases. Thread 1's record sits between thread 0's, so each
+// thread's deltas must run from its own previous address.
 func TestBinaryExtremeDeltas(t *testing.T) {
 	tr := &Trace{Name: "extreme", Threads: 2, Records: []Record{
 		{Thread: 0, Op: Load, Addr: 0},
@@ -71,19 +19,25 @@ func TestBinaryExtremeDeltas(t *testing.T) {
 		{Thread: 1, Op: Ifetch, Addr: ^uint64(0) - 1}, // independent per-thread state
 		{Thread: 0, Op: Load, Addr: (1 << 63) - 1},
 	}}
-	got, err := ReadBinary(bytes.NewReader(encodeBinary(t, tr)))
+	dir, _ := writeShardedT(t, tr, ShardOptions{Shards: 1})
+	sh, err := OpenSharded(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equal(tr, got) {
-		t.Fatalf("extreme-delta round trip mismatch:\norig %+v\ngot  %+v", tr.Records, got.Records)
+	defer sh.Close()
+	got, err := sh.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := grouped(tr); !equal(want, got) {
+		t.Fatalf("extreme-delta round trip mismatch:\nwant %+v\ngot  %+v", want.Records, got.Records)
 	}
 }
 
 // TestShardedExtremeDeltas proves the sharded codec handles the same
-// edge-case addresses, including across a batch boundary (deltas reset
-// per batch, so the first record of each batch carries an absolute
-// address zigzagged).
+// edge-case addresses across a batch boundary (deltas reset per batch,
+// so the first record of each batch carries an absolute address
+// zigzagged).
 func TestShardedExtremeDeltas(t *testing.T) {
 	tr := &Trace{Name: "extreme", Threads: 1, Records: []Record{
 		{Op: Load, Addr: ^uint64(0)},
@@ -106,98 +60,50 @@ func TestShardedExtremeDeltas(t *testing.T) {
 	}
 }
 
-// TestTriFormatRoundTrip walks one trace binary -> text -> sharded and
-// back, proving the three codecs agree on content.
-func TestTriFormatRoundTrip(t *testing.T) {
-	orig := synth("tri", 4, 100)
-	orig.SortByThread() // canonical order shared by all three forms
-
-	bin, err := ReadBinary(bytes.NewReader(encodeBinary(t, orig)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var txt bytes.Buffer
-	if err := WriteText(&txt, bin); err != nil {
-		t.Fatal(err)
-	}
-	fromText, err := ReadText(&txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, _ := writeShardedT(t, fromText, ShardOptions{Shards: 2, BatchRecords: 32})
-	sh, err := OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	final, err := sh.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(orig, final) {
-		t.Fatal("binary -> text -> sharded round trip lost content")
-	}
-}
-
-// FuzzReadBinary asserts the binary decoder never panics or OOMs on
-// arbitrary bytes, and that anything it accepts re-encodes canonically
-// (decode(encode(decode(b))) is a fixed point).
-func FuzzReadBinary(f *testing.F) {
-	f.Add([]byte(magic))
-	f.Add([]byte("CMPTx"))
-	var empty bytes.Buffer
-	WriteBinary(&empty, &Trace{Name: "seed", Threads: 1})
-	f.Add(empty.Bytes())
-	var seeded bytes.Buffer
-	WriteBinary(&seeded, &Trace{Name: "seed", Threads: 2, Records: []Record{
+// FuzzShardedReplay feeds arbitrary bytes to the sharded reader as the
+// only shard of a one-shard capture whose manifest stays as written.
+// The reader must reject the bytes or replay them; a capture it
+// accepts must drain through ReadAll to a valid trace of exactly
+// Records() records, never panic and never allocate past the
+// manifest's bounds.
+func FuzzShardedReplay(f *testing.F) {
+	seed := &Trace{Name: "seed", Threads: 2, Records: []Record{
 		{Thread: 0, Op: Load, Addr: 0x1000, Gap: 3},
 		{Thread: 1, Op: Store, Addr: ^uint64(0), Gap: 0},
-	}})
-	f.Add(seeded.Bytes())
+		{Thread: 0, Op: Ifetch, Addr: 0x1080, Gap: 1 << 31},
+	}}
+	dir := filepath.Join(f.TempDir(), "seed.cmps")
+	if _, err := WriteSharded(dir, seed, ShardOptions{Shards: 1, BatchRecords: 1}); err != nil {
+		f.Fatal(err)
+	}
+	shard := filepath.Join(dir, ShardFileName(0))
+	written, err := os.ReadFile(shard)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add(written[:len(written)-1])
+	f.Add(append(append([]byte(nil), written...), 0))
+	f.Add([]byte(shardMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
+		if err := os.WriteFile(shard, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := OpenSharded(dir)
 		if err != nil {
 			return
 		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("decoder accepted an invalid trace: %v", verr)
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			t.Fatalf("re-encoding an accepted trace failed: %v", err)
-		}
-		tr2, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("re-decoding failed: %v", err)
-		}
-		if !equal(tr, tr2) {
-			t.Fatal("decode/encode/decode is not a fixed point")
-		}
-	})
-}
-
-// FuzzReadText asserts the text decoder never panics on arbitrary input
-// and that accepted traces survive a round trip.
-func FuzzReadText(f *testing.F) {
-	f.Add("")
-	f.Add("# name x\n# threads 2\n0 R 1000 5\n1 W ffee0000 0\n")
-	f.Add("# threads 70000\n")
-	f.Add("0 R 100\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadText(strings.NewReader(data))
+		defer sh.Close()
+		tr, err := sh.ReadAll()
 		if err != nil {
 			return
 		}
-		if verr := tr.Validate(); verr != nil {
-			t.Fatalf("decoder accepted an invalid trace: %v", verr)
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("reader accepted an invalid trace: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := WriteText(&buf, tr); err != nil {
-			t.Fatalf("re-encoding an accepted trace failed: %v", err)
-		}
-		if _, err := ReadText(&buf); err != nil {
-			t.Fatalf("re-decoding failed: %v", err)
+		if got := int64(len(tr.Records)); got != sh.Records() {
+			t.Fatalf("drained %d records, capture declares %d", got, sh.Records())
 		}
 	})
 }

@@ -71,7 +71,21 @@ const (
 	// per-thread resident memory: replay holds one decoded batch per
 	// thread.
 	DefaultBatchRecords = 4096
+
+	// maxPrealloc caps how many records any header-declared count may
+	// preallocate. A corrupt manifest can claim 2^60 records; trusting
+	// that count would OOM the process before a single record is read,
+	// so readers reserve at most this many up front and grow by append
+	// as real data arrives. It also caps one batch's record count.
+	maxPrealloc = 1 << 20
+
+	// maxThreads bounds the thread count a manifest may declare. Thread
+	// IDs are uint16, so nothing above 1<<16 can ever be referenced.
+	maxThreads = 1 << 16
 )
+
+func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // ThreadCount is one thread's record count within a shard.
 type ThreadCount struct {
@@ -333,19 +347,16 @@ type Sharded struct {
 	idle []*inflater
 }
 
-// IsShardedDir reports whether path is a sharded trace directory (a
-// directory containing a manifest.json).
-func IsShardedDir(path string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		return false
-	}
-	_, err = os.Stat(filepath.Join(path, ManifestName))
-	return err == nil
-}
-
-// ReadManifest loads and validates dir's manifest.
+// ReadManifest loads and validates dir's manifest. A path that is not
+// a directory is rejected before any file is read.
 func ReadManifest(dir string) (*Manifest, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("trace: %s is not a sharded trace directory", dir)
+	}
 	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
@@ -826,39 +837,17 @@ type FileRef struct {
 	SHA256  string
 }
 
-// Describe resolves path — a sharded trace directory or a flat
-// binary/text trace file — to its content identity. For sharded stores
-// the hash is the manifest's ContentHash; for flat files it is the
-// SHA-256 of the file bytes.
-func Describe(path string) (FileRef, error) {
-	if IsShardedDir(path) {
-		man, err := ReadManifest(path)
-		if err != nil {
-			return FileRef{}, err
-		}
-		return FileRef{
-			Name:    man.Name,
-			Threads: man.Threads,
-			Records: man.Records,
-			SHA256:  man.ContentHash(),
-		}, nil
-	}
-	b, err := os.ReadFile(path)
+// Describe resolves a sharded trace directory to its content
+// identity: the manifest's shape and its ContentHash.
+func Describe(dir string) (FileRef, error) {
+	man, err := ReadManifest(dir)
 	if err != nil {
 		return FileRef{}, err
 	}
-	t, err := ReadBinary(bytes.NewReader(b))
-	if err == ErrBadMagic {
-		t, err = ReadText(bytes.NewReader(b))
-	}
-	if err != nil {
-		return FileRef{}, err
-	}
-	sum := sha256.Sum256(b)
 	return FileRef{
-		Name:    t.Name,
-		Threads: t.Threads,
-		Records: int64(len(t.Records)),
-		SHA256:  hex.EncodeToString(sum[:]),
+		Name:    man.Name,
+		Threads: man.Threads,
+		Records: man.Records,
+		SHA256:  man.ContentHash(),
 	}, nil
 }

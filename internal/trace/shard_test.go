@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // synth builds a deterministic multi-thread trace with uneven per-thread
@@ -41,6 +42,17 @@ func synth(name string, threads, refsPerThread int) *Trace {
 	return t
 }
 
+// grouped returns t with its records grouped by thread in ascending
+// thread order, each thread's in its own order: the order ReadAll
+// yields.
+func grouped(t *Trace) *Trace {
+	g := &Trace{Name: t.Name, Threads: t.Threads}
+	for _, recs := range t.PerThread() {
+		g.Records = append(g.Records, recs...)
+	}
+	return g
+}
+
 func writeShardedT(t *testing.T, tr *Trace, opt ShardOptions) (string, *Manifest) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "capture.cmps")
@@ -54,9 +66,6 @@ func writeShardedT(t *testing.T, tr *Trace, opt ShardOptions) (string, *Manifest
 func TestShardedRoundTrip(t *testing.T) {
 	orig := synth("round", 8, 1000)
 	dir, man := writeShardedT(t, orig, ShardOptions{Shards: 3, BatchRecords: 128})
-	if !IsShardedDir(dir) {
-		t.Fatal("IsShardedDir = false for a written store")
-	}
 	if man.Records != int64(len(orig.Records)) || man.Threads != orig.Threads {
 		t.Fatalf("manifest shape %d/%d, want %d/%d",
 			man.Records, man.Threads, len(orig.Records), orig.Threads)
@@ -74,10 +83,8 @@ func TestShardedRoundTrip(t *testing.T) {
 		t.Fatalf("ReadAll: %v", err)
 	}
 	// ReadAll groups by thread; compare against the thread-grouped
-	// original (stable, so per-thread order is preserved).
-	want := &Trace{Name: orig.Name, Threads: orig.Threads, Records: append([]Record(nil), orig.Records...)}
-	want.SortByThread()
-	if !equal(want, got) {
+	// original.
+	if want := grouped(orig); !equal(want, got) {
 		t.Fatalf("sharded round trip mismatch: %d vs %d records", len(want.Records), len(got.Records))
 	}
 	// The streaming summary must agree with the in-memory one.
@@ -89,6 +96,51 @@ func TestShardedRoundTrip(t *testing.T) {
 	if ss.Records != ms.Records || ss.Loads != ms.Loads || ss.Stores != ms.Stores ||
 		ss.Ifetches != ms.Ifetches || ss.DistinctLines != ms.DistinctLines || ss.MeanGap != ms.MeanGap {
 		t.Fatalf("streaming summary %+v != in-memory %+v", ss, ms)
+	}
+}
+
+// Property: a sharded round trip preserves arbitrary traces: any of 256
+// threads, any address, gap and name, records interleaved across
+// threads and split over three shards of 7-record batches.
+func TestShardedRoundTripProperty(t *testing.T) {
+	root := t.TempDir()
+	captures := 0
+	f := func(recs []struct {
+		Thread uint8
+		Op     uint8
+		Addr   uint64
+		Gap    uint32
+	}, name string) bool {
+		tr := &Trace{Name: name, Threads: 256}
+		for _, r := range recs {
+			tr.Records = append(tr.Records, Record{
+				Thread: uint16(r.Thread),
+				Op:     Op(r.Op % 3),
+				Addr:   r.Addr,
+				Gap:    r.Gap,
+			})
+		}
+		captures++
+		dir := filepath.Join(root, strconv.Itoa(captures))
+		if _, err := WriteSharded(dir, tr, ShardOptions{Shards: 3, BatchRecords: 7}); err != nil {
+			t.Log(err)
+			return false
+		}
+		sh, err := OpenSharded(dir)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		defer sh.Close()
+		got, err := sh.ReadAll()
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		return equal(grouped(tr), got)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -245,34 +297,87 @@ func TestShardedContentHashSeparates(t *testing.T) {
 	}
 }
 
-func TestDescribeFlatFile(t *testing.T) {
-	tr := sample()
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "t.cmpt")
-	f, err := os.Create(bin)
+// TestDescribeRejectsNonDirectory: a plain file, a missing path and an
+// empty directory are not captures. Describe and OpenSharded reject
+// each with an error that names the path.
+func TestDescribeRejectsNonDirectory(t *testing.T) {
+	root := t.TempDir()
+	file := filepath.Join(root, "plain.cmps")
+	if err := os.WriteFile(file, []byte(shardMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(root, "empty.cmps")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{file, filepath.Join(root, "missing.cmps"), empty} {
+		if ref, err := Describe(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("Describe(%s) = %+v, %v; want an error naming the path", path, ref, err)
+		}
+		sh, err := OpenSharded(path)
+		if err == nil {
+			sh.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("OpenSharded(%s): err = %v, want an error naming the path", path, err)
+		}
+	}
+	want := "trace: " + file + " is not a sharded trace directory"
+	if _, err := Describe(file); err == nil || err.Error() != want {
+		t.Fatalf("Describe(plain file): err = %v, want %q", err, want)
+	}
+}
+
+// TestWriteShardedRejectsInvalidTrace: the writer refuses what Validate
+// refuses, so no capture on disk holds a record replay would reject.
+// A name that is not UTF-8 is among them: the JSON manifest would
+// replace its bad bytes while each shard header keeps them, so the
+// capture could never open. A name that is UTF-8 but not ASCII
+// round-trips.
+func TestWriteShardedRejectsInvalidTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		want string
+	}{
+		{"thread out of range", &Trace{Threads: 2, Records: []Record{{Thread: 200, Op: Load}}}, "thread 200 out of range"},
+		{"invalid op", &Trace{Threads: 1, Records: []Record{{Op: 7}}}, "invalid op 7"},
+		{"name not UTF-8", &Trace{Name: "bad\xffname", Threads: 1, Records: []Record{{Op: Load, Addr: 0x80}}}, "not valid UTF-8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "bad.cmps")
+			if _, err := WriteSharded(dir, tc.tr, ShardOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("WriteSharded: err = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	good := &Trace{Name: "café ☕", Threads: 1, Records: []Record{{Op: Load, Addr: 0x80}}}
+	dir, _ := writeShardedT(t, good, ShardOptions{})
+	sh, err := OpenSharded(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(f, tr); err != nil {
-		t.Fatal(err)
+	defer sh.Close()
+	if sh.Name() != good.Name {
+		t.Fatalf("Name() = %q, want %q", sh.Name(), good.Name)
 	}
-	f.Close()
-	ref, err := Describe(bin)
+}
+
+// TestShardedCompression guards the per-batch address deltas: a
+// sequential trace must shrink to well under a byte per record.
+func TestShardedCompression(t *testing.T) {
+	const n = 10000
+	tr := &Trace{Name: "seq", Threads: 1}
+	for i := 0; i < n; i++ {
+		tr.Records = append(tr.Records, Record{Op: Load, Addr: uint64(i) * 128, Gap: 1})
+	}
+	dir, _ := writeShardedT(t, tr, ShardOptions{Shards: 1})
+	fi, err := os.Stat(filepath.Join(dir, ShardFileName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Name != tr.Name || ref.Threads != tr.Threads || ref.Records != int64(len(tr.Records)) || ref.SHA256 == "" {
-		t.Fatalf("flat Describe = %+v", ref)
-	}
-	// A one-byte edit to the file must change the identity.
-	b, _ := os.ReadFile(bin)
-	b[len(b)-1] ^= 1
-	edited := filepath.Join(dir, "t2.cmpt")
-	if err := os.WriteFile(edited, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if ref2, err := Describe(edited); err == nil && ref2.SHA256 == ref.SHA256 {
-		t.Fatal("flat Describe did not separate edited file")
+	if perRec := float64(fi.Size()) / n; perRec > 1 {
+		t.Fatalf("%.2f bytes/record, want <= 1 for a sequential trace", perRec)
 	}
 }
 
@@ -363,6 +468,71 @@ func TestOpenShardedRejectsCorruption(t *testing.T) {
 			t.Fatal("missing shard file accepted")
 		}
 	})
+}
+
+// craftedHeader returns a shard file that starts with the magic and
+// carries vs as uvarints.
+func craftedHeader(vs ...uint64) []byte {
+	b := []byte(shardMagic)
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// openWithShard opens a one-shard, one-thread capture whose shard file
+// is replaced by shard, and returns OpenSharded's error.
+func openWithShard(t *testing.T, shard []byte) error {
+	t.Helper()
+	dir, _ := writeShardedT(t, synth("crafted", 1, 3), ShardOptions{Shards: 1})
+	if err := os.WriteFile(filepath.Join(dir, ShardFileName(0)), shard, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := OpenSharded(dir)
+	if err == nil {
+		sh.Close()
+	}
+	return err
+}
+
+// TestReadBinaryHugeCountHeader is the OOM regression test for the
+// shard reader: a crafted header claiming 2^60 batches, a 2^60-record
+// batch or a 2^40-byte payload fails at open on its own bound instead
+// of reserving memory for it.
+func TestReadBinaryHugeCountHeader(t *testing.T) {
+	named := func(vs ...uint64) []byte {
+		b := append(craftedHeader(shardVersion, uint64(len("crafted"))), "crafted"...)
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		shard []byte
+		want  string
+	}{
+		// threads, shard, shards, batches, then per batch: thread,
+		// count, clen.
+		{"batch count", named(1, 0, 1, 1<<60), "implausible batch count"},
+		{"batch record count", named(1, 0, 1, 1, 0, 1<<60), "implausible record count"},
+		{"payload length", named(1, 0, 1, 1, 0, 3, 1<<40), "implausible payload length"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := openWithShard(t, tc.shard); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenSharded: err = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReadBinaryHugeNameLength guards the shard header's name-length
+// cap the same way.
+func TestReadBinaryHugeNameLength(t *testing.T) {
+	if err := openWithShard(t, craftedHeader(shardVersion, 1<<40)); err == nil ||
+		!strings.Contains(err.Error(), "implausible name length") {
+		t.Fatalf("OpenSharded: err = %v, want implausible-name-length rejection", err)
+	}
 }
 
 // craftShard replaces dir's shard file with one whose framing declares
@@ -531,21 +701,6 @@ func TestShardedNextChunkRejectsCraftedPayloads(t *testing.T) {
 	}
 }
 
-func TestIsShardedDirFalseCases(t *testing.T) {
-	if IsShardedDir(filepath.Join(t.TempDir(), "missing")) {
-		t.Fatal("missing path reported as sharded dir")
-	}
-	empty := t.TempDir()
-	if IsShardedDir(empty) {
-		t.Fatal("empty dir reported as sharded dir")
-	}
-	file := filepath.Join(t.TempDir(), "flat.cmpt")
-	os.WriteFile(file, []byte("CMPT"), 0o644)
-	if IsShardedDir(file) {
-		t.Fatal("plain file reported as sharded dir")
-	}
-}
-
 func TestShardOfStableAndInRange(t *testing.T) {
 	for shards := 1; shards <= 8; shards++ {
 		for tid := 0; tid < 1000; tid++ {
@@ -603,6 +758,7 @@ func TestNewMemSourceRejectsMalformed(t *testing.T) {
 		{"thread out of range", &Trace{Threads: 2, Records: []Record{{Thread: 5, Op: Load}}}, "thread 5 out of range"},
 		{"invalid op", &Trace{Threads: 1, Records: []Record{{Op: 7}}}, "invalid op 7"},
 		{"zero threads", &Trace{Threads: 0}, "Threads = 0"},
+		{"name not UTF-8", &Trace{Name: "bad\xffname", Threads: 1}, "not valid UTF-8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src, err := NewMemSource(tc.tr)

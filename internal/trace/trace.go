@@ -2,13 +2,14 @@
 // the simulator. The paper feeds L2-traffic traces captured on real SMP
 // machines into its cache-hierarchy simulator; this package provides the
 // equivalent substrate: a compact record type, an in-memory Trace, and
-// streaming binary and text codecs so traces can be generated once and
-// replayed across many configurations.
+// one on-disk format, the sharded capture directory (shard.go), that is
+// written once and streamed with bounded memory across many
+// configurations.
 package trace
 
 import (
 	"fmt"
-	"sort"
+	"unicode/utf8"
 )
 
 // Op is the kind of memory reference.
@@ -24,7 +25,7 @@ const (
 	numOps
 )
 
-// String returns the canonical short name used in the text format.
+// String returns the op's one-letter name (R, W or I).
 func (o Op) String() string {
 	switch o {
 	case Load:
@@ -35,20 +36,6 @@ func (o Op) String() string {
 		return "I"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
-	}
-}
-
-// ParseOp inverts String.
-func ParseOp(s string) (Op, error) {
-	switch s {
-	case "R":
-		return Load, nil
-	case "W":
-		return Store, nil
-	case "I":
-		return Ifetch, nil
-	default:
-		return 0, fmt.Errorf("trace: unknown op %q", s)
 	}
 }
 
@@ -71,8 +58,13 @@ type Trace struct {
 	Records []Record // grouped or interleaved; PerThread splits them
 }
 
-// Validate reports the first malformed record, or nil.
+// Validate reports a name that is not valid UTF-8 (the manifest is
+// JSON, which cannot carry it), a non-positive thread count or the
+// first malformed record, or nil.
 func (t *Trace) Validate() error {
+	if !utf8.ValidString(t.Name) {
+		return fmt.Errorf("trace: name %q is not valid UTF-8", t.Name)
+	}
 	if t.Threads <= 0 {
 		return fmt.Errorf("trace: Threads = %d, must be positive", t.Threads)
 	}
@@ -172,29 +164,4 @@ func (t *Trace) Summarize(lineBytes int) Stats {
 // FootprintBytes returns the distinct-line footprint in bytes.
 func (s Stats) FootprintBytes(lineBytes int) int {
 	return s.DistinctLines * lineBytes
-}
-
-// Merge combines several traces into one, remapping thread IDs so each
-// input occupies a disjoint thread range, in input order. Useful for
-// composing multiprogrammed workloads.
-func Merge(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	base := 0
-	for _, tr := range traces {
-		for _, r := range tr.Records {
-			r.Thread += uint16(base)
-			out.Records = append(out.Records, r)
-		}
-		base += tr.Threads
-	}
-	out.Threads = base
-	return out
-}
-
-// SortByThread stably groups records by thread, preserving per-thread
-// order. The binary codec compresses better on grouped records.
-func (t *Trace) SortByThread() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].Thread < t.Records[j].Thread
-	})
 }

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func sample() *Trace {
@@ -42,18 +40,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestParseOp(t *testing.T) {
-	for _, op := range []Op{Load, Store, Ifetch} {
-		got, err := ParseOp(op.String())
-		if err != nil || got != op {
-			t.Fatalf("ParseOp round trip failed for %v", op)
-		}
-	}
-	if _, err := ParseOp("x"); err == nil {
-		t.Fatal("ParseOp accepted junk")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	tr := sample()
 	if err := tr.Validate(); err != nil {
@@ -72,6 +58,11 @@ func TestValidate(t *testing.T) {
 	tr.Threads = 0
 	if tr.Validate() == nil {
 		t.Fatal("zero threads accepted")
+	}
+	tr = sample()
+	tr.Name = "bad\xffname"
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+		t.Fatalf("name that is not UTF-8: err = %v, want a UTF-8 rejection", err)
 	}
 }
 
@@ -113,175 +104,5 @@ func TestSummarizeSharedLinesCountedOnce(t *testing.T) {
 	}}
 	if s := tr.Summarize(128); s.DistinctLines != 1 {
 		t.Fatalf("DistinctLines = %d, want 1", s.DistinctLines)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Trace{Name: "a", Threads: 2, Records: []Record{{Thread: 1, Op: Load, Addr: 1}}}
-	b := &Trace{Name: "b", Threads: 1, Records: []Record{{Thread: 0, Op: Store, Addr: 2}}}
-	m := Merge("ab", a, b)
-	if m.Threads != 3 {
-		t.Fatalf("Threads = %d, want 3", m.Threads)
-	}
-	if m.Records[0].Thread != 1 || m.Records[1].Thread != 2 {
-		t.Fatalf("remapped threads = %d, %d; want 1, 2", m.Records[0].Thread, m.Records[1].Thread)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-}
-
-func TestSortByThread(t *testing.T) {
-	tr := sample()
-	tr.SortByThread()
-	for i := 1; i < len(tr.Records); i++ {
-		if tr.Records[i-1].Thread > tr.Records[i].Thread {
-			t.Fatal("records not grouped by thread")
-		}
-	}
-	// Stability: thread 0's internal order preserved.
-	var t0 []uint64
-	for _, r := range tr.Records {
-		if r.Thread == 0 {
-			t0 = append(t0, r.Addr)
-		}
-	}
-	want := []uint64{0x1000, 0xffee_0000_1234, 0}
-	for i := range want {
-		if t0[i] != want[i] {
-			t.Fatalf("thread 0 order = %v, want %v", t0, want)
-		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	orig := sample()
-	if err := WriteBinary(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(orig, got) {
-		t.Fatalf("round trip mismatch:\norig %+v\ngot  %+v", orig, got)
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOPE....")); err != ErrBadMagic {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
-	}
-}
-
-func TestBinaryRejectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{5, len(full) / 2, len(full) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", cut)
-		}
-	}
-}
-
-func TestBinaryRejectsInvalidTrace(t *testing.T) {
-	tr := sample()
-	tr.Records[0].Thread = 200
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err == nil {
-		t.Fatal("WriteBinary accepted an invalid trace")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	orig := sample()
-	if err := WriteText(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(orig, got) {
-		t.Fatalf("round trip mismatch:\norig %+v\ngot  %+v", orig, got)
-	}
-}
-
-func TestTextInfersThreads(t *testing.T) {
-	in := "0 R 100 0\n2 W 200 5\n"
-	tr, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Threads != 3 {
-		t.Fatalf("inferred Threads = %d, want 3", tr.Threads)
-	}
-}
-
-func TestTextRejectsMalformed(t *testing.T) {
-	for _, in := range []string{
-		"0 R 100\n",       // missing field
-		"0 Q 100 0\n",     // bad op
-		"x R 100 0\n",     // bad thread
-		"0 R zz 0\n",      // bad addr
-		"0 R 100 -1\n",    // bad gap
-		"99999 R 100 0\n", // thread out of uint16... actually valid uint16? 99999 > 65535
-	} {
-		if _, err := ReadText(strings.NewReader(in)); err == nil {
-			t.Fatalf("malformed input %q accepted", in)
-		}
-	}
-}
-
-// Property: binary round trip preserves arbitrary traces.
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(recs []struct {
-		Thread uint8
-		Op     uint8
-		Addr   uint64
-		Gap    uint32
-	}, name string) bool {
-		tr := &Trace{Name: name, Threads: 256}
-		for _, r := range recs {
-			tr.Records = append(tr.Records, Record{
-				Thread: uint16(r.Thread),
-				Op:     Op(r.Op % 3),
-				Addr:   r.Addr,
-				Gap:    r.Gap,
-			})
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return equal(tr, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the binary encoding of a grouped, spatially-local trace is
-// smaller than 10 bytes/record (delta compression effectiveness guard).
-func TestBinaryCompression(t *testing.T) {
-	tr := &Trace{Name: "seq", Threads: 1}
-	for i := 0; i < 10000; i++ {
-		tr.Records = append(tr.Records, Record{Op: Load, Addr: uint64(i) * 128, Gap: 1})
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if perRec := float64(buf.Len()) / 10000; perRec > 10 {
-		t.Fatalf("%.1f bytes/record, want <= 10 for sequential trace", perRec)
 	}
 }
