@@ -193,7 +193,7 @@ func main() {
 		auditFailed = !opts.Auditor.Ok()
 	}
 	if *metricsOut != "" {
-		if werr := writeSeries(*metricsOut, res.Metrics); werr != nil {
+		if werr := writeJSON(*metricsOut, res.Metrics); werr != nil {
 			fatalf("metrics-out: %v", werr)
 		}
 	}
@@ -249,25 +249,26 @@ func ensureWritable(path string) error {
 	return nil
 }
 
-// writeSeries exports the interval series as indented JSON.
-func writeSeries(path string, series *metrics.Series) error {
-	return writeJSON(path, series)
-}
-
-// writeJSON writes v as indented JSON to path ("-" for stdout).
+// writeJSON writes v as indented JSON to path ("-" for stdout). A file's
+// Close error is returned too: a write that hits a full disk may only
+// surface there.
 func writeJSON(path string, v any) error {
-	w := os.Stdout
+	f := os.Stdout
 	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
+		var err error
+		if f, err = os.Create(path); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
 	}
-	enc := json.NewEncoder(w)
+	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	err := enc.Encode(v)
+	if f != os.Stdout {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 func generate(workloadName string, refs int) (*cmpcache.Trace, error) {

@@ -393,6 +393,9 @@ func (d *Daemon) runOne(j *jobState) {
 	d.log.Info("job run", "id", j.origin, "job", j.ID, "key", shortKey(j.Key))
 
 	res, err := d.execute(ctx, j.Job)
+	if err == nil {
+		err = d.sameCapture(j)
+	}
 	if err != nil {
 		status := JobFailed
 		if errors.Is(err, context.Canceled) {
@@ -420,6 +423,28 @@ func (d *Daemon) runOne(j *jobState) {
 	d.log.Info("cache store", "id", j.origin, "job", j.ID,
 		"key", shortKey(j.Key), "bytes", len(data))
 	d.finishPrimary(j, JobDone, data, "")
+}
+
+// sameCapture fails a trace job whose capture changed after it was
+// submitted. The job was keyed by the capture's content at submission,
+// but the run replayed whatever the directory held when it started, so
+// caching its result under the submitted key would answer a later
+// submission of the original content with the rewritten capture's
+// result. One window stays open: a capture rewritten and then restored
+// (A, then B, then A again) between submission and this check keys to
+// A again, so B's result is kept under A's key.
+func (d *Daemon) sameCapture(j *jobState) error {
+	if j.Job.TraceFile == "" {
+		return nil // a synthetic job's key depends on the job alone
+	}
+	key, err := d.jobKey(j.Job)
+	if err != nil {
+		return fmt.Errorf("serve: capture %s: %w", j.Job.TraceFile, err)
+	}
+	if key != j.Key {
+		return fmt.Errorf("serve: capture %s changed while queued", j.Job.TraceFile)
+	}
+	return nil
 }
 
 // execute runs the job, converting a panic into an error so one broken

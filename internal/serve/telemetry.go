@@ -40,7 +40,7 @@ type daemonMetrics struct {
 	jobQueueSeconds *telemetry.Histogram // enqueue -> start, executed primaries
 	jobRunSeconds   *telemetry.Histogram // start -> finish, executed primaries
 
-	traceOpens *telemetry.Counter // trace-source container opens
+	traceOpens *telemetry.Counter // capture decodes and per-run opens
 	traceHits  *telemetry.Counter // trace-source cache hits
 }
 
@@ -81,7 +81,7 @@ func newDaemonMetrics(reg *telemetry.Registry) *daemonMetrics {
 			"Wall-clock simulation time of executed jobs.",
 			telemetry.SecondsBuckets),
 		traceOpens: reg.Counter("cmpserved_trace_source_opens_total",
-			"Trace-source opens (one per sharded capture directory and content version)."),
+			"Trace captures decoded (one per capture directory and content version while it stays cached), plus per-run opens of captures too large to decode."),
 		traceHits: reg.Counter("cmpserved_trace_source_cache_hits_total",
 			"Trace-source lookups served from the simulator's source cache."),
 	}

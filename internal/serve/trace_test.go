@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"cmpcache/internal/config"
+	"cmpcache/internal/sweep"
+	"cmpcache/internal/system"
 	"cmpcache/internal/trace"
 	"cmpcache/internal/workload"
 )
@@ -93,6 +96,80 @@ func TestServerTraceSubmit(t *testing.T) {
 	}
 	if stats := d.Snapshot(); stats.SimRuns != 2 {
 		t.Fatalf("SimRuns = %d after edited rerun, want 2", stats.SimRuns)
+	}
+}
+
+// TestServerTraceRewrittenWhileQueued: a trace job whose capture is
+// rewritten in place while it waits fails, naming the capture, and
+// caches nothing, so a later submission of the original content runs
+// it instead of being served the rewritten capture's result.
+func TestServerTraceRewrittenWhileQueued(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "capture.cmps")
+	write := func(refs int) {
+		t.Helper()
+		p, err := workload.ByName("tp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.RefsPerThread = refs
+		tr, err := p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.WriteSharded(dir, tr, trace.ShardOptions{Shards: 2, BatchRecords: 128}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(500)
+
+	sim := sweep.NewSimulator()
+	gate, ran := make(chan struct{}), make(chan sweep.Job, 2)
+	run := func(ctx context.Context, j sweep.Job) (*system.Results, error) {
+		ran <- j
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return sim.Run(ctx, j)
+	}
+	d := mustDaemon(t, Options{Workers: 1, Run: run})
+	defer d.Shutdown(context.Background())
+	job := sweep.Job{TraceFile: dir, Mechanism: config.Baseline}
+
+	submit := func() *jobState {
+		t.Helper()
+		js, err := d.Submit([]sweep.Job{job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js[0]
+	}
+	first := submit()
+	<-ran
+	write(600) // rewritten in place while the job waits
+	close(gate)
+	waitDone(t, first)
+	if v := first.view(false); v.Status != JobFailed || !strings.Contains(v.Error, dir+" changed while queued") {
+		t.Fatalf("job over the rewritten capture: %s %q, want failed naming the capture", v.Status, v.Error)
+	}
+
+	write(500) // the original content again
+	again := submit()
+	if again.view(false).Cached {
+		t.Fatal("original content served from cache after its capture was rewritten mid-queue")
+	}
+	waitDone(t, again)
+	v := again.view(true)
+	if v.Status != JobDone {
+		t.Fatalf("resubmission %s: %s", v.Status, v.Error)
+	}
+	want, err := sim.Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v.Result, mustMarshal(t, want)) {
+		t.Fatal("resubmission's result is not the original capture's")
 	}
 }
 

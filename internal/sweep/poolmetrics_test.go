@@ -66,8 +66,8 @@ func TestPoolMetricsCounts(t *testing.T) {
 }
 
 // TestPoolMetricsSourceCache proves the trace-source counters flow from
-// the pool's own Simulator: the first job over a capture opens the
-// container, the second is served from the source cache.
+// the pool's own Simulator: the first job over a capture decodes it,
+// the second is served from the source cache.
 func TestPoolMetricsSourceCache(t *testing.T) {
 	dir := writeShardedTrace(t, genTrace(t, "tp", 200))
 	met := NewPoolMetrics(nil, "") // detached instruments still count
@@ -82,7 +82,7 @@ func TestPoolMetricsSourceCache(t *testing.T) {
 		}
 	}
 	if opens := met.SourceOpens.Value(); opens != 1 {
-		t.Errorf("SourceOpens = %d, want 1 (one container open)", opens)
+		t.Errorf("SourceOpens = %d, want 1 (one decode)", opens)
 	}
 	if hits := met.SourceHits.Value(); hits != 1 {
 		t.Errorf("SourceHits = %d, want 1 (second job served from cache)", hits)

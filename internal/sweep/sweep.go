@@ -276,8 +276,8 @@ type PoolMetrics struct {
 	// simulation wall time.
 	QueueSeconds *telemetry.Histogram
 	JobSeconds   *telemetry.Histogram
-	// SourceOpens / SourceHits count trace-source container opens vs
-	// source-cache hits when the pool builds its own Simulator.
+	// SourceOpens / SourceHits count capture decodes and per-run opens
+	// vs source-cache hits when the pool builds its own Simulator.
 	SourceOpens *telemetry.Counter
 	SourceHits  *telemetry.Counter
 }
@@ -309,7 +309,7 @@ func NewPoolMetrics(reg *telemetry.Registry, prefix string) *PoolMetrics {
 			"Per-primary simulation wall time.",
 			telemetry.SecondsBuckets),
 		SourceOpens: reg.Counter(prefix+"_trace_source_opens_total",
-			"Trace-source container opens."),
+			"Trace captures decoded, plus per-run opens of captures too large to decode."),
 		SourceHits: reg.Counter(prefix+"_trace_source_cache_hits_total",
 			"Trace-source lookups served from the simulator's source cache."),
 	}

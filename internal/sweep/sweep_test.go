@@ -175,31 +175,56 @@ func TestProgressReporting(t *testing.T) {
 	}
 }
 
-// TestParallelFasterThanSerial demonstrates the orchestrator's
-// concurrency with latency-bound jobs: at 4+ workers a grid completes
-// in a fraction of the serial wall clock while the exported results
-// stay byte-identical. (Latency-bound jobs make the test meaningful
-// even on single-core machines, where CPU-bound speedup is impossible.)
-func TestParallelFasterThanSerial(t *testing.T) {
-	const jobDelay = 20 * time.Millisecond
+// TestWorkersRunConcurrently checks the pool's concurrency without a
+// clock: in the 4-worker run every job counts itself in flight and
+// waits until 4 jobs have been in flight at once, so the run completes
+// only if the pool runs 4 jobs together, and no job may ever see more
+// than 4. The deadline only ends a pool that never gets there. The
+// 1-worker run does not wait, and both runs export byte-identical
+// results.
+func TestWorkersRunConcurrently(t *testing.T) {
+	const workers = 4
 	jobs := distinctJobs(12)
+	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var (
+		mu       sync.Mutex
+		inFlight int
+		peak     int
+	)
+	reached := make(chan struct{})
 	run := func(ctx context.Context, j Job) (*system.Results, error) {
-		time.Sleep(jobDelay)
-		return stubRun(ctx, j)
+		mu.Lock()
+		inFlight++
+		if inFlight > peak {
+			peak = inFlight
+			if peak == workers {
+				close(reached)
+			}
+		}
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		}()
+		select {
+		case <-reached:
+			return stubRun(ctx, j)
+		case <-deadline.Done():
+			return nil, fmt.Errorf("%d jobs never in flight at once", workers)
+		}
 	}
 
-	timeRun := func(workers int) ([]Result, time.Duration) {
-		start := time.Now()
-		results := Run(context.Background(), jobs, Options{Workers: workers, Run: run})
-		return results, time.Since(start)
+	serialResults := Run(context.Background(), jobs, Options{Workers: 1, Run: stubRun})
+	parallelResults := Run(context.Background(), jobs, Options{Workers: workers, Run: run})
+	for i, r := range parallelResults {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
 	}
-	serialResults, serialWall := timeRun(1)
-	parallelResults, parallelWall := timeRun(4)
-
-	// 12 jobs x 20ms: serial >= 240ms, 4 workers ~ 60ms. Requiring a
-	// 2x margin keeps the assertion robust on loaded CI machines.
-	if parallelWall*2 >= serialWall {
-		t.Fatalf("parallel sweep not faster: serial %v, 4 workers %v", serialWall, parallelWall)
+	if peak != workers {
+		t.Fatalf("%d jobs in flight at once, want at most %d", peak, workers)
 	}
 
 	var serialJSON, parallelJSON bytes.Buffer

@@ -12,7 +12,7 @@ import (
 
 // genTrace synthesizes a small deterministic workload trace for the
 // trace-key and trace-replay tests.
-func genTrace(t *testing.T, name string, refs int) *trace.Trace {
+func genTrace(t testing.TB, name string, refs int) *trace.Trace {
 	t.Helper()
 	p, err := workload.ByName(name)
 	if err != nil {
@@ -26,7 +26,7 @@ func genTrace(t *testing.T, name string, refs int) *trace.Trace {
 	return tr
 }
 
-func writeShardedTrace(t *testing.T, tr *trace.Trace) string {
+func writeShardedTrace(t testing.TB, tr *trace.Trace) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "capture.cmps")
 	if _, err := trace.WriteSharded(dir, tr, trace.ShardOptions{Shards: 2, BatchRecords: 64}); err != nil {

@@ -25,7 +25,7 @@ func TestBinaryExtremeDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	got, err := sh.ReadAll()
+	got, err := loadTrace(sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestShardedExtremeDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	got, err := sh.ReadAll()
+	got, err := loadTrace(sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestShardedExtremeDeltas(t *testing.T) {
 // FuzzShardedReplay feeds arbitrary bytes to the sharded reader as the
 // only shard of a one-shard capture whose manifest stays as written.
 // The reader must reject the bytes or replay them; a capture it
-// accepts must drain through ReadAll to a valid trace of exactly
+// accepts must decode through Load to a valid trace of exactly
 // Records() records, never panic and never allocate past the
 // manifest's bounds.
 func FuzzShardedReplay(f *testing.F) {
@@ -95,7 +95,7 @@ func FuzzShardedReplay(f *testing.F) {
 			return
 		}
 		defer sh.Close()
-		tr, err := sh.ReadAll()
+		tr, err := loadTrace(sh)
 		if err != nil {
 			return
 		}

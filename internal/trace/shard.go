@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -78,6 +79,10 @@ const (
 	// so readers reserve at most this many up front and grow by append
 	// as real data arrives. It also caps one batch's record count.
 	maxPrealloc = 1 << 20
+
+	// MaxLoadRecords is the largest capture, in records, that Load
+	// preallocates exactly; a larger one should stream.
+	MaxLoadRecords = maxPrealloc
 
 	// maxThreads bounds the thread count a manifest may declare. Thread
 	// IDs are uint16, so nothing above 1<<16 can ever be referenced.
@@ -635,71 +640,88 @@ func (st *shardStream) NextChunk() ([]Record, error) {
 	}
 	if st.next == 0 {
 		// Size the buffers once, for the stream's largest batch.
-		var clen int64
-		var count int
-		for _, r := range st.refs {
-			clen, count = max(clen, r.clen), max(count, r.count)
-		}
+		clen, count := largestBatch(st.refs)
 		st.cbuf = make([]byte, clen)
 		st.recs = make([]Record, count)
 	}
+	recs := st.recs[:st.refs[st.next].count]
+	if err := st.decodeNext(st.cbuf, recs); err != nil {
+		return nil, err
+	}
+	st.lastLen = int64(len(recs))
+	st.s.account(st.lastLen)
+	return recs, nil
+}
+
+// largestBatch returns the largest payload length and record count
+// among refs.
+func largestBatch(refs []batchRef) (clen int64, count int) {
+	for _, r := range refs {
+		clen, count = max(clen, r.clen), max(count, r.count)
+	}
+	return clen, count
+}
+
+// decodeNext reads the stream's next batch into cbuf, which must hold
+// its payload, and decodes its records into recs, whose length must be
+// the batch's record count. It is the store's one decoder: NextChunk
+// decodes into the stream's own buffer, Load into a thread's slice of a
+// MemSource.
+func (st *shardStream) decodeNext(cbuf []byte, recs []Record) error {
 	ref := st.refs[st.next]
 	st.next++
-	buf := st.cbuf[:ref.clen]
+	buf := cbuf[:ref.clen]
 	if _, err := st.s.files[ref.file].ReadAt(buf, ref.off); err != nil {
-		return nil, st.errorf("%w", err)
+		return st.errorf("%w", err)
 	}
 	inf := st.s.takeInflater()
 	defer st.s.returnInflater(inf)
 	if err := inf.reset(buf); err != nil {
-		return nil, st.errorf("%w", err)
+		return st.errorf("%w", err)
 	}
-	recs := st.recs[:ref.count]
 	prev := uint64(0)
 	for i := range recs {
 		if inf.hi-inf.lo < maxRecordBytes && !inf.eof {
 			if err := inf.refill(); err != nil {
-				return nil, st.errorf("%w", err)
+				return st.errorf("%w", err)
 			}
 		}
 		b := inf.win[inf.lo:inf.hi]
 		op, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, st.fieldError(i, "op", n)
+			return st.fieldError(i, "op", n)
 		}
 		b = b[n:]
 		if op >= uint64(numOps) {
-			return nil, st.errorf("record %d invalid op %d", i, op)
+			return st.errorf("record %d invalid op %d", i, op)
 		}
 		deltaRaw, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, st.fieldError(i, "addr", n)
+			return st.fieldError(i, "addr", n)
 		}
 		b = b[n:]
 		addr := uint64(int64(prev) + unzigzag(deltaRaw))
 		prev = addr
 		gap, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, st.fieldError(i, "gap", n)
+			return st.fieldError(i, "gap", n)
 		}
 		b = b[n:]
 		if gap > 1<<32-1 {
-			return nil, st.errorf("record %d gap %d overflows uint32", i, gap)
+			return st.errorf("record %d gap %d overflows uint32", i, gap)
 		}
 		inf.lo = inf.hi - len(b)
 		recs[i] = Record{Thread: st.tid, Op: Op(op), Addr: addr, Gap: uint32(gap)}
 	}
 	if inf.lo == inf.hi && !inf.eof {
 		if err := inf.refill(); err != nil {
-			return nil, st.errorf("%w", err)
+			return st.errorf("%w", err)
 		}
 	}
 	if inf.lo != inf.hi {
-		return nil, st.errorf("payload larger than declared %d records", ref.count)
+		return st.errorf("payload larger than declared %d records", ref.count)
 	}
-	st.lastLen = int64(len(recs))
-	st.s.account(st.lastLen)
-	return recs, nil
+	return nil
 }
 
 // takeInflater hands out an idle inflater, or a new one if none is idle.
@@ -785,30 +807,38 @@ func (s *Sharded) account(delta int64) {
 	}
 }
 
-// ReadAll materializes the whole capture as an in-memory Trace, records
-// grouped by thread in ascending thread order. Intended for tools and
-// tests; replay should stream.
-func (s *Sharded) ReadAll() (*Trace, error) {
-	t := &Trace{Name: s.man.Name, Threads: s.man.Threads}
-	prealloc := s.man.Records
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
+// Load decodes the whole capture into a MemSource: each thread's
+// batches decode straight into that thread's record slice, sized from
+// the framing's validated record counts. Preallocation is capped at
+// maxPrealloc records in all; past that, a slice grows as its batches
+// decode, so a corrupt count costs at most one batch's worth before its
+// payload fails. The MemSource holds no reference to the store, which
+// the caller may close at once. A capture above MaxLoadRecords is
+// better streamed.
+func (s *Sharded) Load() (*MemSource, error) {
+	var clen int64
+	for _, refs := range s.perThread {
+		c, _ := largestBatch(refs)
+		clen = max(clen, c)
 	}
-	t.Records = make([]Record, 0, prealloc)
-	for tid := 0; tid < s.man.Threads; tid++ {
-		st := s.Stream(tid)
-		for {
-			chunk, err := st.NextChunk()
-			if err != nil {
+	cbuf := make([]byte, clen)
+	m := &MemSource{name: s.man.Name, records: s.man.Records, streams: make([][]Record, s.man.Threads)}
+	budget := int64(maxPrealloc)
+	for tid, refs := range s.perThread {
+		n := min(s.threadRec[tid], budget)
+		budget -= n
+		recs := make([]Record, 0, n)
+		st := shardStream{s: s, tid: uint16(tid), refs: refs}
+		for _, ref := range refs {
+			recs = slices.Grow(recs, ref.count)
+			if err := st.decodeNext(cbuf, recs[len(recs):len(recs)+ref.count]); err != nil {
 				return nil, err
 			}
-			if chunk == nil {
-				break
-			}
-			t.Records = append(t.Records, chunk...)
+			recs = recs[:len(recs)+ref.count]
 		}
+		m.streams[tid] = recs
 	}
-	return t, nil
+	return m, nil
 }
 
 // Verify re-hashes every shard file and compares against the manifest,

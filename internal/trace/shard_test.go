@@ -43,7 +43,7 @@ func synth(name string, threads, refsPerThread int) *Trace {
 }
 
 // grouped returns t with its records grouped by thread in ascending
-// thread order, each thread's in its own order: the order ReadAll
+// thread order, each thread's in its own order: the order loadTrace
 // yields.
 func grouped(t *Trace) *Trace {
 	g := &Trace{Name: t.Name, Threads: t.Threads}
@@ -51,6 +51,20 @@ func grouped(t *Trace) *Trace {
 		g.Records = append(g.Records, recs...)
 	}
 	return g
+}
+
+// loadTrace decodes sh whole with Load and returns its per-thread
+// streams concatenated in ascending thread order, as a Trace.
+func loadTrace(sh *Sharded) (*Trace, error) {
+	m, err := sh.Load()
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{Name: m.Name(), Threads: m.Threads()}
+	for _, recs := range m.streams {
+		t.Records = append(t.Records, recs...)
+	}
+	return t, nil
 }
 
 func writeShardedT(t *testing.T, tr *Trace, opt ShardOptions) (string, *Manifest) {
@@ -78,14 +92,26 @@ func TestShardedRoundTrip(t *testing.T) {
 	if err := sh.Verify(); err != nil {
 		t.Fatalf("Verify on a fresh store: %v", err)
 	}
-	got, err := sh.ReadAll()
+	got, err := loadTrace(sh)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	// ReadAll groups by thread; compare against the thread-grouped
+	// Load splits by thread; compare against the thread-grouped
 	// original.
 	if want := grouped(orig); !equal(want, got) {
 		t.Fatalf("sharded round trip mismatch: %d vs %d records", len(want.Records), len(got.Records))
+	}
+	// Each thread's slice is sized from the framing's counts, never
+	// regrown.
+	m, err := sh.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tid, recs := range m.streams {
+		if int64(len(recs)) != sh.ThreadRecords(tid) || cap(recs) != len(recs) {
+			t.Fatalf("thread %d: Load gave %d records in a %d-record slice, want %d in an exact one",
+				tid, len(recs), cap(recs), sh.ThreadRecords(tid))
+		}
 	}
 	// The streaming summary must agree with the in-memory one.
 	ss, err := SummarizeSource(sh, 128)
@@ -132,7 +158,7 @@ func TestShardedRoundTripProperty(t *testing.T) {
 			return false
 		}
 		defer sh.Close()
-		got, err := sh.ReadAll()
+		got, err := loadTrace(sh)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -641,7 +667,7 @@ func TestShardedDecodeAllocationFree(t *testing.T) {
 
 // TestShardedNextChunkRejectsCraftedPayloads: a batch whose framing is
 // sound but whose payload decodes to something no writer produces must
-// fail NextChunk with the batch named, never yield records.
+// fail NextChunk and Load with the batch named, never yield records.
 func TestShardedNextChunkRejectsCraftedPayloads(t *testing.T) {
 	const count = 3
 	uv := func(vs ...uint64) []byte {
@@ -684,6 +710,9 @@ func TestShardedNextChunkRejectsCraftedPayloads(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "thread 0 batch 0") {
 				t.Fatalf("error %q does not name the batch", err)
+			}
+			if _, err := sh.Load(); err == nil || !strings.Contains(err.Error(), "thread 0 batch 0") {
+				t.Fatalf("Load: err = %v, want an error naming the batch", err)
 			}
 		})
 	}
