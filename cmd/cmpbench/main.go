@@ -26,12 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/experiments"
+	"cmpcache/internal/profiling"
 )
 
 func main() {
@@ -52,33 +51,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cmpbench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "cmpbench: memprofile: %v\n", err)
-				os.Exit(1)
-			}
-		}()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
+		os.Exit(1)
 	}
 
 	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Overrides: overrides}
@@ -93,7 +69,11 @@ func main() {
 		}
 	}
 
-	if err := runner.Run(*experiment, os.Stdout); err != nil {
+	err = runner.Run(*experiment, os.Stdout)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "cmpbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -17,12 +17,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 
 	"cmpcache"
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
+	"cmpcache/internal/profiling"
 )
 
 func main() {
@@ -67,31 +66,6 @@ func main() {
 		}
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatalf("memprofile: %v", err)
-			}
-		}()
-	}
-
 	cfg := cmpcache.DefaultConfig()
 	if *configFile != "" {
 		f, err := os.Open(*configFile)
@@ -121,6 +95,10 @@ func main() {
 			fatalf("%v", err)
 		}
 		return
+	}
+	stopProfiles, perr := profiling.Start(*cpuprofile, *memprofile)
+	if perr != nil {
+		fatalf("%v", perr)
 	}
 
 	// The workload is either a sharded trace directory (streamed with
@@ -219,6 +197,9 @@ func main() {
 		fmt.Printf("workload             %s (%d refs, %d threads)\n",
 			src.Name(), src.Records(), src.Threads())
 		fmt.Print(res.Summary())
+	}
+	if err := stopProfiles(); err != nil {
+		fatalf("%v", err)
 	}
 	if auditFailed {
 		os.Exit(1)

@@ -27,13 +27,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/metrics"
+	"cmpcache/internal/profiling"
 	"cmpcache/internal/stats"
 	"cmpcache/internal/sweep"
 	"cmpcache/internal/telemetry"
@@ -79,33 +78,12 @@ func main() {
 		}
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatalf("memprofile: %v", err)
-			}
-		}()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	plan := sweep.Plan{RefsPerThread: *refs}
-	var err error
 	for _, tf := range strings.Split(*traces, ",") {
 		if tf = strings.TrimSpace(tf); tf != "" {
 			plan.TraceFiles = append(plan.TraceFiles, tf)
@@ -208,6 +186,9 @@ func main() {
 		if err := writeTelemetry(*telemetryOut, reg); err != nil {
 			fatalf("-telemetry-out: %v", err)
 		}
+	}
+	if err := stopProfiles(); err != nil {
+		fatalf("%v", err)
 	}
 	for _, r := range results {
 		if r.Err != nil {

@@ -65,3 +65,18 @@ func BenchmarkCacheInsert(b *testing.B) {
 	}
 	b.ReportMetric(1-float64(evictions)/float64(b.N), "hits/op")
 }
+
+// BenchmarkCacheTouchOrInsert times a reuse-table update (TouchOrInsert:
+// a recency update on a hit, victim choice and displacement at MRU on a
+// miss, one probe either way) in ns per update.
+func BenchmarkCacheTouchOrInsert(b *testing.B) {
+	c, seq := benchCache()
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m, _ := c.TouchOrInsert(seq[i&(benchSeqLen-1)], 1, 0); m != nil {
+			hits++
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}

@@ -187,6 +187,25 @@ func (c *Cache) LookupTouch(key uint64) *Meta {
 	return &meta[0]
 }
 
+// TouchOrInsert is LookupTouch followed, on a miss, by an Insert at
+// MRU, in one probe of the set. On a hit it returns key's record, now
+// at MRU and otherwise unchanged. On a miss it returns nil and places
+// key at MRU with state and flags, in the set's lowest invalid way or
+// else its LRU way; evicted is the line that way held (Valid is false
+// when the way was invalid).
+func (c *Cache) TouchOrInsert(key uint64, state int8, flags uint8) (hit *Meta, evicted Line) {
+	keys, meta := c.set(key)
+	if w := find(keys, meta, key); w >= 0 {
+		moveToFront(keys, meta, w)
+		return &meta[0], Line{}
+	}
+	victim := firstInvalid(meta)
+	if victim < 0 {
+		victim = len(keys) - 1
+	}
+	return nil, place(keys, meta, victim, key, state, flags, true)
+}
+
 // Insert places key with the given state, at MRU when atMRU is true and
 // at LRU otherwise, returning the valid line it displaced, if any. When
 // key is already present, its state is overwritten and the line's
@@ -235,22 +254,37 @@ func (c *Cache) Invalidate(key uint64) (Line, bool) {
 	if w < 0 {
 		return Line{}, false
 	}
-	old := Line{Key: key, State: meta[w].State, Flags: meta[w].Flags, Valid: true}
+	return invalidate(keys, meta, w), true
+}
+
+// LookupWay is Lookup that also returns key's way within its set (-1 on
+// a miss), for a later InvalidateWay that must not search the set
+// again.
+func (c *Cache) LookupWay(key uint64) (int, *Meta) {
+	keys, meta := c.set(key)
+	if w := find(keys, meta, key); w >= 0 {
+		return w, &meta[w]
+	}
+	return -1, nil
+}
+
+// InvalidateWay is Invalidate of the line at way of key's set, as
+// LookupWay found it with no mutating call since, and returns that
+// line.
+func (c *Cache) InvalidateWay(key uint64, way int) Line {
+	keys, meta := c.set(key)
+	return invalidate(keys, meta, way)
+}
+
+// invalidate removes way from a set, moving the freed way to the LRU
+// end, and returns the line it held.
+func invalidate(keys []uint64, meta []Meta, w int) Line {
+	old := Line{Key: keys[w], State: meta[w].State, Flags: meta[w].Flags, Valid: meta[w].Valid}
 	last := len(keys) - 1
 	copy(keys[w:], keys[w+1:])
 	copy(meta[w:], meta[w+1:])
 	keys[last], meta[last] = 0, Meta{}
-	return old, true
-}
-
-// SetState overwrites the state of key, reporting whether it was
-// present.
-func (c *Cache) SetState(key uint64, state int8) bool {
-	if m := c.Lookup(key); m != nil {
-		m.State = state
-		return true
-	}
-	return false
+	return old
 }
 
 // ReplaceableWay searches the set key maps to for a way the caller may
@@ -286,7 +320,13 @@ func (c *Cache) ReplaceWay(key uint64, way int, state int8, flags uint8, atMRU b
 	return place(keys, meta, way, key, state, flags, atMRU)
 }
 
-// CountValid returns the number of valid lines.
+// CountValid returns the number of valid lines. It scans the whole
+// array; a run calls it once per table for its results. Inlined into
+// System.results, the loop kept both counters on the stack in the
+// profile-guided build, which made cmpcache.Run of a one-reference-per-
+// thread trace about 40% slower, so it stays out of line.
+//
+//go:noinline
 func (c *Cache) CountValid() int {
 	n := 0
 	for i := range c.meta {

@@ -166,20 +166,6 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestSetState(t *testing.T) {
-	c := New(1, 1)
-	c.Insert(3, stShared, 0, true)
-	if !c.SetState(3, stExclusive) {
-		t.Fatal("SetState on present key failed")
-	}
-	if l, _ := c.Peek(3); l.State != stExclusive {
-		t.Fatalf("state = %d, want exclusive", l.State)
-	}
-	if c.SetState(4, stShared) {
-		t.Fatal("SetState on absent key succeeded")
-	}
-}
-
 func TestReplaceableWayPrefersInvalid(t *testing.T) {
 	c := New(1, 3)
 	c.Insert(0, stShared, 0, true)

@@ -47,10 +47,7 @@ func NewSnarfTable(cfg config.SnarfConfig) *SnarfTable {
 // entry survives) and is refreshed to MRU.
 func (t *SnarfTable) RecordWriteBack(key uint64) {
 	t.recordedWBs++
-	if l := t.table.LookupTouch(key); l != nil {
-		return
-	}
-	t.table.Insert(key, 0, 0, true)
+	t.table.TouchOrInsert(key, 0, 0)
 }
 
 // RecordMiss notes a demand L2 miss on line key, observed locally or

@@ -35,7 +35,7 @@ const (
 	ProbeHit ProbeKind = iota
 	// ProbeHitStoreUpgrade: a store hit an Exclusive line; the access
 	// completes locally but the caller must commit the silent E→M
-	// upgrade (SetState) so the transition flows through the same
+	// upgrade (Line.SetState) so the transition flows through the same
 	// observation path as every other dirty-state change.
 	ProbeHitStoreUpgrade
 	// ProbeHitNeedsUpgrade: the data is present but a store requires an
@@ -176,7 +176,7 @@ func (c *Cache) ReservePort(key uint64, now config.Cycles) config.Cycles {
 // passes false so the access is not double-counted. Probe never mutates
 // coherence state: a store hitting an Exclusive line reports
 // ProbeHitStoreUpgrade and the caller commits the silent E→M transition
-// via SetState, so it lands inside the observation hooks (auditor,
+// via Line.SetState, so it lands inside the observation hooks (auditor,
 // latency timers) like every other dirty-state change rather than as a
 // side effect of a lookup.
 func (c *Cache) Probe(key uint64, isStore, count bool) ProbeKind {
@@ -219,15 +219,6 @@ func (c *Cache) noteLocalUse(line *cache.Meta) {
 	}
 }
 
-// State returns the coherence state of key (Invalid when absent),
-// without perturbing recency or statistics.
-func (c *Cache) State(key uint64) coherence.State {
-	if l, ok := c.tags.Peek(key); ok {
-		return coherence.State(l.State)
-	}
-	return coherence.Invalid
-}
-
 // ForEachLine invokes fn for every valid line with its chip-wide key,
 // coherence state and flag bits: slice by slice, then set by set, then
 // MRU to LRU. It perturbs neither recency nor statistics, so shadow
@@ -246,13 +237,30 @@ func (c *Cache) ForEachWB(fn func(e WBEntry)) {
 	}
 }
 
-// SetState overwrites the state of a resident line (test hook and
-// upgrade-commit path). It panics if the line is absent, which would
-// indicate a protocol sequencing bug.
-func (c *Cache) SetState(key uint64, st coherence.State) {
-	if !c.tags.SetState(key, int8(st)) {
-		panic(fmt.Sprintf("l2 %d: SetState on absent line %#x", c.id, key))
+// Line is a handle on one line's tag record: its coherence state is
+// read and changed through it, so a commit that reads the state and
+// then changes it probes the tags once. It stays valid until the
+// cache's tags next change.
+type Line struct{ m *cache.Meta }
+
+// Line looks key up without perturbing recency or statistics.
+func (c *Cache) Line(key uint64) Line { return Line{c.tags.Lookup(key)} }
+
+// State returns the line's coherence state (Invalid when absent).
+func (l Line) State() coherence.State {
+	if l.m == nil {
+		return coherence.Invalid
 	}
+	return coherence.State(l.m.State)
+}
+
+// SetState overwrites the state of a resident line. It panics if the
+// line is absent, which would indicate a protocol sequencing bug.
+func (l Line) SetState(st coherence.State) {
+	if l.m == nil {
+		panic(fmt.Sprintf("l2: SetState on absent line, state %v", st))
+	}
+	l.m.State = int8(st)
 }
 
 // --- MSHR management ---
@@ -276,9 +284,11 @@ func (c *Cache) MSHRCount() int { return len(c.mshrKeys) }
 // MSHRFull reports whether a new miss can be tracked.
 func (c *Cache) MSHRFull() bool { return len(c.mshrKeys) >= c.cfg.MSHRsPerL2 }
 
-// AllocMSHR registers a new outstanding miss. It panics on duplicate
-// allocation (the caller must Attach instead).
-func (c *Cache) AllocMSHR(key uint64, kind coherence.TxnKind) {
+// AllocMSHR registers a new outstanding miss with its first waiters,
+// which are stores when isStore is true and loads otherwise; it is
+// AttachMSHR of each waiter without searching the MSHRs again. It
+// panics on duplicate allocation (the caller must Attach instead).
+func (c *Cache) AllocMSHR(key uint64, kind coherence.TxnKind, isStore bool, waiters ...func(config.Cycles)) {
 	if c.findMSHR(key) >= 0 {
 		panic(fmt.Sprintf("l2 %d: duplicate MSHR for %#x", c.id, key))
 	}
@@ -293,6 +303,23 @@ func (c *Cache) AllocMSHR(key uint64, kind coherence.TxnKind) {
 	m.kind = kind
 	m.loadWaiters = m.loadWaiters[:0]
 	m.storeWaiters = m.storeWaiters[:0]
+	if isStore {
+		m.storeWaiters = append(m.storeWaiters, waiters...)
+	} else {
+		m.loadWaiters = append(m.loadWaiters, waiters...)
+	}
+}
+
+// ReissueMSHR changes the bus transaction kind of key's outstanding
+// miss, keeping its waiters: an ownership claim that lost its race
+// restarts as an RWITM. No stalled re-poll's input changes (stall.go):
+// the MSHR exists before and after. It panics when no MSHR exists.
+func (c *Cache) ReissueMSHR(key uint64, kind coherence.TxnKind) {
+	i := c.findMSHR(key)
+	if i < 0 {
+		panic(fmt.Sprintf("l2 %d: ReissueMSHR on absent MSHR %#x", c.id, key))
+	}
+	c.mshrs[i].kind = kind
 }
 
 // AttachMSHR registers a completion callback on an outstanding miss,
@@ -541,7 +568,7 @@ func (c *Cache) InstallFill(key uint64, st coherence.State) (victimKey uint64, v
 // collector. Own transactions must not be snooped by their issuer.
 func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind) coherence.Response {
 	c.stats.SnoopsObserved++
-	line := c.tags.Lookup(key)
+	way, line := c.tags.LookupWay(key)
 	if line == nil {
 		return coherence.RespNull
 	}
@@ -573,7 +600,7 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind) coherence.Respon
 			c.noteIntervention(line)
 			resp = coherence.RespSharedIntervention
 		}
-		c.tags.Invalidate(key)
+		c.tags.InvalidateWay(key, way)
 		c.stats.Invalidations++
 		return resp
 	case coherence.Upgrade:
@@ -586,7 +613,7 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind) coherence.Respon
 			return coherence.RespNull
 		}
 		// The claimer already holds the data; we just relinquish ours.
-		c.tags.Invalidate(key)
+		c.tags.InvalidateWay(key, way)
 		c.stats.Invalidations++
 		return coherence.RespShared
 	}

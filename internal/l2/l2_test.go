@@ -1,6 +1,7 @@
 package l2
 
 import (
+	"strings"
 	"testing"
 
 	"cmpcache/internal/coherence"
@@ -50,11 +51,11 @@ func TestStoreSilentUpgradeOnExclusive(t *testing.T) {
 	if got := c.Probe(4, true, true); got != ProbeHitStoreUpgrade {
 		t.Fatalf("store on E = %v, want store-upgrade hit", got)
 	}
-	if st := c.State(4); st != coherence.Exclusive {
+	if st := c.Line(4).State(); st != coherence.Exclusive {
 		t.Fatalf("state after probe = %v, want E (probe must not mutate)", st)
 	}
-	c.SetState(4, coherence.Modified)
-	if st := c.State(4); st != coherence.Modified {
+	c.Line(4).SetState(coherence.Modified)
+	if st := c.Line(4).State(); st != coherence.Modified {
 		t.Fatalf("state after commit = %v, want M", st)
 	}
 }
@@ -77,7 +78,7 @@ func TestStoreOnSharedNeedsUpgrade(t *testing.T) {
 
 func TestMSHRLifecycle(t *testing.T) {
 	c, _ := newL2(t, config.Baseline)
-	c.AllocMSHR(5, coherence.Read)
+	c.AllocMSHR(5, coherence.Read, false)
 	if !c.MSHRFor(5) || c.MSHRCount() != 1 {
 		t.Fatal("MSHR not registered")
 	}
@@ -111,13 +112,13 @@ func TestMSHRFreeKeepsOthers(t *testing.T) {
 	kinds := []coherence.TxnKind{coherence.Read, coherence.RWITM, coherence.Upgrade}
 	for i, k := range kinds {
 		key := uint64(10 + i)
-		c.AllocMSHR(key, k)
+		c.AllocMSHR(key, k, false)
 		for j := 0; j <= i; j++ {
 			c.AttachMSHR(key, false, func(config.Cycles) {})
 		}
 	}
 	c.TakeWaiters(11)
-	c.AllocMSHR(20, coherence.Read) // reuses the freed slot's storage
+	c.AllocMSHR(20, coherence.Read, false) // reuses the freed slot's storage
 	for _, tc := range []struct {
 		key   uint64
 		kind  coherence.TxnKind
@@ -135,15 +136,75 @@ func TestMSHRFreeKeepsOthers(t *testing.T) {
 	}
 }
 
+// TestAllocMSHRTakesFirstWaiters: the waiters AllocMSHR is given land
+// on the side isStore names, ahead of later attaches, and ReissueMSHR
+// changes the kind but keeps them.
+func TestAllocMSHRTakesFirstWaiters(t *testing.T) {
+	c, _ := newL2(t, config.Baseline)
+	var order []string
+	waiter := func(name string) func(config.Cycles) {
+		return func(config.Cycles) { order = append(order, name) }
+	}
+	c.AllocMSHR(5, coherence.Upgrade, true, waiter("s1"), waiter("s2"))
+	c.AllocMSHR(6, coherence.Read, false, waiter("l1"))
+	c.AttachMSHR(5, true, waiter("s3"))
+	c.AttachMSHR(5, false, waiter("l2"))
+	c.ReissueMSHR(5, coherence.RWITM)
+	if k := c.MSHRKind(5); k != coherence.RWITM {
+		t.Fatalf("kind after ReissueMSHR = %v, want RWITM", k)
+	}
+	for _, key := range []uint64{5, 6} {
+		loads, stores := c.TakeWaiters(key)
+		for _, w := range append(append([]func(config.Cycles){}, loads...), stores...) {
+			w(0)
+		}
+	}
+	if got := strings.Join(order, ","); got != "l2,s1,s2,s3,l1" {
+		t.Fatalf("waiters ran as %s, want l2,s1,s2,s3,l1", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ReissueMSHR on an absent MSHR did not panic")
+		}
+	}()
+	c.ReissueMSHR(5, coherence.RWITM)
+}
+
+// TestLineReadsAndCommits: a Line handle reads the state Peek sees and
+// commits a new one in place; an absent line reads Invalid and panics
+// on a commit.
+func TestLineReadsAndCommits(t *testing.T) {
+	c, _ := newL2(t, config.Baseline)
+	fill(t, c, 7, coherence.Shared)
+	l := c.Line(7)
+	if st := l.State(); st != coherence.Shared {
+		t.Fatalf("Line(7).State() = %v, want S", st)
+	}
+	l.SetState(coherence.Modified)
+	if st := c.Line(7).State(); st != coherence.Modified {
+		t.Fatalf("State after Line.SetState = %v, want M", st)
+	}
+	absent := c.Line(8)
+	if st := absent.State(); st != coherence.Invalid {
+		t.Fatalf("absent Line State = %v, want I", st)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetState on an absent Line did not panic")
+		}
+	}()
+	absent.SetState(coherence.Modified)
+}
+
 func TestMSHRDuplicatePanics(t *testing.T) {
 	c, _ := newL2(t, config.Baseline)
-	c.AllocMSHR(5, coherence.Read)
+	c.AllocMSHR(5, coherence.Read, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate AllocMSHR did not panic")
 		}
 	}()
-	c.AllocMSHR(5, coherence.RWITM)
+	c.AllocMSHR(5, coherence.RWITM, false)
 }
 
 func TestMSHRFull(t *testing.T) {
@@ -151,7 +212,7 @@ func TestMSHRFull(t *testing.T) {
 	cfg.MSHRsPerL2 = 24 // minimum allowed by Validate for 4x6
 	c := New(0, &cfg, wbpolicy.New(&cfg).Agent(0))
 	for i := 0; i < 24; i++ {
-		c.AllocMSHR(uint64(i), coherence.Read)
+		c.AllocMSHR(uint64(i), coherence.Read, false)
 	}
 	if !c.MSHRFull() {
 		t.Fatal("MSHRFull = false at capacity")
@@ -284,7 +345,7 @@ func TestWBBufferHitCancelsAndReinstalls(t *testing.T) {
 	if _, _, ev := c.Reinstall(e); ev {
 		t.Fatal("reinstall evicted from an empty cache")
 	}
-	if st := c.State(42); st != coherence.Tagged {
+	if st := c.Line(42).State(); st != coherence.Tagged {
 		t.Fatalf("reinstalled state = %v, want T", st)
 	}
 	if c.WBQueueLen() != 0 {
@@ -331,7 +392,7 @@ func TestSnoopDemandReadTransitions(t *testing.T) {
 		if resp != tc.resp {
 			t.Errorf("Read snoop on %v: resp = %v, want %v", tc.before, resp, tc.resp)
 		}
-		if st := c.State(64); st != tc.after {
+		if st := c.Line(64).State(); st != tc.after {
 			t.Errorf("Read snoop on %v: state = %v, want %v", tc.before, st, tc.after)
 		}
 	}
@@ -345,7 +406,7 @@ func TestSnoopDemandRWITMInvalidates(t *testing.T) {
 		c, _ := newL2(t, config.Baseline)
 		fill(t, c, 64, st)
 		resp := c.SnoopDemand(64, coherence.RWITM)
-		if got := c.State(64); got != coherence.Invalid {
+		if got := c.Line(64).State(); got != coherence.Invalid {
 			t.Errorf("RWITM snoop on %v left state %v", st, got)
 		}
 		wantSupply := st.CanIntervene()
@@ -362,7 +423,7 @@ func TestSnoopDemandUpgradeInvalidates(t *testing.T) {
 	if resp := c.SnoopDemand(64, coherence.Upgrade); resp != coherence.RespShared {
 		t.Fatalf("upgrade snoop resp = %v", resp)
 	}
-	if c.State(64) != coherence.Invalid {
+	if c.Line(64).State() != coherence.Invalid {
 		t.Fatal("upgrade snoop did not invalidate")
 	}
 }
@@ -394,7 +455,7 @@ func TestSnoopWBAcceptsIntoInvalidWay(t *testing.T) {
 
 func TestSnoopWBDeclinesOnMSHR(t *testing.T) {
 	c, _ := newL2(t, config.Snarf)
-	c.AllocMSHR(64, coherence.Read)
+	c.AllocMSHR(64, coherence.Read, false)
 	if resp := c.SnoopWB(64, coherence.CleanWB, true); resp != coherence.RespNull {
 		t.Fatalf("WB snoop with MSHR in flight = %v, want decline", resp)
 	}
@@ -425,7 +486,7 @@ func TestSnoopWBVictimizesSharedButNotExclusive(t *testing.T) {
 		t.Fatal("decline-full not counted")
 	}
 	// Downgrade one way to Shared: now it volunteers.
-	c.SetState(0, coherence.Shared)
+	c.Line(0).SetState(coherence.Shared)
 	if resp := c.SnoopWB(offKey, coherence.CleanWB, true); resp != coherence.RespSnarfAccept {
 		t.Fatalf("WB with shared victim available = %v, want accept", resp)
 	}
@@ -451,7 +512,7 @@ func TestAcceptSnarfInstallsMarked(t *testing.T) {
 	if _, _, ok := c.AcceptSnarf(e); !ok {
 		t.Fatal("AcceptSnarf failed on empty cache")
 	}
-	if st := c.State(64); st != coherence.Exclusive {
+	if st := c.Line(64).State(); st != coherence.Exclusive {
 		t.Fatalf("snarfed state = %v, want E", st)
 	}
 	// Local use is scored once.
@@ -479,7 +540,7 @@ func TestTakeWBObligation(t *testing.T) {
 	c, _ := newL2(t, config.Snarf)
 	fill(t, c, 64, coherence.Shared)
 	c.TakeWBObligation(64)
-	if st := c.State(64); st != coherence.Tagged {
+	if st := c.Line(64).State(); st != coherence.Tagged {
 		t.Fatalf("state = %v, want T", st)
 	}
 }

@@ -34,7 +34,7 @@ func TestStallMarkingSites(t *testing.T) {
 		{"RequeueWB", func(c *Cache) {
 			c.RequeueWB(WBEntry{Key: key, Kind: coherence.DirtyWB, State: coherence.Modified, InFlight: true})
 		}},
-		{"AllocMSHR", func(c *Cache) { c.AllocMSHR(key, coherence.Read) }},
+		{"AllocMSHR", func(c *Cache) { c.AllocMSHR(key, coherence.Read, false) }},
 	}
 	for _, site := range sites {
 		t.Run(site.name, func(t *testing.T) {
@@ -61,7 +61,7 @@ func TestStallSlotReuse(t *testing.T) {
 	c, cfg := newL2(t, config.Baseline)
 	id := c.Stall(7)
 	c.Unstall(id)
-	c.AllocMSHR(7, coherence.Read)
+	c.AllocMSHR(7, coherence.Read, false)
 	if again := c.Stall(7); again != id || c.StallChanged(again) {
 		t.Fatalf("reused slot %d (want %d) reads changed=%v", again, id, c.StallChanged(again))
 	}
@@ -91,7 +91,7 @@ func stalledCache(tb testing.TB) (*Cache, uint64) {
 		c.ProcessVictim(2*lines+uint64(i), coherence.Modified, false, false)
 	}
 	for i := 0; i < cfg.MSHRsPerL2/2; i++ {
-		c.AllocMSHR(3*lines+uint64(i), coherence.Read)
+		c.AllocMSHR(3*lines+uint64(i), coherence.Read, false)
 	}
 	if !c.WBQueueFull() {
 		tb.Fatal("write-back queue not full")

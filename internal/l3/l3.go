@@ -93,15 +93,23 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind, isLoad bool) coh
 	if isLoad {
 		c.loadLookups++
 	}
-	if c.tags.LookupTouch(key) == nil {
+	// An invalidating hit removes the line where it sits; refreshing its
+	// recency first would leave the same set order.
+	invalidating := kind == coherence.RWITM || kind == coherence.Upgrade
+	var hit bool
+	if invalidating {
+		_, hit = c.tags.Invalidate(key)
+	} else {
+		hit = c.tags.Touch(key)
+	}
+	if !hit {
 		return coherence.RespNull
 	}
 	c.demandHits++
 	if isLoad {
 		c.loadHits++
 	}
-	if kind == coherence.RWITM || kind == coherence.Upgrade {
-		c.tags.Invalidate(key)
+	if invalidating {
 		c.invalidations++
 		if kind == coherence.Upgrade {
 			// Ownership claims carry no data; the directory hit only
@@ -121,9 +129,8 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind, isLoad bool) coh
 func (c *Cache) SnoopWB(key uint64, kind coherence.TxnKind) coherence.Response {
 	if kind == coherence.CleanWB {
 		c.cleanWBSnooped++
-		if c.tags.Contains(key) {
+		if c.tags.Touch(key) {
 			c.cleanWBRedundant++
-			c.tags.Touch(key)
 			return coherence.RespWBRedundant
 		}
 	}
@@ -151,14 +158,14 @@ func (c *Cache) Insert(key uint64, kind coherence.TxnKind) (Castout, bool) {
 	if kind == coherence.DirtyWB {
 		state = stDirty
 	}
-	if l := c.tags.LookupTouch(key); l != nil {
+	l, evicted := c.tags.TouchOrInsert(key, state, 0)
+	if l != nil {
 		if state == stDirty {
 			l.State = stDirty
 		}
 		return Castout{}, false
 	}
-	evicted, did := c.tags.Insert(key, state, 0, true)
-	if did {
+	if evicted.Valid {
 		c.evictions++
 		if evicted.State == stDirty {
 			c.castouts++

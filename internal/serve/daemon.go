@@ -458,7 +458,8 @@ func (d *Daemon) execute(ctx context.Context, job sweep.Job) (res *system.Result
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return d.run(ctx, job)
+	sweep.ProfileLabels(ctx, job, func(ctx context.Context) { res, err = d.run(ctx, job) })
+	return res, err
 }
 
 // finishPrimary completes a primary and its collapsed waiters, and

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,31 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if stats := settledStats(d, func(st Stats) bool { return st.Canceled == 2 }); stats.Canceled != 2 {
 		t.Errorf("Canceled = %d, want 2", stats.Canceled)
+	}
+}
+
+// TestJobsCarryProfileLabels: a daemon job's run receives a context
+// labelled with its input, mechanism and effective outstanding limit,
+// so /debug/pprof/profile splits CPU by job.
+func TestJobsCarryProfileLabels(t *testing.T) {
+	labels := make(chan [3]string, 1)
+	run := func(ctx context.Context, j sweep.Job) (*system.Results, error) {
+		var l [3]string
+		for i, k := range []string{"input", "mechanism", "outstanding"} {
+			l[i], _ = pprof.Label(ctx, k)
+		}
+		labels <- l
+		return &system.Results{EventsFired: 1}, nil
+	}
+	d := mustDaemon(t, Options{Workers: 1, Run: run})
+	defer d.Shutdown(context.Background())
+	jobs, err := d.Submit([]sweep.Job{{Workload: "trade2", Mechanism: config.WBHT, RefsPerThread: 1000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, jobs...)
+	if got, want := <-labels, [3]string{"trade2", "wbht", "6"}; got != want {
+		t.Fatalf("labels (input, mechanism, outstanding) = %q, want %q", got, want)
 	}
 }
 

@@ -15,7 +15,9 @@
 //   - deterministic output ordering (results are returned in job order
 //     regardless of completion order) and within-sweep deduplication,
 //     so identical jobs execute once;
-//   - JSON/CSV export and a progress callback (done / total / ETA).
+//   - JSON/CSV export and a progress callback (done / total / ETA);
+//   - profiler labels on every run (ProfileLabels), so a CPU profile of
+//     a sweep splits by job.
 //
 // The orchestrator never reorders or perturbs simulation inputs, so a
 // sweep run with 1 worker and with N workers exports byte-identical
@@ -27,6 +29,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -495,5 +499,18 @@ func safeRun(ctx context.Context, fn RunFunc, job Job) (res *system.Results, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return fn(ctx, job)
+	ProfileLabels(ctx, job, func(ctx context.Context) { res, err = fn(ctx, job) })
+	return res, err
+}
+
+// ProfileLabels runs fn under job's profiler labels: input (Job.Input),
+// mechanism and outstanding (the effective limit). CPU samples taken
+// while fn runs carry them, and so does the context fn receives, so a
+// CPU profile of a sweep or of the daemon splits by job.
+func ProfileLabels(ctx context.Context, job Job, fn func(context.Context)) {
+	pprof.Do(ctx, pprof.Labels(
+		"input", job.Input(),
+		"mechanism", job.Mechanism.String(),
+		"outstanding", strconv.Itoa(job.Config().MaxOutstanding),
+	), fn)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -51,6 +52,37 @@ func TestResultsInJobOrder(t *testing.T) {
 		}
 		if r.Results.Cycles != uint64(1000*(i+1)) {
 			t.Fatalf("result %d carries wrong payload: %d cycles", i, r.Results.Cycles)
+		}
+	}
+}
+
+// TestRunsCarryProfileLabels: the executor receives a context labelled
+// with its job's input, mechanism and effective outstanding limit, with
+// and without a per-job timeout.
+func TestRunsCarryProfileLabels(t *testing.T) {
+	jobs := []Job{
+		{Workload: "tp", Mechanism: config.Combined, Outstanding: 2},
+		{TraceFile: "/captures/g-trade2.cmps", Mechanism: config.Baseline},
+	}
+	want := [][3]string{{"tp", "combined", "2"}, {"trace:g-trade2.cmps", "base", "6"}}
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		var mu sync.Mutex
+		got := make(map[Job][3]string)
+		run := func(ctx context.Context, j Job) (*system.Results, error) {
+			var l [3]string
+			for i, k := range []string{"input", "mechanism", "outstanding"} {
+				l[i], _ = pprof.Label(ctx, k)
+			}
+			mu.Lock()
+			got[j] = l
+			mu.Unlock()
+			return stubRun(ctx, j)
+		}
+		Run(context.Background(), jobs, Options{Workers: 2, Run: run, Timeout: timeout})
+		for i, j := range jobs {
+			if got[j] != want[i] {
+				t.Errorf("timeout %v: job %v labels (input, mechanism, outstanding) = %q, want %q", timeout, j, got[j], want[i])
+			}
 		}
 	}
 }

@@ -154,7 +154,7 @@ func TestStaleUpgradeDoesNotDestroyDirtyCopy(t *testing.T) {
 	X.InstallFill(K, coherence.Tagged) // dirty supplier, demoted by a Read
 	Y.InstallFill(K, coherence.Shared)
 	// B's copy was invalidated between its Upgrade's issue and combine.
-	B.AllocMSHR(K, coherence.Upgrade)
+	B.AllocMSHR(K, coherence.Upgrade, false)
 	rec := observeHooks(s)
 
 	s.combineDemand(B, K, coherence.Upgrade)
@@ -162,18 +162,18 @@ func TestStaleUpgradeDoesNotDestroyDirtyCopy(t *testing.T) {
 	if s.upgradeRestarts != 1 {
 		t.Fatalf("upgradeRestarts = %d, want 1", s.upgradeRestarts)
 	}
-	if st := X.State(K); st != coherence.Tagged {
+	if st := X.Line(K).State(); st != coherence.Tagged {
 		t.Fatalf("stale upgrade changed the dirty supplier: %v, want T", st)
 	}
-	if st := Y.State(K); st != coherence.Shared {
+	if st := Y.Line(K).State(); st != coherence.Shared {
 		t.Fatalf("stale upgrade changed the sharer: %v, want S", st)
 	}
 
 	s.engine.Run() // the restarted RWITM combines and fills
-	if st := B.State(K); st != coherence.Modified {
+	if st := B.Line(K).State(); st != coherence.Modified {
 		t.Fatalf("restarted claim ended in %v, want M", st)
 	}
-	if st := X.State(K); st != coherence.Invalid {
+	if st := X.Line(K).State(); st != coherence.Invalid {
 		t.Fatalf("RWITM left the old supplier in %v, want I", st)
 	}
 	if s.fillsFromPeer != 1 {
@@ -203,13 +203,13 @@ func TestRWITMCancelsStaleQueuedWB(t *testing.T) {
 		t.Fatalf("ProcessVictim = %v, want queued", got)
 	}
 
-	B.AllocMSHR(K, coherence.RWITM)
+	B.AllocMSHR(K, coherence.RWITM, false)
 	s.combineDemand(B, K, coherence.RWITM)
 
 	if n := A.WBQueueLen(); n != 0 {
 		t.Fatalf("stale queue entry survived the RWITM (len %d)", n)
 	}
-	if st := B.State(K); st != coherence.Modified {
+	if st := B.Line(K).State(); st != coherence.Modified {
 		t.Fatalf("RWITM installed %v, want M", st)
 	}
 	if s.fillsFromPeer != 1 {
@@ -235,7 +235,7 @@ func TestUpgradeCancelsStaleQueuedWB(t *testing.T) {
 	A.ProcessVictim(K, coherence.SharedLast, false, false)
 	B.InstallFill(K, coherence.Shared)
 
-	B.AllocMSHR(K, coherence.Upgrade)
+	B.AllocMSHR(K, coherence.Upgrade, false)
 	s.combineDemand(B, K, coherence.Upgrade)
 
 	if s.upgrades != 1 || s.upgradeRestarts != 0 {
@@ -244,7 +244,7 @@ func TestUpgradeCancelsStaleQueuedWB(t *testing.T) {
 	if n := A.WBQueueLen(); n != 0 {
 		t.Fatalf("stale queue entry survived the upgrade (len %d)", n)
 	}
-	if st := B.State(K); st != coherence.Modified {
+	if st := B.Line(K).State(); st != coherence.Modified {
 		t.Fatalf("upgrade left claimer in %v, want M", st)
 	}
 }
@@ -265,15 +265,15 @@ func TestReadSnoopsWBQueueAndDemotes(t *testing.T) {
 	A.ProcessVictim(K1, coherence.Modified, false, false)
 	A.ProcessVictim(K2, coherence.SharedLast, false, false)
 
-	B.AllocMSHR(K1, coherence.Read)
+	B.AllocMSHR(K1, coherence.Read, false)
 	s.combineDemand(B, K1, coherence.Read)
-	B.AllocMSHR(K2, coherence.Read)
+	B.AllocMSHR(K2, coherence.Read, false)
 	s.combineDemand(B, K2, coherence.Read)
 
-	if st := B.State(K1); st != coherence.Shared {
+	if st := B.Line(K1).State(); st != coherence.Shared {
 		t.Fatalf("read of a queued M entry installed %v, want S", st)
 	}
-	if st := B.State(K2); st != coherence.SharedLast {
+	if st := B.Line(K2).State(); st != coherence.SharedLast {
 		t.Fatalf("read of a queued SL entry installed %v, want SL", st)
 	}
 	states := map[uint64]coherence.State{}

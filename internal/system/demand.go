@@ -55,16 +55,21 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 	now := s.engine.Now()
 	isLoad := kind == coherence.Read
 
-	if kind == coherence.Upgrade && !cache.State(key).Valid() {
-		// The claim lost its race: a transaction serialized before this
-		// one already invalidated the requester's copy. A stale claim
-		// must be a complete no-op for everyone else — bus ordering
-		// allows a Read to have demoted the new owner to Tagged in the
-		// meantime, and snooping the claim would invalidate that only
-		// dirty copy (and the L3's). Restart as a full RWITM without
-		// snooping anyone.
-		s.commitUpgrade(cache, key, now, false, false)
-		return
+	// A claim's own line is read here and written at its commit below;
+	// the combine snoops only the peers, so the handle stays valid.
+	var claimed l2.Line
+	if kind == coherence.Upgrade {
+		if claimed = cache.Line(key); !claimed.State().Valid() {
+			// The claim lost its race: a transaction serialized before
+			// this one already invalidated the requester's copy. A stale
+			// claim must be a complete no-op for everyone else — bus
+			// ordering allows a Read to have demoted the new owner to
+			// Tagged in the meantime, and snooping the claim would
+			// invalidate that only dirty copy (and the L3's). Restart as
+			// a full RWITM without snooping anyone.
+			s.restartUpgrade(cache, key, now)
+			return
+		}
 	}
 
 	// The policy chip observes every demand miss on the bus (the snarf
@@ -118,39 +123,32 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 	s.policy.ObserveDemandOutcome(cache.ID(), key, kind, out)
 
 	if kind == coherence.Upgrade {
-		s.commitUpgrade(cache, key, now, useUpdate, out.SharedElsewhere)
+		s.commitUpgrade(cache, claimed, key, now, useUpdate, out.SharedElsewhere)
 		return
 	}
 	s.commitFill(cache, key, kind, out, now)
 }
 
-// commitUpgrade finishes an ownership claim. On the invalidate path
-// (the protocol default) peers and the L3 relinquished their copies
-// during the snoop and our line becomes Modified. On the update path
-// (hybrid update/invalidate policy) peers kept demoted-Shared copies:
-// the writer becomes Tagged when sharers survived — pushing the new
-// data to them across the data ring — and Modified otherwise. If a
-// racing transaction invalidated our copy between issue and combine,
-// the claim restarts as a full RWITM either way.
-func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, update, sharers bool) {
-	if !cache.State(key).Valid() {
-		s.upgradeRestarts++
-		for _, o := range s.observers {
-			o.Upgrade(now, cache.ID(), key, true, false, coherence.Invalid)
-		}
-		// Keep the MSHR (with its waiters) but change the kind by
-		// re-allocating after draining.
-		loads, stores := cache.TakeWaiters(key)
-		cache.AllocMSHR(key, coherence.RWITM)
-		for _, w := range loads {
-			cache.AttachMSHR(key, false, w)
-		}
-		for _, w := range stores {
-			cache.AttachMSHR(key, true, w)
-		}
-		s.startDemand(cache, key, coherence.RWITM, now)
-		return
+// restartUpgrade reissues an ownership claim whose copy a racing
+// transaction invalidated between issue and combine as a full RWITM,
+// keeping its MSHR and waiters.
+func (s *System) restartUpgrade(cache l2Handle, key uint64, now config.Cycles) {
+	s.upgradeRestarts++
+	for _, o := range s.observers {
+		o.Upgrade(now, cache.ID(), key, true, false, coherence.Invalid)
 	}
+	cache.ReissueMSHR(key, coherence.RWITM)
+	s.startDemand(cache, key, coherence.RWITM, now)
+}
+
+// commitUpgrade finishes an ownership claim on line, the requester's
+// copy of key. On the invalidate path (the protocol default) peers and
+// the L3 relinquished their copies during the snoop and our line
+// becomes Modified. On the update path (hybrid update/invalidate
+// policy) peers kept demoted-Shared copies: the writer becomes Tagged
+// when sharers survived — pushing the new data to them across the data
+// ring — and Modified otherwise.
+func (s *System) commitUpgrade(cache l2Handle, line l2.Line, key uint64, now config.Cycles, update, sharers bool) {
 	s.upgrades++
 	st := coherence.Modified
 	if update {
@@ -169,7 +167,7 @@ func (s *System) commitUpgrade(cache l2Handle, key uint64, now config.Cycles, up
 	for _, o := range s.observers {
 		o.Upgrade(now, cache.ID(), key, false, update, st)
 	}
-	cache.SetState(key, st)
+	line.SetState(st)
 	loads, stores := cache.TakeWaiters(key)
 	s.wakeWaiters(now, loads, stores)
 }

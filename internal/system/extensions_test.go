@@ -114,7 +114,7 @@ func TestHistoryReplacementCoherent(t *testing.T) {
 	for key := uint64(0); key < lines; key++ {
 		var owners int
 		for _, c := range s.l2s {
-			if st := c.State(key); st.SoleCopy() {
+			if st := c.Line(key).State(); st.SoleCopy() {
 				owners++
 			}
 		}

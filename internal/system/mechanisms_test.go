@@ -95,7 +95,7 @@ func TestDirtyWBSquashTransfersObligation(t *testing.T) {
 		t.Fatal("dirty write back not squashed by the sharing peer")
 	}
 	key := lineAddr(&cfg, 0, 0, 0) / uint64(cfg.LineBytes)
-	if st := s.l2s[1].State(key); st != coherence.Tagged {
+	if st := s.l2s[1].Line(key).State(); st != coherence.Tagged {
 		t.Fatalf("peer state = %v, want T (inherited write-back obligation)", st)
 	}
 }

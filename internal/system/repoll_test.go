@@ -29,7 +29,7 @@ func TestRepollShortPathExact(t *testing.T) {
 		fail := func(why string) {
 			t.Fatalf("%s: L2 %d skipped the probe of %#x, %s", input, c.ID(), key, why)
 		}
-		if st := c.State(key); st != coherence.Invalid {
+		if st := c.Line(key).State(); st != coherence.Invalid {
 			fail("which it holds " + st.String())
 		}
 		if c.MSHRFor(key) {

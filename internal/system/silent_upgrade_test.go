@@ -22,7 +22,7 @@ import (
 // to policy hooks and impossible to commit in a different event than
 // the probe. The fix makes Probe pure: it returns
 // ProbeHitStoreUpgrade and the shard commits the E→M transition
-// through SetState beside the store-hit observation (shard.resolve).
+// through Line.SetState beside the store-hit observation (shard.resolve).
 //
 // This test documents both halves: the upgrade is still silent (no bus
 // Upgrade transaction, no extra address traffic) and still committed
@@ -45,7 +45,7 @@ func TestSilentStoreUpgradeNoBusTraffic(t *testing.T) {
 	r := s.Run()
 
 	key := line / uint64(cfg.LineBytes)
-	if got := s.l2s[0].State(key); got != coherence.Modified {
+	if got := s.l2s[0].Line(key).State(); got != coherence.Modified {
 		t.Fatalf("after store on E line: state = %v, want Modified", got)
 	}
 	if r.Upgrades != 0 {

@@ -172,10 +172,10 @@ func (s *System) resolve(p *pendingAccess) {
 
 	case probeHitStoreUpgrade:
 		// A store hit an Exclusive line: commit the silent E→M upgrade
-		// here — through SetState and the store-hit observation, exactly
+		// here — through Line.SetState and the store-hit observation, exactly
 		// like the completeFill path — rather than as a Probe side
 		// effect invisible to the hooks.
-		cache.SetState(key, coherence.Modified)
+		cache.Line(key).SetState(coherence.Modified)
 		s.logObs(cache, obsRec{kind: obsStoreHit, key: key})
 		s.finishAccess(p, now)
 
@@ -206,8 +206,7 @@ func (s *System) resolve(p *pendingAccess) {
 			cache.CountMSHRAttach()
 			return // an upgrade or fill in flight will complete us
 		}
-		cache.AllocMSHR(key, coherence.Upgrade)
-		cache.AttachMSHR(key, true, p.completeFn)
+		cache.AllocMSHR(key, coherence.Upgrade, true, p.completeFn)
 		s.logObs(cache, obsRec{kind: obsDemandIssued, key: key, issued: p.issued})
 		s.postDemandTxn(cache, key, coherence.Upgrade)
 
@@ -230,8 +229,7 @@ func (s *System) resolve(p *pendingAccess) {
 			kind = coherence.RWITM
 		}
 		cache.CountMiss(key)
-		cache.AllocMSHR(key, kind)
-		cache.AttachMSHR(key, isStore, p.completeFn)
+		cache.AllocMSHR(key, kind, isStore, p.completeFn)
 		s.logObs(cache, obsRec{kind: obsDemandIssued, key: key, issued: p.issued})
 		s.postDemandTxn(cache, key, kind)
 	}
@@ -282,13 +280,14 @@ func (s *System) completeFill(cache l2Handle, key uint64, kind coherence.TxnKind
 	}
 	// Stores coalesced onto a Read miss still need ownership, unless the
 	// fill landed Exclusive (silent upgrade).
-	switch cache.State(key) {
+	line := cache.Line(key)
+	switch line.State() {
 	case coherence.Modified:
 		for _, w := range stores {
 			w(at)
 		}
 	case coherence.Exclusive:
-		cache.SetState(key, coherence.Modified)
+		line.SetState(coherence.Modified)
 		s.logObs(cache, obsRec{kind: obsStoreHit, key: key})
 		for _, w := range stores {
 			w(at)
@@ -297,16 +296,10 @@ func (s *System) completeFill(cache l2Handle, key uint64, kind coherence.TxnKind
 		// The clean fill was invalidated before its data arrived; the
 		// store claims the line outright. The RWITM completes its stores
 		// at arrival unconditionally, so this cannot recurse.
-		cache.AllocMSHR(key, coherence.RWITM)
-		for _, w := range stores {
-			cache.AttachMSHR(key, true, w)
-		}
+		cache.AllocMSHR(key, coherence.RWITM, true, stores...)
 		s.postDemandTxn(cache, key, coherence.RWITM)
 	default: // S, SL, T: claim ownership on the bus
-		cache.AllocMSHR(key, coherence.Upgrade)
-		for _, w := range stores {
-			cache.AttachMSHR(key, true, w)
-		}
+		cache.AllocMSHR(key, coherence.Upgrade, true, stores...)
 		s.postDemandTxn(cache, key, coherence.Upgrade)
 	}
 }

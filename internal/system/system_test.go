@@ -120,10 +120,10 @@ func TestInterventionStateTransitions(t *testing.T) {
 		trace.Record{Thread: 4, Op: trace.Load, Addr: 0x10000, Gap: 1000},
 	))
 	key := uint64(0x10000 / cfg.LineBytes)
-	if st := s.l2s[0].State(key); st != coherence.Shared {
+	if st := s.l2s[0].Line(key).State(); st != coherence.Shared {
 		t.Fatalf("supplier state = %v, want S (downgraded from E)", st)
 	}
-	if st := s.l2s[1].State(key); st != coherence.SharedLast {
+	if st := s.l2s[1].Line(key).State(); st != coherence.SharedLast {
 		t.Fatalf("requester state = %v, want SL (latest reader)", st)
 	}
 }
@@ -135,10 +135,10 @@ func TestDirtyInterventionKeepsTaggedSupplier(t *testing.T) {
 		trace.Record{Thread: 4, Op: trace.Load, Addr: 0x10000, Gap: 1000},
 	))
 	key := uint64(0x10000 / cfg.LineBytes)
-	if st := s.l2s[0].State(key); st != coherence.Tagged {
+	if st := s.l2s[0].Line(key).State(); st != coherence.Tagged {
 		t.Fatalf("dirty supplier state = %v, want T", st)
 	}
-	if st := s.l2s[1].State(key); st != coherence.Shared {
+	if st := s.l2s[1].Line(key).State(); st != coherence.Shared {
 		t.Fatalf("requester of dirty line = %v, want S", st)
 	}
 	if r.FillsFromPeer != 1 {
@@ -152,7 +152,7 @@ func TestStoreMissInstallsModified(t *testing.T) {
 		trace.Record{Thread: 0, Op: trace.Store, Addr: 0x10000},
 	))
 	key := uint64(0x10000 / cfg.LineBytes)
-	if st := s.l2s[0].State(key); st != coherence.Modified {
+	if st := s.l2s[0].Line(key).State(); st != coherence.Modified {
 		t.Fatalf("state after store miss = %v, want M", st)
 	}
 }
@@ -165,10 +165,10 @@ func TestUpgradeInvalidatesSharers(t *testing.T) {
 		trace.Record{Thread: 0, Op: trace.Store, Addr: 0x10000, Gap: 2000},
 	))
 	key := uint64(0x10000 / cfg.LineBytes)
-	if st := s.l2s[0].State(key); st != coherence.Modified {
+	if st := s.l2s[0].Line(key).State(); st != coherence.Modified {
 		t.Fatalf("claimer state = %v, want M", st)
 	}
-	if st := s.l2s[1].State(key); st != coherence.Invalid {
+	if st := s.l2s[1].Line(key).State(); st != coherence.Invalid {
 		t.Fatalf("sharer state = %v, want I", st)
 	}
 	if r.Upgrades != 1 {
@@ -397,7 +397,7 @@ func TestCoherenceInvariants(t *testing.T) {
 	for key := uint64(0); key < lines; key++ {
 		var m, e, tg, sl, sh int
 		for _, c := range s.l2s {
-			switch c.State(key) {
+			switch c.Line(key).State() {
 			case coherence.Modified:
 				m++
 			case coherence.Exclusive:
