@@ -43,7 +43,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "log each simulation run to stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
-		overrides  = config.RegisterOverrides(flag.CommandLine)
+		knobs      = config.RegisterKnobs(flag.CommandLine)
 	)
 	flag.Parse()
 	if *refs < 0 {
@@ -57,7 +57,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Overrides: overrides}
+	opts := experiments.Options{RefsPerThread: *refs, Quick: *quick, CSV: *csv, Workers: *workers, Overrides: *knobs}
 	if *quick && *refs == 0 {
 		opts.RefsPerThread = 10000
 	}

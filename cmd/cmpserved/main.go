@@ -14,6 +14,11 @@
 //	cmpserved -addr :8044 -cache-dir /var/cache/cmpsim -workers 4
 //	cmpserved -metrics-interval 1000000 -latency
 //
+// The flags configure the daemon, not the runs: cmpserved takes none of
+// cmpsim's policy knob flags. A submitted job carries its own knobs as
+// sweep.Job fields ("WBHTEntries", "NoSwitch", ...; config.Knobs), so a
+// cached result depends only on what the request names.
+//
 // API (see DESIGN.md §14):
 //
 //	POST   /v1/jobs              submit a config or grid -> job IDs
@@ -68,7 +73,6 @@ func main() {
 		latTopK     = flag.Int("lat-topk", 0, "slowest-transactions reservoir size with -latency (0 = default 16)")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before in-flight jobs are cancelled")
 		logFormat   = flag.String("log", "text", "structured request/job log on stderr: text, json, or off")
-		overrides   = config.RegisterOverrides(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -87,7 +91,6 @@ func main() {
 		MetricsInterval: config.Cycles(*metricsIval),
 		Latency:         *latency,
 		LatencyTopK:     *latTopK,
-		Overrides:       overrides,
 		Logger:          logger,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

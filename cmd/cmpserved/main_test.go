@@ -3,7 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -82,5 +85,33 @@ func TestBootSubmitShutdown(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("graceful shutdown did not complete")
+	}
+}
+
+// TestRejectsKnobFlags: the daemon registers no policy knob flags (each
+// submitted job carries its own knobs), so every knob flag of cmpsim
+// and cmpsweep fails the daemon's parse with exit status 2. The test
+// re-runs its own binary as the daemon; the trailing -log value is
+// invalid, so a flag that parsed would still exit before listening.
+func TestRejectsKnobFlags(t *testing.T) {
+	if args := os.Getenv("CMPSERVED_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"cmpserved"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, f := range []string{"-wbht-entries=5", "-snarf-entries=5", "-reuse-entries=5",
+		"-reuse-max-distance=5", "-hybrid-entries=5", "-hybrid-threshold=5",
+		"-no-retry-switch", "-global-wbht"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestRejectsKnobFlags$")
+		cmd.Env = append(os.Environ(), "CMPSERVED_TEST_ARGS="+f+" -log bogus")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		name, _, _ := strings.Cut(f, "=")
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined: "+name) {
+			t.Errorf("cmpserved %s: err %v, output:\n%s", f, err, out)
+		}
 	}
 }

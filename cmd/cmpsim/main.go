@@ -31,7 +31,7 @@ func main() {
 		mechanism    = flag.String("mechanism", "base", "write-back policy: base, wbht, snarf, combined, reusedist, hybridui")
 		outstanding  = flag.Int("outstanding", 6, "max outstanding misses per thread (1-6 in the paper)")
 		refs         = flag.Int("refs", 0, "references per thread for built-in workloads (0 = default)")
-		overrides    = config.RegisterOverrides(flag.CommandLine)
+		knobs        = config.RegisterKnobs(flag.CommandLine)
 		configFile   = flag.String("config", "", "load a JSON configuration (see -dump-config) before applying flags")
 		dumpConfig   = flag.Bool("dump-config", false, "print the effective configuration as JSON and exit")
 		jsonOut      = flag.Bool("json", false, "print the full result set as JSON instead of the text report")
@@ -79,17 +79,17 @@ func main() {
 		}
 	}
 	// Flags override the config file only when explicitly given.
-	if overrides.Explicit("mechanism") || *configFile == "" {
+	if config.Explicit(flag.CommandLine, "mechanism") || *configFile == "" {
 		var m config.Mechanism
 		if err := m.UnmarshalText([]byte(*mechanism)); err != nil {
 			fatalf("%v", err)
 		}
 		cfg = cfg.WithMechanism(m)
 	}
-	if overrides.Explicit("outstanding") || *configFile == "" {
+	if config.Explicit(flag.CommandLine, "outstanding") || *configFile == "" {
 		cfg.MaxOutstanding = *outstanding
 	}
-	overrides.Apply(&cfg)
+	knobs.Apply(&cfg)
 	if *dumpConfig {
 		if err := cfg.WriteJSON(os.Stdout); err != nil {
 			fatalf("%v", err)

@@ -46,7 +46,7 @@ func main() {
 		mechanisms   = flag.String("mechanisms", "all", "comma-separated mechanisms (base,wbht,snarf,combined,reusedist,hybridui), all, or paper (the original four)")
 		outstanding  = flag.String("outstanding", "6", "outstanding-miss axis: list and/or ranges, e.g. 1-6 or 1,2,4")
 		tableSizes   = flag.String("table-sizes", "", "table-entry axis for the active mechanism, e.g. 512,2048,8192 (empty = paper defaults)")
-		overrides    = config.RegisterOverrides(flag.CommandLine)
+		knobs        = config.RegisterKnobs(flag.CommandLine)
 		refs         = flag.Int("refs", 0, "references per thread (0 = workload default)")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
@@ -110,7 +110,10 @@ func main() {
 			fatalf("%v", err)
 		}
 	}
-	jobs := sweep.OverrideJobs(plan.Jobs(), overrides)
+	jobs := plan.Jobs()
+	for i := range jobs {
+		jobs[i].Knobs = knobs.Over(jobs[i].Knobs)
+	}
 	if len(jobs) == 0 {
 		fatalf("empty grid")
 	}
@@ -216,11 +219,11 @@ func printTable(w io.Writer, results []sweep.Result, elapsed time.Duration) erro
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("Sweep — %d configurations in %.1fs wall", len(results), elapsed.Seconds()),
-		"Workload", "Mechanism", "Out", "WBHT", "Snarf", "Cycles", "vs base", "L2 hit %", "L3 load hit %", "Wall")
+		"Workload", "Mechanism", "Out", "Knobs", "Cycles", "vs base", "L2 hit %", "L3 load hit %", "Wall")
 	for _, r := range results {
 		if r.Err != nil {
 			t.AddRowf(r.Job.Input(), r.Job.Mechanism, r.Job.Outstanding,
-				r.Job.WBHTEntries, r.Job.SnarfEntries, "error: "+r.Err.Error(), "", "", "", "")
+				r.Job.Knobs.String(), "error: "+r.Err.Error(), "", "", "", "")
 			continue
 		}
 		improvement := ""
@@ -232,7 +235,7 @@ func printTable(w io.Writer, results []sweep.Result, elapsed time.Duration) erro
 			wall = "cached"
 		}
 		t.AddRowf(r.Job.Input(), r.Job.Mechanism, r.Job.Outstanding,
-			r.Job.WBHTEntries, r.Job.SnarfEntries, r.Results.Cycles, improvement,
+			r.Job.Knobs.String(), r.Results.Cycles, improvement,
 			fmt.Sprintf("%.2f", 100*r.Results.L2HitRate()),
 			fmt.Sprintf("%.2f", 100*r.Results.L3LoadHitRate()), wall)
 	}

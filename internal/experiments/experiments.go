@@ -47,12 +47,11 @@ type Options struct {
 	// Workers bounds concurrent simulation runs (0 = GOMAXPROCS). The
 	// rendered artifacts are byte-identical at any worker count.
 	Workers int
-	// Overrides, when non-nil, applies the shared command-line policy
-	// knob overrides (config.RegisterOverrides) to every simulation the
-	// experiments dispatch, including explicit zeros — a knob zeroed on
-	// the command line fails config.Validate instead of silently
-	// reverting to its default.
-	Overrides *config.Overrides
+	// Overrides are policy knobs laid over every job the experiments
+	// dispatch (config.Knobs.Over), explicit zeros included: a knob
+	// zeroed on the command line fails config.Validate instead of
+	// silently reverting to its default.
+	Overrides config.Knobs
 }
 
 func (o Options) outstanding() []int {
@@ -127,7 +126,11 @@ func (r *Runner) prefetch(jobs []sweep.Job) error {
 	}
 	// The overrides rewrite a copy: the cache stays keyed by the jobs
 	// the artifacts name.
-	jobs = sweep.OverrideJobs(append([]sweep.Job(nil), fresh...), r.opts.Overrides)
+	jobs = make([]sweep.Job, len(fresh))
+	for i, j := range fresh {
+		j.Knobs = r.opts.Overrides.Over(j.Knobs)
+		jobs[i] = j
+	}
 	for i, res := range sweep.Run(context.Background(), jobs, opts) {
 		if res.Err != nil {
 			return fmt.Errorf("experiments: %w", res.Err)

@@ -38,8 +38,8 @@ func TestRunnerDistinctKeysRunSeparately(t *testing.T) {
 	jobs := []sweep.Job{
 		baseJob("tp", 6),
 		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6},
-		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, GlobalWBHT: true},
-		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: 512},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{GlobalWBHT: true}},
+		{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{WBHTEntries: 512}},
 	}
 	for _, j := range jobs {
 		if err := r.prefetch([]sweep.Job{j}); err != nil {

@@ -60,7 +60,7 @@ func (r *Runner) Figure3(w io.Writer) error {
 	return r.sweepImprovement(w,
 		"Figure 3 — WBHT with global allocation vs outstanding misses (paper: same trends as Fig 2, small extra gain at high pressure)",
 		func(name string, o int) sweep.Job {
-			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: o, GlobalWBHT: true}
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: o, Knobs: config.Knobs{GlobalWBHT: true}}
 		})
 }
 
@@ -102,7 +102,7 @@ func (r *Runner) Figure4(w io.Writer) error {
 	return r.sizeSweep(w,
 		"Figure 4 — runtime vs WBHT entries, normalized to 512 (paper: all improve with size; Trade2 most, to ~0.78)",
 		func(name string, entries int) sweep.Job {
-			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: entries}
+			return sweep.Job{Workload: name, Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{WBHTEntries: entries}}
 		})
 }
 
@@ -123,7 +123,7 @@ func (r *Runner) Figure6(w io.Writer) error {
 	return r.sizeSweep(w,
 		"Figure 6 — runtime vs snarf-table entries, normalized to 512 (paper: weak sensitivity; Trade2 up to ~4.5%)",
 		func(name string, entries int) sweep.Job {
-			return sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: 6, SnarfEntries: entries}
+			return sweep.Job{Workload: name, Mechanism: config.Snarf, Outstanding: 6, Knobs: config.Knobs{SnarfEntries: entries}}
 		})
 }
 
@@ -147,27 +147,27 @@ func (r *Runner) Ablations(w io.Writer) error {
 	}{
 		{"WBHT", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6} }},
 		{"WBHT no-switch", func(n string) sweep.Job {
-			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, NoSwitch: true}
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{NoSwitch: true}}
 		}},
 		{"Snarf", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6} }},
 		{"Snarf LRU-insert", func(n string) sweep.Job {
-			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, SnarfLRU: true}
+			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, Knobs: config.Knobs{SnarfLRU: true}}
 		}},
 		{"Snarf invalid-only", func(n string) sweep.Job {
-			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, InvalidOnly: true}
+			return sweep.Job{Workload: n, Mechanism: config.Snarf, Outstanding: 6, Knobs: config.Knobs{InvalidOnly: true}}
 		}},
 		{"Combined", func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.Combined, Outstanding: 6} }},
 		{"WBHT coarse x4", func(n string) sweep.Job {
-			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, LinesPerEntry: 4}
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{LinesPerEntry: 4}}
 		}},
 		{"WBHT hist-repl", func(n string) sweep.Job {
-			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, HistoryRepl: true}
+			return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{HistoryRepl: true}}
 		}},
 	}
 	// The low-pressure pair: the adaptive WBHT and one forced on.
 	adaptive := func(n string) sweep.Job { return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 1} }
 	forced := func(n string) sweep.Job {
-		return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 1, NoSwitch: true}
+		return sweep.Job{Workload: n, Mechanism: config.WBHT, Outstanding: 1, Knobs: config.Knobs{NoSwitch: true}}
 	}
 	var jobs []sweep.Job
 	for _, name := range Workloads {

@@ -127,17 +127,17 @@ type Cache struct {
 
 	stalls stallTable // misses stalled on a full queue or MSHRs (stall.go)
 
-	// agent is this cache's half of the configured write-back policy
-	// (never nil); it owns the adaptive tables and the three decision
-	// points (clean-WB abort, snarf flagging, offer acceptance).
-	agent wbpolicy.Agent
+	// policy is the chip's write-back policy (never nil), called with
+	// this cache's id; it owns the adaptive tables and the three
+	// decision points (clean-WB abort, snarf flagging, offer
+	// acceptance).
+	policy wbpolicy.Policy
 
 	stats Stats
 }
 
-// New builds L2 cache id from cfg. agent is this cache's half of the
-// write-back policy (wbpolicy.Chip.Agent(id)).
-func New(id int, cfg *config.Config, agent wbpolicy.Agent) *Cache {
+// New builds L2 cache id from cfg under the chip's write-back policy.
+func New(id int, cfg *config.Config, policy wbpolicy.Policy) *Cache {
 	return &Cache{
 		id:        id,
 		cfg:       cfg,
@@ -148,18 +148,18 @@ func New(id int, cfg *config.Config, agent wbpolicy.Agent) *Cache {
 		mshrs:     make([]mshr, 0, cfg.MSHRsPerL2),
 		wbq:       newWBDeque(cfg.WBQueueEntries + 1),
 		stalls:    newStallTable(cfg.ThreadsPerL2() * cfg.MaxOutstanding),
-		agent:     agent,
+		policy:    policy,
 	}
 }
 
 // ID returns the cache's agent index.
 func (c *Cache) ID() int { return c.id }
 
-// WBHT returns the policy agent's Write Back History Table, or nil.
-func (c *Cache) WBHT() *core.WBHT { return c.agent.WBHT() }
+// WBHT returns this cache's Write Back History Table, or nil.
+func (c *Cache) WBHT() *core.WBHT { return c.policy.WBHT(c.id) }
 
-// SnarfTable returns the policy agent's snarf reuse table, or nil.
-func (c *Cache) SnarfTable() *core.SnarfTable { return c.agent.SnarfTable() }
+// SnarfTable returns this cache's snarf reuse table, or nil.
+func (c *Cache) SnarfTable() *core.SnarfTable { return c.policy.SnarfTable(c.id) }
 
 // StatsSnapshot returns a copy of the counters.
 func (c *Cache) StatsSnapshot() Stats { return c.stats }
@@ -372,11 +372,11 @@ func (c *Cache) TakeWaiters(key uint64) (loads, stores []func(config.Cycles)) {
 }
 
 // CountMiss records that a probe for key became a new bus transaction
-// and lets the policy agent observe the local miss (reuse-distance
-// training runs on this per-L2 miss clock).
+// and lets the policy observe the local miss (reuse-distance training
+// runs on this per-L2 miss clock).
 func (c *Cache) CountMiss(key uint64) {
 	c.stats.Misses++
-	c.agent.ObserveLocalMiss(key)
+	c.policy.ObserveLocalMiss(c.id, key)
 }
 
 // CountMSHRAttach records that an access coalesced onto an existing
@@ -503,26 +503,26 @@ func (a VictimAction) String() string {
 // state it held. switchActive is the retry-rate switch state
 // (Section 2.2), passed to switch-gated policies; inL3 is the
 // simulator's oracle peek used solely to score prediction accuracy
-// (Table 4's "WBHT Correct" row). The policy agent occupies decision
-// points 1 (clean-WB abort) and 2 (snarf flagging) here.
+// (Table 4's "WBHT Correct" row). The policy occupies decision points
+// 1 (clean-WB abort) and 2 (snarf flagging) here.
 func (c *Cache) ProcessVictim(key uint64, st coherence.State, switchActive, inL3 bool) VictimAction {
 	if !st.Valid() {
 		return VictimNone
 	}
-	c.agent.ObserveEviction(key)
+	c.policy.ObserveEviction(c.id, key)
 	kind := coherence.CleanWB
 	if st.Dirty() {
 		kind = coherence.DirtyWB
 		c.stats.DirtyVictims++
 	} else {
 		c.stats.CleanVictims++
-		if c.agent.AbortCleanWB(key, switchActive, inL3) {
+		if c.policy.AbortCleanWB(c.id, key, switchActive, inL3) {
 			c.stats.CleanWBAborted++
 			return VictimAborted
 		}
 		c.stats.CleanWBQueued++
 	}
-	entry := WBEntry{Key: key, Kind: kind, State: st, Snarfable: c.agent.FlagWriteBack(key)}
+	entry := WBEntry{Key: key, Kind: kind, State: st, Snarfable: c.policy.FlagWriteBack(c.id, key)}
 	c.stalls.mark(key)
 	c.wbq.PushBack(entry)
 	return VictimQueued
@@ -544,7 +544,7 @@ func (c *Cache) InstallFill(key uint64, st coherence.State) (victimKey uint64, v
 	c.stalls.mark(key)
 	var v cache.Line
 	var did bool
-	if w := c.agent.WBHT(); c.cfg.WBHT.HistoryReplacement && w != nil {
+	if w := c.WBHT(); c.cfg.WBHT.HistoryReplacement && w != nil {
 		v, did = c.tags.InsertPrefer(key, int8(st), 0, true, historyReplacementWindow, func(l cache.Line) bool {
 			lst := coherence.State(l.State)
 			return lst.Valid() && !lst.Dirty() && w.Contains(l.Key)
@@ -741,7 +741,7 @@ func (c *Cache) noteIntervention(line *cache.Meta) {
 // line in that situation").
 func (c *Cache) SnoopWB(key uint64, kind coherence.TxnKind, snarfable bool) coherence.Response {
 	c.stats.SnoopsObserved++
-	if !c.agent.SnoopsWB() {
+	if !c.policy.SnoopsWB() {
 		return coherence.RespNull
 	}
 	if c.tags.Contains(key) {
@@ -766,7 +766,7 @@ func (c *Cache) SnoopWB(key uint64, kind coherence.TxnKind, snarfable bool) cohe
 	}
 	// Decision point 3: the structural checks passed; the policy has
 	// the final accept/reject say.
-	if !c.agent.AcceptOffer(key) {
+	if !c.policy.AcceptOffer(c.id, key) {
 		c.stats.SnarfDeclinedPolicy++
 		return coherence.RespNull
 	}

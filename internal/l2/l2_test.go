@@ -15,7 +15,7 @@ func newL2(t *testing.T, m config.Mechanism) (*Cache, *config.Config) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return New(0, &cfg, wbpolicy.New(&cfg).Agent(0)), &cfg
+	return New(0, &cfg, wbpolicy.New(&cfg)), &cfg
 }
 
 // fill installs key with state st, failing the test on eviction (tests
@@ -210,7 +210,7 @@ func TestMSHRDuplicatePanics(t *testing.T) {
 func TestMSHRFull(t *testing.T) {
 	cfg := config.Default()
 	cfg.MSHRsPerL2 = 24 // minimum allowed by Validate for 4x6
-	c := New(0, &cfg, wbpolicy.New(&cfg).Agent(0))
+	c := New(0, &cfg, wbpolicy.New(&cfg))
 	for i := 0; i < 24; i++ {
 		c.AllocMSHR(uint64(i), coherence.Read, false)
 	}
@@ -323,7 +323,7 @@ func TestWBRetryRequeues(t *testing.T) {
 
 func TestWBQueueFullBlocks(t *testing.T) {
 	cfg := config.Default()
-	c := New(0, &cfg, wbpolicy.New(&cfg).Agent(0))
+	c := New(0, &cfg, wbpolicy.New(&cfg))
 	for i := 0; i < cfg.WBQueueEntries; i++ {
 		c.ProcessVictim(uint64(i), coherence.Modified, false, false)
 	}
@@ -467,7 +467,7 @@ func TestSnoopWBDeclinesOnMSHR(t *testing.T) {
 func TestSnoopWBVictimizesSharedButNotExclusive(t *testing.T) {
 	cfg := config.Default().WithMechanism(config.Snarf)
 	// Shrink to 1-way slices... keep geometry but fill one set fully.
-	c := New(0, &cfg, wbpolicy.New(&cfg).Agent(0))
+	c := New(0, &cfg, wbpolicy.New(&cfg))
 	// Fill set 0 of slice 0 with E/M lines: no shared victims available.
 	sets := cfg.L2Lines() / cfg.L2Slices / cfg.L2Assoc
 	for i := 0; i < cfg.L2Assoc; i++ {
@@ -495,7 +495,7 @@ func TestSnoopWBVictimizesSharedButNotExclusive(t *testing.T) {
 func TestSnoopWBInvalidOnlyPolicy(t *testing.T) {
 	cfg := config.Default().WithMechanism(config.Snarf)
 	cfg.Snarf.VictimizeShared = false
-	c := New(0, &cfg, wbpolicy.New(&cfg).Agent(0))
+	c := New(0, &cfg, wbpolicy.New(&cfg))
 	sets := cfg.L2Lines() / cfg.L2Slices / cfg.L2Assoc
 	for i := 0; i < cfg.L2Assoc; i++ {
 		fill(t, c, uint64(i*sets)<<2, coherence.Shared)
@@ -557,7 +557,7 @@ func TestTakeWBObligationPanicsWithoutCopy(t *testing.T) {
 
 func TestInstallFillEvictionReconstructsKey(t *testing.T) {
 	cfg := config.Default()
-	c := New(0, &cfg, wbpolicy.New(&cfg).Agent(0))
+	c := New(0, &cfg, wbpolicy.New(&cfg))
 	sets := cfg.L2Lines() / cfg.L2Slices / cfg.L2Assoc
 	// Fill set 3 of slice 2 beyond capacity.
 	mkKey := func(tag int) uint64 { return (uint64(tag*sets)+3)<<2 | 2 }

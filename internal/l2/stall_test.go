@@ -82,7 +82,7 @@ func TestStallSlotReuse(t *testing.T) {
 func stalledCache(tb testing.TB) (*Cache, uint64) {
 	tb.Helper()
 	cfg := config.Default()
-	c := New(0, &cfg, wbpolicy.New(&cfg).Agent(0))
+	c := New(0, &cfg, wbpolicy.New(&cfg))
 	lines := uint64(cfg.L2Lines())
 	for k := uint64(0); k < lines; k++ {
 		c.InstallFill(k, coherence.Shared)

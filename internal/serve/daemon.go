@@ -57,12 +57,6 @@ type Options struct {
 	// uses a shared sweep.Simulator configured from the fields above.
 	Run sweep.RunFunc
 
-	// Overrides, when non-nil, applies the daemon's command-line policy
-	// knob overrides to every submitted job (sweep.OverrideJobs) before
-	// keying and execution, so server-side defaults participate in the
-	// cache key exactly like client-specified knobs.
-	Overrides *config.Overrides
-
 	// Registry receives every daemon metric and backs GET /metrics.
 	// Nil means the daemon creates a private registry (still scrapeable
 	// via its own endpoint — there is no detached mode for the daemon,

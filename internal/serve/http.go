@@ -134,7 +134,6 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	jobs = sweep.OverrideJobs(jobs, d.opts.Overrides)
 	states, err := d.SubmitOrigin(jobs, RequestID(r.Context()))
 	if err != nil {
 		status := http.StatusInternalServerError

@@ -41,8 +41,9 @@ func WriteJSON(w io.Writer, results []Result) error {
 // CSVHeader is the column set of WriteCSV.
 var CSVHeader = []string{
 	"workload", "mechanism", "outstanding", "wbht_entries", "snarf_entries",
-	"cycles", "l2_hit_rate", "l3_load_hit_rate", "wb_requests",
-	"off_chip_accesses", "mean_fill_latency", "error",
+	"reuse_entries", "hybrid_entries", "cycles", "l2_hit_rate",
+	"l3_load_hit_rate", "wb_requests", "off_chip_accesses",
+	"mean_fill_latency", "error",
 }
 
 // WriteCSV serializes one row per job, in job order, with the derived
@@ -59,6 +60,8 @@ func WriteCSV(w io.Writer, results []Result) error {
 			strconv.Itoa(r.Job.Outstanding),
 			strconv.Itoa(r.Job.WBHTEntries),
 			strconv.Itoa(r.Job.SnarfEntries),
+			strconv.Itoa(r.Job.ReuseEntries),
+			strconv.Itoa(r.Job.HybridEntries),
 		}
 		if res := r.Results; res != nil {
 			row = append(row,

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"cmpcache/internal/config"
 	"cmpcache/internal/trace"
@@ -90,65 +89,9 @@ func Canonical(v any) ([]byte, error) {
 	if err := dec.Decode(&tree); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := writeCanonical(&buf, tree); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// writeCanonical renders a decoded JSON tree with sorted object keys.
-func writeCanonical(b *bytes.Buffer, v any) error {
-	switch t := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			kb, err := json.Marshal(k)
-			if err != nil {
-				return err
-			}
-			b.Write(kb)
-			b.WriteByte(':')
-			if err := writeCanonical(b, t[k]); err != nil {
-				return err
-			}
-		}
-		b.WriteByte('}')
-		return nil
-	case []any:
-		b.WriteByte('[')
-		for i, e := range t {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if err := writeCanonical(b, e); err != nil {
-				return err
-			}
-		}
-		b.WriteByte(']')
-		return nil
-	case json.Number:
-		b.WriteString(string(t))
-		return nil
-	case nil:
-		b.WriteString("null")
-		return nil
-	default: // string, bool
-		enc, err := json.Marshal(t)
-		if err != nil {
-			return err
-		}
-		b.Write(enc)
-		return nil
-	}
+	// Marshal re-emits the decoded tree with its object keys sorted
+	// and every json.Number verbatim.
+	return json.Marshal(tree)
 }
 
 // dedupKey is the pool's in-sweep deduplication key for a job: the

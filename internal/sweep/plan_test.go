@@ -20,7 +20,7 @@ func TestPlanExpandsGrid(t *testing.T) {
 	if len(jobs) != 2*2*2 {
 		t.Fatalf("got %d jobs, want 8", len(jobs))
 	}
-	want := Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 1, WBHTEntries: 512}
+	want := Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 1, Knobs: config.Knobs{WBHTEntries: 512}}
 	if jobs[0] != want {
 		t.Fatalf("jobs[0] = %+v, want %+v", jobs[0], want)
 	}
@@ -98,8 +98,7 @@ func TestPlanValidateRefs(t *testing.T) {
 }
 
 func TestJobConfigMatchesOverrides(t *testing.T) {
-	j := Job{Workload: "tp", Mechanism: config.Snarf, Outstanding: 3,
-		SnarfEntries: 1024, SnarfLRU: true, InvalidOnly: true}
+	j := Job{Workload: "tp", Mechanism: config.Snarf, Outstanding: 3, Knobs: config.Knobs{SnarfEntries: 1024, SnarfLRU: true, InvalidOnly: true}}
 	cfg := j.Config()
 	if cfg.Mechanism != config.Snarf || cfg.MaxOutstanding != 3 {
 		t.Fatalf("cfg = %+v", cfg)
@@ -107,8 +106,7 @@ func TestJobConfigMatchesOverrides(t *testing.T) {
 	if cfg.Snarf.Entries != 1024 || cfg.Snarf.InsertMRU || cfg.Snarf.VictimizeShared {
 		t.Fatalf("snarf overrides not applied: %+v", cfg.Snarf)
 	}
-	cfg = Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6,
-		WBHTEntries: 2048, GlobalWBHT: true, NoSwitch: true, HistoryRepl: true}.Config()
+	cfg = Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{WBHTEntries: 2048, GlobalWBHT: true, NoSwitch: true, HistoryRepl: true}}.Config()
 	if cfg.WBHT.Entries != 2048 || !cfg.WBHT.GlobalAllocate || cfg.WBHT.SwitchEnabled ||
 		!cfg.WBHT.HistoryReplacement {
 		t.Fatalf("wbht overrides not applied: %+v", cfg.WBHT)

@@ -42,19 +42,11 @@ import (
 )
 
 // Job identifies one simulation configuration; the experiment harness
-// caches its runs by Job itself. The zero value of every override field
-// means "paper default". Within a sweep, jobs are
-// deduplicated by their canonical content hash (Key), so two jobs that
-// materialize to the same (config, workload, seed) — even spelled
-// differently, e.g. a defaulted field vs. its explicit paper value —
-// execute once and share a result.
-//
-// Integer knob overrides follow a negative-sentinel convention: 0 means
-// "mechanism default", a positive value overrides, and any negative
-// value means "explicitly zero" — it materializes as 0 (and fails
-// config.Validate for the mechanisms that need the knob). The sentinel
-// keeps an explicit zero distinct from unset all the way into the
-// content-hash cache key, so the two never alias to one result.
+// caches its runs by Job itself. Within a sweep, jobs are deduplicated
+// by their canonical content hash (Key), so two jobs that materialize
+// to the same (config, workload, seed) — even spelled differently, e.g.
+// a defaulted knob vs. its explicit paper value — execute once and
+// share a result.
 type Job struct {
 	Workload    string
 	Mechanism   config.Mechanism
@@ -68,37 +60,14 @@ type Job struct {
 	// place changes the key.
 	TraceFile string
 
-	// Table-size overrides (0 = mechanism default, negative = explicit 0).
-	WBHTEntries  int
-	SnarfEntries int
-
-	// Plug-in policy knob overrides (same sentinel convention).
-	ReuseEntries    int // reuse-distance sketch entries per L2
-	ReuseMaxDist    int // reuse-distance abort threshold, in misses
-	HybridEntries   int // hybrid update/invalidate score-table entries
-	HybridThreshold int // peer-read score for update-mode stores
-
-	// Policy variants (zero value = paper policy).
-	GlobalWBHT    bool // Figure 3: allocate WBHT entries in all L2s
-	NoSwitch      bool // disable the retry-rate on/off switch
-	SnarfLRU      bool // insert snarfed lines at LRU instead of MRU
-	InvalidOnly   bool // snarf only into Invalid ways
-	LinesPerEntry int  // WBHT coarse entries (0 or 1 = per-line)
-	HistoryRepl   bool // WBHT-informed L2 replacement (Section 7)
+	// Knobs are the policy knobs set on top of the mechanism's defaults
+	// (zero = paper default, a negative integer = explicitly zero).
+	// Embedded, so JSON, CSV and HTTP bodies spell them as the job's
+	// own fields.
+	config.Knobs
 
 	// RefsPerThread overrides the workload length (0 = profile default).
 	RefsPerThread int
-}
-
-// overrideInt applies the negative-sentinel convention: 0 leaves dst at
-// its default, positive overrides, negative means "explicitly zero".
-func overrideInt(dst *int, v int) {
-	switch {
-	case v > 0:
-		*dst = v
-	case v < 0:
-		*dst = 0
-	}
 }
 
 // Config materializes the simulated system configuration for the job.
@@ -107,30 +76,7 @@ func (j Job) Config() config.Config {
 	if j.Outstanding > 0 {
 		cfg.MaxOutstanding = j.Outstanding
 	}
-	overrideInt(&cfg.WBHT.Entries, j.WBHTEntries)
-	overrideInt(&cfg.Snarf.Entries, j.SnarfEntries)
-	overrideInt(&cfg.ReuseDist.Entries, j.ReuseEntries)
-	overrideInt(&cfg.HybridUI.Entries, j.HybridEntries)
-	overrideInt(&cfg.HybridUI.UpdateThreshold, j.HybridThreshold)
-	if j.ReuseMaxDist > 0 {
-		cfg.ReuseDist.MaxDistance = uint64(j.ReuseMaxDist)
-	} else if j.ReuseMaxDist < 0 {
-		cfg.ReuseDist.MaxDistance = 0
-	}
-	cfg.WBHT.GlobalAllocate = j.GlobalWBHT
-	if j.NoSwitch {
-		cfg.WBHT.SwitchEnabled = false
-	}
-	if j.SnarfLRU {
-		cfg.Snarf.InsertMRU = false
-	}
-	if j.InvalidOnly {
-		cfg.Snarf.VictimizeShared = false
-	}
-	if j.LinesPerEntry > 1 {
-		cfg.WBHT.LinesPerEntry = j.LinesPerEntry
-	}
-	cfg.WBHT.HistoryReplacement = j.HistoryRepl
+	j.Knobs.Apply(&cfg)
 	return cfg
 }
 
@@ -156,40 +102,9 @@ func (j Job) String() string {
 	if j.Outstanding > 0 {
 		fmt.Fprintf(&b, " out=%d", j.Outstanding)
 	}
-	for _, v := range []struct {
-		val  int
-		name string
-	}{
-		{j.WBHTEntries, "wbht"},
-		{j.SnarfEntries, "snarf"},
-		{j.ReuseEntries, "reuse"},
-		{j.ReuseMaxDist, "maxdist"},
-		{j.HybridEntries, "hybrid"},
-		{j.HybridThreshold, "thresh"},
-	} {
-		if v.val > 0 {
-			fmt.Fprintf(&b, " %s=%d", v.name, v.val)
-		} else if v.val < 0 {
-			fmt.Fprintf(&b, " %s=0", v.name)
-		}
-	}
-	for _, v := range []struct {
-		on   bool
-		name string
-	}{
-		{j.GlobalWBHT, "global"},
-		{j.NoSwitch, "no-switch"},
-		{j.SnarfLRU, "lru-insert"},
-		{j.InvalidOnly, "invalid-only"},
-		{j.HistoryRepl, "hist-repl"},
-	} {
-		if v.on {
-			b.WriteByte(' ')
-			b.WriteString(v.name)
-		}
-	}
-	if j.LinesPerEntry > 1 {
-		fmt.Fprintf(&b, " coarse=%d", j.LinesPerEntry)
+	if k := j.Knobs.String(); k != "" {
+		b.WriteByte(' ')
+		b.WriteString(k)
 	}
 	return b.String()
 }

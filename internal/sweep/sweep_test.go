@@ -348,6 +348,34 @@ func TestCSVNamesTraceInputs(t *testing.T) {
 	}
 }
 
+// TestCSVRowsTellJobsApart: every grid axis shows in the CSV, so two
+// jobs of one mechanism that differ only in a plug-in policy's table
+// size, with identical results, still export different rows.
+func TestCSVRowsTellJobsApart(t *testing.T) {
+	plan := Plan{Workloads: []string{"tp"}, Mechanisms: []config.Mechanism{config.WBHT, config.Snarf,
+		config.Combined, config.ReuseDist, config.HybridUI}, TableSizes: []int{512, 4096}}
+	var results []Result
+	for _, j := range plan.Jobs() {
+		results = append(results, Result{Job: j, Results: &system.Results{Cycles: 1000}})
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for _, row := range rows[1:] {
+		line := strings.Join(row, ",")
+		if seen[line] {
+			t.Errorf("two jobs export the same row %q", line)
+		}
+		seen[line] = true
+	}
+}
+
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -361,8 +389,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestJobString(t *testing.T) {
-	j := Job{Workload: "trade2", Mechanism: config.WBHT, Outstanding: 6,
-		WBHTEntries: 512, GlobalWBHT: true, LinesPerEntry: 4}
+	j := Job{Workload: "trade2", Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{WBHTEntries: 512, GlobalWBHT: true, LinesPerEntry: 4}}
 	s := j.String()
 	for _, want := range []string{"trade2/wbht", "out=6", "wbht=512", "global", "coarse=4"} {
 		if !strings.Contains(s, want) {
@@ -379,7 +406,7 @@ func TestSimulatorRejectsBadJob(t *testing.T) {
 	if _, err := sim.Run(context.Background(), Job{Workload: "nope"}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	bad := Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, WBHTEntries: 1000}
+	bad := Job{Workload: "tp", Mechanism: config.WBHT, Outstanding: 6, Knobs: config.Knobs{WBHTEntries: 1000}}
 	if _, err := sim.Run(context.Background(), bad); err == nil {
 		t.Fatal("invalid table geometry accepted")
 	}

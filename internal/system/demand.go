@@ -72,7 +72,7 @@ func (s *System) combineDemand(cache l2Handle, key uint64, kind coherence.TxnKin
 		}
 	}
 
-	// The policy chip observes every demand miss on the bus (the snarf
+	// The policy observes every demand miss on the bus (the snarf
 	// reuse tables record it: "missed on either locally or by another
 	// L2 cache"), and the Table 2 tracker scores write-back reuse.
 	s.policy.ObserveDemandMiss(key)

@@ -74,34 +74,32 @@ func TestPolicyHooksZeroAlloc(t *testing.T) {
 		m := m
 		t.Run(m.String(), func(t *testing.T) {
 			cfg := config.Default().WithMechanism(m)
-			chip := wbpolicy.New(&cfg)
-			agent := chip.Agent(0)
+			p := wbpolicy.New(&cfg)
 			// Warm every table with the keys the measurement loop uses.
 			for key := uint64(0); key < 64; key++ {
-				chip.ObserveWriteBack(key)
-				chip.ObserveDemandMiss(key)
-				chip.ObserveDemandOutcome(1, key, coherence.Read, out)
-				chip.UseUpdate(key)
-				agent.ObserveEviction(key)
-				agent.ObserveLocalMiss(key)
-				agent.AbortCleanWB(key, true, false)
-				agent.FlagWriteBack(key)
+				p.ObserveWriteBack(key)
+				p.ObserveDemandMiss(key)
+				p.ObserveDemandOutcome(1, key, coherence.Read, out)
+				p.UseUpdate(key)
+				p.ObserveEviction(0, key)
+				p.ObserveLocalMiss(0, key)
+				p.AbortCleanWB(0, key, true, false)
+				p.FlagWriteBack(0, key)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
 				for key := uint64(0); key < 64; key++ {
-					chip.ObserveWriteBack(key)
-					chip.ObserveDemandMiss(key)
-					chip.ObserveDemandOutcome(1, key, coherence.Read, out)
-					chip.UseUpdate(key)
-					agent.ObserveEviction(key)
-					agent.ObserveLocalMiss(key)
-					agent.AbortCleanWB(key, true, false)
-					agent.FlagWriteBack(key)
-					agent.AcceptOffer(key)
-					agent.SnoopsWB()
+					p.ObserveWriteBack(key)
+					p.ObserveDemandMiss(key)
+					p.ObserveDemandOutcome(1, key, coherence.Read, out)
+					p.UseUpdate(key)
+					p.ObserveEviction(0, key)
+					p.ObserveLocalMiss(0, key)
+					p.AbortCleanWB(0, key, true, false)
+					p.FlagWriteBack(0, key)
+					p.AcceptOffer(0, key)
 				}
-				chip.SnoopsWBRing()
-				chip.GatedBySwitch()
+				p.SnoopsWB()
+				p.GatedBySwitch()
 			})
 			if allocs != 0 {
 				t.Fatalf("policy hooks allocate %.1f times per warm sweep; hooks must be allocation-free", allocs)

@@ -76,10 +76,9 @@ type System struct {
 	collector *coherence.Collector
 	rswitch   *core.RetrySwitch
 
-	// policy is the configured write-back policy's chip-wide half; its
-	// per-L2 agents live inside the l2.Caches. All chip hooks run at
-	// bus combine events (global lane).
-	policy wbpolicy.Chip
+	// policy is the configured write-back policy, shared with every
+	// l2.Cache, which calls its per-L2 hooks with its own index.
+	policy wbpolicy.Policy
 
 	wbInFlight []bool // one write-back bus transaction at a time per L2
 
@@ -160,7 +159,7 @@ func newCore(cfg config.Config) *System {
 	}
 	s.policy = wbpolicy.New(&s.cfg)
 	for i := 0; i < cfg.NumL2(); i++ {
-		s.l2s = append(s.l2s, l2.New(i, &s.cfg, s.policy.Agent(i)))
+		s.l2s = append(s.l2s, l2.New(i, &s.cfg, s.policy))
 	}
 	s.wbInFlight = make([]bool, cfg.NumL2())
 	s.responses = make([]coherence.AgentResponse, 0, cfg.NumL2()+2)
@@ -207,13 +206,9 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 	s := newCore(cfg)
 
 	// clamp converts a record count to the int sizing hints expect,
-	// saturating on (hypothetical) >2^62-record sources.
-	clamp := func(n int64) int {
-		if n > int64(1)<<31 {
-			return 1 << 31
-		}
-		return int(n)
-	}
+	// saturating at 2^30 so a hint fits a 32-bit int. Every hint is
+	// capped far below that, so the saturation changes no sizing.
+	clamp := func(n int64) int { return int(min(n, 1<<30)) }
 	// One stream per chip thread, and one L2 per chip thread in
 	// threadL2: thread tid feeds L2 tid/ThreadsPerL2. Threads without
 	// records keep a nil (idle) stream. Each L2's threads size the slice
@@ -235,7 +230,7 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 				recs += n
 			}
 		}
-		sliceEvents += min(perL2*8+64, 2*clamp(recs)+64)
+		sliceEvents += min(perL2*8+64, clamp(2*recs+64))
 		inflight += min(perL2, clamp(recs))
 	}
 	threads, err := cpu.New(s.sliceWheel, &s.cfg, streams,
@@ -253,7 +248,7 @@ func NewStream(cfg config.Config, src trace.Source) (*System, error) {
 	// mark tracks in-flight bus transactions, bounded by what the trace
 	// can ever put in flight at once.
 	events := cfg.Threads()*cfg.MaxOutstanding*4 + 64
-	if limit := 2*clamp(src.Records()) + 64; events > limit {
+	if limit := clamp(2*src.Records() + 64); events > limit {
 		events = limit
 	}
 	s.engine.Grow(events)

@@ -57,7 +57,7 @@ func (s *System) pumpWB(l2idx int, now config.Cycles) {
 func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, snarfable bool) {
 	now := s.engine.Now()
 
-	// Every write back on the bus is observed by the policy chip (the
+	// Every write back on the bus is observed by the policy (the
 	// snarf reuse tables record it: "The tag for a line is entered into
 	// the table when the line is written back by any L2 cache").
 	s.policy.ObserveWriteBack(key)
@@ -72,7 +72,7 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 	}
 	responses := append(s.responses[:0], coherence.AgentResponse{Agent: agentL3, Resp: l3resp})
 	var peerSquasher l2Handle
-	if s.policy.SnoopsWBRing() {
+	if s.policy.SnoopsWB() {
 		for _, peer := range s.l2s {
 			if peer.ID() == cache.ID() {
 				continue
@@ -99,7 +99,7 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 		}
 	}
 
-	// The policy chip learns from the L3's snoop response to clean
+	// The policy learns from the L3's snoop response to clean
 	// write backs (Section 2, step 3: the WBHT allocation point,
 	// writer-local or global per the Figure 3 variant). Tables are kept
 	// up to date even while the retry switch has disabled their use.

@@ -8,8 +8,8 @@ import (
 	"cmpcache/internal/config"
 )
 
-// BenchmarkPolicyHooks times, per policy, the chip and agent hooks one
-// demand combine and one victim call make, in ns per key: the shape
+// BenchmarkPolicyHooks times, per policy, the hooks one demand combine
+// and one victim call make, in ns per key: the shape
 // TestPolicyHooksZeroAlloc drives. Keys are drawn from 2^16 random
 // lines, twice a paper-sized 32K-entry table, and one pass over the
 // sequence warms the tables before timing, so lookups both hit and
@@ -32,18 +32,17 @@ func BenchmarkPolicyHooks(b *testing.B) {
 	} {
 		b.Run(m.String(), func(b *testing.B) {
 			cfg := config.Default().WithMechanism(m)
-			chip := New(&cfg)
-			agent := chip.Agent(0)
+			p := New(&cfg)
 			hooks := func(key uint64) {
-				chip.ObserveWriteBack(key)
-				chip.ObserveDemandMiss(key)
-				chip.ObserveDemandOutcome(1, key, coherence.Read, out)
-				chip.UseUpdate(key)
-				agent.ObserveLocalMiss(key)
-				agent.ObserveEviction(key)
-				agent.AbortCleanWB(key, true, false)
-				agent.FlagWriteBack(key)
-				agent.AcceptOffer(key)
+				p.ObserveWriteBack(key)
+				p.ObserveDemandMiss(key)
+				p.ObserveDemandOutcome(1, key, coherence.Read, out)
+				p.UseUpdate(key)
+				p.ObserveLocalMiss(0, key)
+				p.ObserveEviction(0, key)
+				p.AbortCleanWB(0, key, true, false)
+				p.FlagWriteBack(0, key)
+				p.AcceptOffer(0, key)
 			}
 			for _, key := range keys {
 				hooks(key)

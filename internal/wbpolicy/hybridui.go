@@ -4,10 +4,9 @@ import (
 	"cmpcache/internal/cache"
 	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
-	"cmpcache/internal/core"
 )
 
-// hybridChip implements the hybrid update/invalidate coherence variant
+// hybrid implements the hybrid update/invalidate coherence variant
 // (after arXiv 1502.00101): a chip-wide score table counts, per line
 // tag, how many peer-sourced reads combined since the last write. When
 // a store's ownership claim (Upgrade) combines on a line whose score
@@ -20,19 +19,18 @@ import (
 // every RWITM — invalidate as usual, so migratory data keeps the
 // invalidate protocol's single-copy behavior.
 //
-// All score state lives on the chip half and is touched only at bus
-// combine events (global lane), so score updates follow bus order.
-// Scores saturate at 255 and decay by halving on each update push
-// (retaining producer-consumer history) or reset on an invalidation
-// (the sharer set is gone).
-type hybridChip struct {
+// All score state is chip-wide and is touched only at bus combine
+// events, so score updates follow bus order. Scores saturate at 255 and
+// decay by halving on each update push (retaining producer-consumer
+// history) or reset on an invalidation (the sharer set is gone).
+type hybrid struct {
+	Base
 	score     *cache.Cache // score lives in Meta.Flags
 	threshold uint8
-	agents    []hybridAgent
 	stats     Stats
 }
 
-func newHybridChip(cfg *config.Config) *hybridChip {
+func newHybrid(cfg *config.Config) *hybrid {
 	thr := cfg.HybridUI.UpdateThreshold
 	if thr < 1 {
 		thr = 1
@@ -40,25 +38,18 @@ func newHybridChip(cfg *config.Config) *hybridChip {
 	if thr > 255 {
 		thr = 255
 	}
-	return &hybridChip{
+	return &hybrid{
 		score:     cache.New(cfg.HybridUI.Entries/cfg.HybridUI.Assoc, cfg.HybridUI.Assoc),
 		threshold: uint8(thr),
-		agents:    make([]hybridAgent, cfg.NumL2()),
 	}
 }
 
-func (p *hybridChip) Agent(idx int) Agent                     { return &p.agents[idx] }
-func (p *hybridChip) SnoopsWBRing() bool                      { return false }
-func (p *hybridChip) GatedBySwitch() bool                     { return false }
-func (p *hybridChip) ObserveWriteBack(uint64)                 {}
-func (p *hybridChip) ObserveCleanWBOutcome(int, uint64, bool) {}
-func (p *hybridChip) ObserveDemandMiss(uint64)                {}
-func (p *hybridChip) Stats() *Stats                           { return &p.stats }
+func (p *hybrid) Stats() *Stats { return &p.stats }
 
 // ObserveDemandOutcome trains the sharing score: a read that found the
 // line on chip (a peer supplied it or holds it shared) is one consumer
 // touch; an RWITM is an invalidating write and clears the line's score.
-func (p *hybridChip) ObserveDemandOutcome(_ int, key uint64, kind coherence.TxnKind, out coherence.Outcome) {
+func (p *hybrid) ObserveDemandOutcome(_ int, key uint64, kind coherence.TxnKind, out coherence.Outcome) {
 	switch kind {
 	case coherence.Read:
 		if !out.SharedElsewhere && !out.DirtySource {
@@ -84,7 +75,7 @@ func (p *hybridChip) ObserveDemandOutcome(_ int, key uint64, kind coherence.TxnK
 // score so sustained producer-consumer lines stay in update mode),
 // otherwise invalidate (resetting the score — the sharer set this
 // score described no longer exists).
-func (p *hybridChip) UseUpdate(key uint64) bool {
+func (p *hybrid) UseUpdate(key uint64) bool {
 	if l := p.score.LookupTouch(key); l != nil {
 		if l.Flags >= p.threshold {
 			l.Flags >>= 1
@@ -96,16 +87,3 @@ func (p *hybridChip) UseUpdate(key uint64) bool {
 	p.stats.InvalidateUpgrades++
 	return false
 }
-
-// hybridAgent: the per-L2 half is entirely passive — the policy changes
-// only how upgrades commit, which is chip-level.
-type hybridAgent struct{}
-
-func (hybridAgent) AbortCleanWB(uint64, bool, bool) bool { return false }
-func (hybridAgent) FlagWriteBack(uint64) bool            { return false }
-func (hybridAgent) SnoopsWB() bool                       { return false }
-func (hybridAgent) AcceptOffer(uint64) bool              { return true }
-func (hybridAgent) ObserveLocalMiss(uint64)              {}
-func (hybridAgent) ObserveEviction(uint64)               {}
-func (hybridAgent) WBHT() *core.WBHT                     { return nil }
-func (hybridAgent) SnarfTable() *core.SnarfTable         { return nil }

@@ -1,57 +1,78 @@
 package wbpolicy
 
 import (
-	"cmpcache/internal/coherence"
 	"cmpcache/internal/config"
 	"cmpcache/internal/core"
 )
 
-// paperChip implements the paper's four configurations — baseline,
-// WBHT, snarf, combined — as one policy parameterized by which tables
-// exist. The port is behaviorally exact: every table consult, counter
-// update and gating condition happens at the same point, under the same
+// paper implements the paper's four configurations — baseline, WBHT,
+// snarf, combined — as one policy parameterized by which tables exist.
+// The port is behaviorally exact: every table consult, counter update
+// and gating condition happens at the same point, under the same
 // condition, as the pre-extraction hard-coded paths (the experiment
-// goldens are byte-identical across the refactor).
-type paperChip struct {
-	agents   []paperAgent // one backing array; Agent(i) hands out &agents[i]
-	wbht     bool         // WBHT configured (Mechanism WBHT or Combined)
-	snarf    bool         // snarfing configured (Mechanism Snarf or Combined)
-	globalWB bool         // Figure 3 global WBHT allocation variant
+// goldens are byte-identical across the refactor). It accepts every
+// snarf offer that passes the structural checks (Base.AcceptOffer): the
+// reuse filter already ran at the writer.
+type paper struct {
+	Base
+	wbht     []*core.WBHT       // one per L2 under WBHT and Combined, else nil
+	snarf    []*core.SnarfTable // one per L2 under Snarf and Combined, else nil
+	globalWB bool               // Figure 3 global WBHT allocation variant
 }
 
-func newPaperChip(cfg *config.Config) *paperChip {
-	p := &paperChip{
-		agents:   make([]paperAgent, cfg.NumL2()),
-		wbht:     cfg.Mechanism == config.WBHT || cfg.Mechanism == config.Combined,
-		snarf:    cfg.Mechanism == config.Snarf || cfg.Mechanism == config.Combined,
-		globalWB: cfg.WBHT.GlobalAllocate,
-	}
-	for i := range p.agents {
-		if p.wbht {
-			p.agents[i].wbht = core.NewWBHT(cfg.WBHT)
+func newPaper(cfg *config.Config) *paper {
+	p := &paper{globalWB: cfg.WBHT.GlobalAllocate}
+	for i := 0; i < cfg.NumL2(); i++ {
+		if cfg.Mechanism == config.WBHT || cfg.Mechanism == config.Combined {
+			p.wbht = append(p.wbht, core.NewWBHT(cfg.WBHT))
 		}
-		if p.snarf {
-			p.agents[i].snarf = core.NewSnarfTable(cfg.Snarf)
+		if cfg.Mechanism == config.Snarf || cfg.Mechanism == config.Combined {
+			p.snarf = append(p.snarf, core.NewSnarfTable(cfg.Snarf))
 		}
 	}
 	return p
 }
 
-func (p *paperChip) Agent(idx int) Agent   { return &p.agents[idx] }
-func (p *paperChip) SnoopsWBRing() bool    { return p.snarf }
-func (p *paperChip) GatedBySwitch() bool   { return p.wbht }
-func (p *paperChip) UseUpdate(uint64) bool { return false }
-func (p *paperChip) Stats() *Stats         { return nil }
+func (p *paper) SnoopsWB() bool      { return p.snarf != nil }
+func (p *paper) GatedBySwitch() bool { return p.wbht != nil }
+
+func (p *paper) WBHT(l2 int) *core.WBHT {
+	if p.wbht == nil {
+		return nil
+	}
+	return p.wbht[l2]
+}
+
+func (p *paper) SnarfTable(l2 int) *core.SnarfTable {
+	if p.snarf == nil {
+		return nil
+	}
+	return p.snarf[l2]
+}
+
+func (p *paper) AbortCleanWB(l2 int, key uint64, switchActive, inL3 bool) bool {
+	if p.wbht == nil || !switchActive {
+		return false
+	}
+	w := p.wbht[l2]
+	abort := w.ShouldAbort(key)
+	w.RecordDecision(abort, inL3)
+	return abort
+}
+
+func (p *paper) FlagWriteBack(l2 int, key uint64) bool {
+	if p.snarf == nil {
+		return false
+	}
+	return p.snarf[l2].Snarfable(key)
+}
 
 // ObserveWriteBack: "The tag for a line is entered into the table when
 // the line is written back by any L2 cache" — every table observes
 // every write back on the bus.
-func (p *paperChip) ObserveWriteBack(key uint64) {
-	if !p.snarf {
-		return
-	}
-	for _, a := range p.agents {
-		a.snarf.RecordWriteBack(key)
+func (p *paper) ObserveWriteBack(key uint64) {
+	for _, t := range p.snarf {
+		t.RecordWriteBack(key)
 	}
 }
 
@@ -59,63 +80,23 @@ func (p *paperChip) ObserveWriteBack(key uint64) {
 // to clean write backs — on the writing L2's table, or on every table
 // under the global-allocation variant. The table is kept up to date
 // even while the retry switch has disabled its use.
-func (p *paperChip) ObserveCleanWBOutcome(writer int, key uint64, l3Has bool) {
-	if !p.wbht || !l3Has {
+func (p *paper) ObserveCleanWBOutcome(writer int, key uint64, l3Has bool) {
+	if p.wbht == nil || !l3Has {
 		return
 	}
 	if p.globalWB {
-		for _, a := range p.agents {
-			a.wbht.Allocate(key)
+		for _, w := range p.wbht {
+			w.Allocate(key)
 		}
 		return
 	}
-	p.agents[writer].wbht.Allocate(key)
+	p.wbht[writer].Allocate(key)
 }
 
 // ObserveDemandMiss: the snarf reuse tables observe every demand miss
 // on the bus ("missed on either locally or by another L2 cache").
-func (p *paperChip) ObserveDemandMiss(key uint64) {
-	if !p.snarf {
-		return
-	}
-	for _, a := range p.agents {
-		a.snarf.RecordMiss(key)
+func (p *paper) ObserveDemandMiss(key uint64) {
+	for _, t := range p.snarf {
+		t.RecordMiss(key)
 	}
 }
-
-func (p *paperChip) ObserveDemandOutcome(int, uint64, coherence.TxnKind, coherence.Outcome) {}
-
-// paperAgent is one L2's share of the paper mechanisms: its WBHT and
-// snarf reuse table (either may be nil).
-type paperAgent struct {
-	wbht  *core.WBHT
-	snarf *core.SnarfTable
-}
-
-func (a *paperAgent) AbortCleanWB(key uint64, switchActive, inL3 bool) bool {
-	if a.wbht == nil || !switchActive {
-		return false
-	}
-	abort := a.wbht.ShouldAbort(key)
-	a.wbht.RecordDecision(abort, inL3)
-	return abort
-}
-
-func (a *paperAgent) FlagWriteBack(key uint64) bool {
-	if a.snarf == nil {
-		return false
-	}
-	return a.snarf.Snarfable(key)
-}
-
-func (a *paperAgent) SnoopsWB() bool { return a.snarf != nil }
-
-// AcceptOffer: the paper's snarf algorithm accepts whenever the
-// structural checks pass (the reuse filter already ran at the writer).
-func (a *paperAgent) AcceptOffer(uint64) bool { return true }
-
-func (a *paperAgent) ObserveLocalMiss(uint64) {}
-func (a *paperAgent) ObserveEviction(uint64)  {}
-
-func (a *paperAgent) WBHT() *core.WBHT             { return a.wbht }
-func (a *paperAgent) SnarfTable() *core.SnarfTable { return a.snarf }

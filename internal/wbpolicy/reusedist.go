@@ -1,12 +1,8 @@
 package wbpolicy
 
-import (
-	"cmpcache/internal/coherence"
-	"cmpcache/internal/config"
-	"cmpcache/internal/core"
-)
+import "cmpcache/internal/config"
 
-// reuseChip implements the reuse-distance clean copy-back policy (after
+// reuse implements the reuse-distance clean copy-back policy (after
 // arXiv 2105.14442): each L2 keeps a small sketch tracking, per line
 // tag, the EWMA of its reuse distance — how many of this L2's demand
 // misses elapse between evicting the line and missing on it again. A
@@ -18,35 +14,27 @@ import (
 // be WANTED, so it also suppresses the long tail of dead lines the L3
 // holds but will evict before any reuse.
 //
-// Everything is per-L2 (agent-owned) and counted in that L2's own
-// misses, so training runs on the slice lane with no shared state and
-// no switch gating; the chip half is entirely passive.
-type reuseChip struct {
-	agents []*reuseAgent
-	stats  Stats
+// Everything is per L2 and counted in that L2's own misses: the policy
+// has no chip-wide state, observes no bus combine and ignores the
+// retry switch.
+type reuse struct {
+	Base
+	sketches []*sketch
+	stats    Stats
 }
 
-func newReuseChip(cfg *config.Config) *reuseChip {
-	p := &reuseChip{}
-	for i := 0; i < cfg.NumL2(); i++ {
-		p.agents = append(p.agents, newReuseAgent(cfg.ReuseDist))
+func newReuse(cfg *config.Config) *reuse {
+	p := &reuse{sketches: make([]*sketch, cfg.NumL2())}
+	for i := range p.sketches {
+		p.sketches[i] = newSketch(cfg.ReuseDist)
 	}
 	return p
 }
 
-func (p *reuseChip) Agent(idx int) Agent                                                    { return p.agents[idx] }
-func (p *reuseChip) SnoopsWBRing() bool                                                     { return false }
-func (p *reuseChip) GatedBySwitch() bool                                                    { return false }
-func (p *reuseChip) UseUpdate(uint64) bool                                                  { return false }
-func (p *reuseChip) ObserveWriteBack(uint64)                                                {}
-func (p *reuseChip) ObserveCleanWBOutcome(int, uint64, bool)                                {}
-func (p *reuseChip) ObserveDemandMiss(uint64)                                               {}
-func (p *reuseChip) ObserveDemandOutcome(int, uint64, coherence.TxnKind, coherence.Outcome) {}
-
-// Stats sums the per-agent counters (serial context, results time).
-func (p *reuseChip) Stats() *Stats {
+// Stats sums the per-L2 counters (results time).
+func (p *reuse) Stats() *Stats {
 	p.stats = Stats{}
-	for _, a := range p.agents {
+	for _, a := range p.sketches {
 		p.stats.SketchEvictions += a.evictions
 		p.stats.SketchSamples += a.samples
 		p.stats.PredictConsults += a.consults
@@ -66,10 +54,10 @@ type sketchEntry struct {
 	pending bool   // evicted and not yet re-missed
 }
 
-// reuseAgent is one L2's sketch. The table is set-associative with true
-// LRU inside each set (MRU at index 0), sized and replaced like the
-// mechanism tables; all hooks are allocation-free.
-type reuseAgent struct {
+// sketch is one L2's table. It is set-associative with true LRU inside
+// each set (MRU at index 0), sized and replaced like the mechanism
+// tables; its updates are allocation-free.
+type sketch struct {
 	sets    [][]sketchEntry
 	setMask uint64
 	maxDist uint64
@@ -85,12 +73,12 @@ type reuseAgent struct {
 	abortsInL3 uint64
 }
 
-func newReuseAgent(cfg config.ReuseDistConfig) *reuseAgent {
+func newSketch(cfg config.ReuseDistConfig) *sketch {
 	nsets := cfg.Entries / cfg.Assoc
 	if nsets < 1 || nsets&(nsets-1) != 0 {
 		panic("wbpolicy: reusedist sets must be a positive power of two")
 	}
-	a := &reuseAgent{
+	a := &sketch{
 		sets:    make([][]sketchEntry, nsets),
 		setMask: uint64(nsets - 1),
 		maxDist: cfg.MaxDistance,
@@ -104,7 +92,7 @@ func newReuseAgent(cfg config.ReuseDistConfig) *reuseAgent {
 }
 
 // lookup returns key's entry moved to MRU, or nil.
-func (a *reuseAgent) lookup(key uint64) *sketchEntry {
+func (a *sketch) lookup(key uint64) *sketchEntry {
 	set := a.sets[key&a.setMask]
 	for i := range set {
 		if set[i].tag == key && (set[i].trained || set[i].pending) {
@@ -121,7 +109,7 @@ func (a *reuseAgent) lookup(key uint64) *sketchEntry {
 
 // touch returns key's entry moved to MRU, allocating the LRU way when
 // absent (the displaced tag's history is forgotten).
-func (a *reuseAgent) touch(key uint64) *sketchEntry {
+func (a *sketch) touch(key uint64) *sketchEntry {
 	if e := a.lookup(key); e != nil {
 		return e
 	}
@@ -132,10 +120,11 @@ func (a *reuseAgent) touch(key uint64) *sketchEntry {
 	return &set[0]
 }
 
-// ObserveLocalMiss advances the miss clock and closes any pending
+// ObserveLocalMiss advances L2 l2's miss clock and closes any pending
 // eviction interval for key, folding the measured distance into the
 // tag's EWMA.
-func (a *reuseAgent) ObserveLocalMiss(key uint64) {
+func (p *reuse) ObserveLocalMiss(l2 int, key uint64) {
+	a := p.sketches[l2]
 	a.misses++
 	e := a.lookup(key)
 	if e == nil || !e.pending {
@@ -156,7 +145,8 @@ func (a *reuseAgent) ObserveLocalMiss(key uint64) {
 // measures one reuse distance. Re-evicting before any re-miss just
 // restarts the interval (the first eviction's interval was unbounded
 // anyway).
-func (a *reuseAgent) ObserveEviction(key uint64) {
+func (p *reuse) ObserveEviction(l2 int, key uint64) {
+	a := p.sketches[l2]
 	e := a.touch(key)
 	e.evictAt = a.misses
 	e.pending = true
@@ -169,7 +159,8 @@ func (a *reuseAgent) ObserveEviction(key uint64) {
 // switchActive (it is not retry-gated; its cost model is the sketch
 // itself) and uses inL3 only to score how often a suppressed copy-back
 // was free because the L3 already held the line.
-func (a *reuseAgent) AbortCleanWB(key uint64, _ bool, inL3 bool) bool {
+func (p *reuse) AbortCleanWB(l2 int, key uint64, _ bool, inL3 bool) bool {
+	a := p.sketches[l2]
 	e := a.lookup(key)
 	if e == nil || !e.trained {
 		a.cold++
@@ -185,10 +176,3 @@ func (a *reuseAgent) AbortCleanWB(key uint64, _ bool, inL3 bool) bool {
 	}
 	return false
 }
-
-func (a *reuseAgent) FlagWriteBack(uint64) bool { return false }
-func (a *reuseAgent) SnoopsWB() bool            { return false }
-func (a *reuseAgent) AcceptOffer(uint64) bool   { return true }
-
-func (a *reuseAgent) WBHT() *core.WBHT             { return nil }
-func (a *reuseAgent) SnarfTable() *core.SnarfTable { return nil }

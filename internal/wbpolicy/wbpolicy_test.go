@@ -7,21 +7,23 @@ import (
 	"cmpcache/internal/config"
 )
 
-// tinySketch is a 4-set x 2-way sketch with an abort threshold of 4
-// misses and an EWMA half-weight (shift 1), small enough to exercise
-// set conflicts and LRU displacement directly. Set index = key & 3.
-func tinySketch() *reuseAgent {
-	return newReuseAgent(config.ReuseDistConfig{
+// tinySketch is a one-L2 reuse policy whose sketch is 4-set x 2-way,
+// with an abort threshold of 4 misses and an EWMA half-weight (shift
+// 1), small enough to exercise set conflicts and LRU displacement
+// directly. Set index = key & 3.
+func tinySketch() (*reuse, *sketch) {
+	a := newSketch(config.ReuseDistConfig{
 		Entries: 8, Assoc: 2, MaxDistance: 4, EWMAShift: 1,
 	})
+	return &reuse{sketches: []*sketch{a}}, a
 }
 
 func TestReuseSketchTrainsDistance(t *testing.T) {
-	a := tinySketch()
+	p, a := tinySketch()
 	const k = uint64(16) // set 0
 
 	// Untrained lines copy back (conservative default) and count cold.
-	if a.AbortCleanWB(k, false, false) {
+	if p.AbortCleanWB(0, k, false, false) {
 		t.Fatal("untrained line aborted its copy-back")
 	}
 	if a.cold != 1 || a.consults != 0 {
@@ -29,15 +31,15 @@ func TestReuseSketchTrainsDistance(t *testing.T) {
 	}
 
 	// Evict at miss 0, re-miss 7 misses later: distance 7 > 4 aborts.
-	a.ObserveEviction(k)
+	p.ObserveEviction(0, k)
 	for i := 0; i < 6; i++ {
-		a.ObserveLocalMiss(uint64(100 + 4*i)) // distinct sets, no training
+		p.ObserveLocalMiss(0, uint64(100+4*i)) // distinct sets, no training
 	}
-	a.ObserveLocalMiss(k)
+	p.ObserveLocalMiss(0, k)
 	if a.samples != 1 {
 		t.Fatalf("samples = %d, want 1", a.samples)
 	}
-	if !a.AbortCleanWB(k, false, true) {
+	if !p.AbortCleanWB(0, k, false, true) {
 		t.Fatal("distance 7 > max 4 did not abort")
 	}
 	if a.consults != 1 || a.aborts != 1 || a.abortsInL3 != 1 {
@@ -47,28 +49,28 @@ func TestReuseSketchTrainsDistance(t *testing.T) {
 }
 
 func TestReuseSketchEWMAFold(t *testing.T) {
-	a := tinySketch()
+	p, a := tinySketch()
 	const k = uint64(16)
 
 	// First sample: 7 (evict at 0, re-miss at 7).
-	a.ObserveEviction(k)
+	p.ObserveEviction(0, k)
 	for i := 0; i < 6; i++ {
-		a.ObserveLocalMiss(uint64(100 + 4*i))
+		p.ObserveLocalMiss(0, uint64(100+4*i))
 	}
-	a.ObserveLocalMiss(k)
+	p.ObserveLocalMiss(0, k)
 
 	// Second sample: 1 (evict at 7, immediate re-miss). With shift 1 the
 	// fold is dist += (1>>1) - (7>>1) = 7 - 3 = 4, which is on the
 	// threshold: 4 > 4 is false, so the line copies back again.
-	a.ObserveEviction(k)
-	a.ObserveLocalMiss(k)
+	p.ObserveEviction(0, k)
+	p.ObserveLocalMiss(0, k)
 	if a.samples != 2 {
 		t.Fatalf("samples = %d, want 2", a.samples)
 	}
 	if e := a.lookup(k); e == nil || e.dist != 4 {
 		t.Fatalf("EWMA after samples 7,1 = %+v, want dist 4", e)
 	}
-	if a.AbortCleanWB(k, false, false) {
+	if p.AbortCleanWB(0, k, false, false) {
 		t.Fatal("dist 4 at threshold 4 aborted; threshold is strict")
 	}
 }
@@ -77,19 +79,19 @@ func TestReuseSketchEWMAFold(t *testing.T) {
 // the least recently touched one is forgotten, and a consult (even a
 // cold one) refreshes recency.
 func TestReuseSketchLRUDisplacement(t *testing.T) {
-	a := tinySketch()
+	p, a := tinySketch()
 	k0, k4, k8 := uint64(0), uint64(4), uint64(8) // all map to set 0
 
-	a.ObserveEviction(k0)
-	a.ObserveEviction(k4)
-	a.AbortCleanWB(k0, false, false) // cold consult moves k0 to MRU
-	a.ObserveEviction(k8)            // displaces k4, the LRU way
+	p.ObserveEviction(0, k0)
+	p.ObserveEviction(0, k4)
+	p.AbortCleanWB(0, k0, false, false) // cold consult moves k0 to MRU
+	p.ObserveEviction(0, k8)            // displaces k4, the LRU way
 
-	a.ObserveLocalMiss(k4) // forgotten: no interval to close
+	p.ObserveLocalMiss(0, k4) // forgotten: no interval to close
 	if a.samples != 0 {
 		t.Fatalf("displaced tag still produced a sample (samples=%d)", a.samples)
 	}
-	a.ObserveLocalMiss(k0) // retained: closes the pending interval
+	p.ObserveLocalMiss(0, k0) // retained: closes the pending interval
 	if a.samples != 1 {
 		t.Fatalf("retained tag lost its interval (samples=%d)", a.samples)
 	}
@@ -101,14 +103,14 @@ func TestReuseSketchRejectsBadGeometry(t *testing.T) {
 			t.Fatal("non-power-of-two set count did not panic")
 		}
 	}()
-	newReuseAgent(config.ReuseDistConfig{Entries: 6, Assoc: 2})
+	newSketch(config.ReuseDistConfig{Entries: 6, Assoc: 2})
 }
 
 // tinyHybrid is a 4-set x 2-way score table with update threshold 2.
-func tinyHybrid() *hybridChip {
+func tinyHybrid() *hybrid {
 	cfg := config.Default().WithMechanism(config.HybridUI)
 	cfg.HybridUI = config.HybridUIConfig{Entries: 8, Assoc: 2, UpdateThreshold: 2}
-	return newHybridChip(&cfg)
+	return newHybrid(&cfg)
 }
 
 // peerRead is the outcome shape that scores a consumer touch: the line
@@ -182,27 +184,29 @@ func TestHybridScoreSaturates(t *testing.T) {
 }
 
 // TestNewDispatch pins the policy registry: each mechanism gets its own
-// chip type, and only the paper mechanisms ride the retry switch or
-// snoop write backs on the ring.
+// policy, only the paper mechanisms ride the retry switch or snoop
+// write backs on the ring, and each L2 gets the tables its mechanism
+// configures.
 func TestNewDispatch(t *testing.T) {
 	cases := []struct {
-		m        config.Mechanism
-		snoops   bool
-		gated    bool
-		hasStats bool
+		m             config.Mechanism
+		snoops        bool
+		gated         bool
+		hasStats      bool
+		wbht, snarfTb bool
 	}{
-		{config.Baseline, false, false, false},
-		{config.WBHT, false, true, false},
-		{config.Snarf, true, false, false},
-		{config.Combined, true, true, false},
-		{config.ReuseDist, false, false, true},
-		{config.HybridUI, false, false, true},
+		{config.Baseline, false, false, false, false, false},
+		{config.WBHT, false, true, false, true, false},
+		{config.Snarf, true, false, false, false, true},
+		{config.Combined, true, true, false, true, true},
+		{config.ReuseDist, false, false, true, false, false},
+		{config.HybridUI, false, false, true, false, false},
 	}
 	for _, c := range cases {
 		cfg := config.Default().WithMechanism(c.m)
 		p := New(&cfg)
-		if got := p.SnoopsWBRing(); got != c.snoops {
-			t.Errorf("%v: SnoopsWBRing = %v, want %v", c.m, got, c.snoops)
+		if got := p.SnoopsWB(); got != c.snoops {
+			t.Errorf("%v: SnoopsWB = %v, want %v", c.m, got, c.snoops)
 		}
 		if got := p.GatedBySwitch(); got != c.gated {
 			t.Errorf("%v: GatedBySwitch = %v, want %v", c.m, got, c.gated)
@@ -210,10 +214,31 @@ func TestNewDispatch(t *testing.T) {
 		if got := p.Stats() != nil; got != c.hasStats {
 			t.Errorf("%v: Stats() != nil is %v, want %v", c.m, got, c.hasStats)
 		}
-		for i := 0; i < 4; i++ {
-			if p.Agent(i) == nil {
-				t.Fatalf("%v: Agent(%d) = nil", c.m, i)
+		for i := 0; i < cfg.NumL2(); i++ {
+			if got := p.WBHT(i) != nil; got != c.wbht {
+				t.Errorf("%v: WBHT(%d) != nil is %v, want %v", c.m, i, got, c.wbht)
+			}
+			if got := p.SnarfTable(i) != nil; got != c.snarfTb {
+				t.Errorf("%v: SnarfTable(%d) != nil is %v, want %v", c.m, i, got, c.snarfTb)
 			}
 		}
+	}
+}
+
+// TestBaseDoesNothing pins the baseline behavior every policy inherits
+// for the hooks it does not override.
+func TestBaseDoesNothing(t *testing.T) {
+	var p Policy = Base{}
+	switch {
+	case p.AbortCleanWB(0, 1, true, true):
+		t.Error("Base aborted a clean write back")
+	case p.FlagWriteBack(0, 1):
+		t.Error("Base flagged a write back snarfable")
+	case !p.AcceptOffer(0, 1):
+		t.Error("Base declined an offer that passed the structural checks")
+	case p.SnoopsWB(), p.GatedBySwitch(), p.UseUpdate(1):
+		t.Error("Base snoops write backs, rides the switch or updates sharers")
+	case p.WBHT(0) != nil, p.SnarfTable(0) != nil, p.Stats() != nil:
+		t.Error("Base exposes a table or counters")
 	}
 }
