@@ -828,9 +828,6 @@ func (c *Cache) TakeWBObligation(key uint64) {
 	l.State = int8(coherence.Tagged)
 }
 
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int { return c.tags.CountValid() }
-
 // HitRate returns hits (including MSHR attaches and WB-buffer hits)
 // over accesses.
 func (c *Cache) HitRate() float64 {

@@ -41,6 +41,7 @@ type Cache struct {
 	// of the set index, so each slice's sets interleave and the array
 	// holds chip-wide keys; servers model each slice's bandwidth.
 	tags      *cache.Cache
+	valid     int          // valid lines in tags, kept live for Occupancy
 	servers   []sim.Server // one per slice: off-chip array bandwidth
 	queue     *sim.TokenQueue
 	sliceMask uint64
@@ -110,6 +111,7 @@ func (c *Cache) SnoopDemand(key uint64, kind coherence.TxnKind, isLoad bool) coh
 		c.loadHits++
 	}
 	if invalidating {
+		c.valid--
 		c.invalidations++
 		if kind == coherence.Upgrade {
 			// Ownership claims carry no data; the directory hit only
@@ -165,12 +167,14 @@ func (c *Cache) Insert(key uint64, kind coherence.TxnKind) (Castout, bool) {
 		}
 		return Castout{}, false
 	}
-	if evicted.Valid {
-		c.evictions++
-		if evicted.State == stDirty {
-			c.castouts++
-			return Castout{Key: evicted.Key}, true
-		}
+	if !evicted.Valid {
+		c.valid++ // the line filled an invalid way
+		return Castout{}, false
+	}
+	c.evictions++
+	if evicted.State == stDirty {
+		c.castouts++
+		return Castout{Key: evicted.Key}, true
 	}
 	return Castout{}, false
 }
@@ -215,8 +219,9 @@ func (c *Cache) LoadHitRate() float64 {
 	return float64(c.loadHits) / float64(c.loadLookups)
 }
 
-// Occupancy returns the number of valid lines across all slices.
-func (c *Cache) Occupancy() int { return c.tags.CountValid() }
+// Occupancy returns the number of valid lines across all slices. The
+// count is kept as lines fill and leave, so reading it scans nothing.
+func (c *Cache) Occupancy() int { return c.valid }
 
 // QueueStats exposes the incoming queue's token accounting for
 // diagnostics: successful acquisitions, rejections (retries at the

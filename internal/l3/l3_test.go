@@ -1,6 +1,7 @@
 package l3
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"cmpcache/internal/coherence"
@@ -206,5 +207,38 @@ func TestContainsIsNonPerturbing(t *testing.T) {
 	}
 	if c.DemandLookups() != before {
 		t.Fatal("Contains perturbed lookup stats")
+	}
+}
+
+// TestOccupancyMatchesScan drives random inserts, invalidating and
+// non-invalidating snoops and clean write-back snoops into a few sets,
+// so lines fill invalid ways, evict and leave, and checks the live
+// count against a scan of the tag array after every step.
+func TestOccupancyMatchesScan(t *testing.T) {
+	c, cfg := newL3(t)
+	sets := uint64(cfg.L3Lines() / cfg.L3Assoc)
+	rng := rand.New(rand.NewPCG(7, 11))
+	kinds := []coherence.TxnKind{coherence.Read, coherence.RWITM, coherence.Upgrade}
+	for step := 0; step < 20000; step++ {
+		// 48 candidate lines for each of 4 sets of 16 ways.
+		key := rng.Uint64N(48)*sets + rng.Uint64N(4)
+		switch rng.IntN(4) {
+		case 0:
+			c.Insert(key, coherence.CleanWB)
+		case 1:
+			c.Insert(key, coherence.DirtyWB)
+		case 2:
+			c.SnoopDemand(key, kinds[rng.IntN(len(kinds))], rng.IntN(2) == 0)
+		case 3:
+			if c.SnoopWB(key, coherence.CleanWB) == coherence.RespWBAccept {
+				c.ReleaseToken()
+			}
+		}
+		if got, want := c.Occupancy(), c.tags.CountValid(); got != want {
+			t.Fatalf("step %d: Occupancy = %d, scan counts %d", step, got, want)
+		}
+	}
+	if c.Evictions() == 0 || c.Invalidations() == 0 {
+		t.Fatalf("evictions %d, invalidations %d: the walk missed a path", c.Evictions(), c.Invalidations())
 	}
 }

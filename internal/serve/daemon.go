@@ -346,15 +346,11 @@ func (d *Daemon) Cancel(id string) (bool, bool) {
 	if !ok {
 		return false, false
 	}
-	cancelled := j.requestCancel("canceled by client")
-	if cancelled {
-		// A queued job completes synchronously inside requestCancel and
-		// no worker will count it; a running one is counted by the
-		// worker when it observes the cancellation.
-		if st, _ := j.snapshot(); st == JobCanceled {
-			d.met.canceled.Inc()
-		}
-	}
+	cancelled, completed := j.requestCancel("canceled by client")
+	// A queued job completes inside requestCancel and no worker will
+	// count it; a running one is counted by the worker when it observes
+	// the cancellation.
+	d.count(completed, JobCanceled)
 	return cancelled, true
 }
 

@@ -191,22 +191,25 @@ func (j *jobState) complete(status JobStatus, result []byte, errMsg string, cach
 
 // requestCancel asks a queued or running job to stop: queued jobs
 // complete as canceled immediately, running jobs get their context
-// cancelled (the worker observes it and completes the job). Reports
-// whether the job was still cancellable.
-func (j *jobState) requestCancel(reason string) bool {
+// cancelled (the worker observes it and completes the job). It reports
+// whether the job was still cancellable, and whether this call
+// completed it (the queued case), so the caller counts exactly the
+// completions no worker will count.
+func (j *jobState) requestCancel(reason string) (cancelled, completed bool) {
 	j.mu.Lock()
 	switch {
 	case j.status == JobQueued:
 		j.mu.Unlock()
-		return j.complete(JobCanceled, nil, reason, false, CacheMiss)
+		completed = j.complete(JobCanceled, nil, reason, false, CacheMiss)
+		return completed, completed
 	case j.status == JobRunning && j.cancel != nil:
 		cancel := j.cancel
 		j.mu.Unlock()
 		cancel()
-		return true
+		return true, false
 	default:
 		j.mu.Unlock()
-		return false
+		return false, false
 	}
 }
 

@@ -217,6 +217,61 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// TestRequestCancelReportsCompletion pins requestCancel's results: it
+// completes a queued job itself, leaves a running one to its worker,
+// and declines a finished one.
+func TestRequestCancelReportsCompletion(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	ran := make(chan sweep.Job, 1)
+	d := mustDaemon(t, Options{Workers: 1, QueueDepth: 4, Run: blockingRun(release, ran)})
+	defer d.Shutdown(context.Background())
+
+	mk := func(out int) sweep.Job {
+		return sweep.Job{Workload: "tp", Mechanism: config.Baseline, Outstanding: out, RefsPerThread: 1000}
+	}
+	running, _ := d.Submit([]sweep.Job{mk(1)})
+	<-ran
+	queued, _ := d.Submit([]sweep.Job{mk(2)})
+
+	if cancelled, completed := queued[0].requestCancel("test"); !cancelled || !completed {
+		t.Errorf("queued: requestCancel = (%v, %v), want (true, true)", cancelled, completed)
+	}
+	if cancelled, completed := running[0].requestCancel("test"); !cancelled || completed {
+		t.Errorf("running: requestCancel = (%v, %v), want (true, false)", cancelled, completed)
+	}
+	waitDone(t, running[0])
+	if cancelled, completed := running[0].requestCancel("test"); cancelled || completed {
+		t.Errorf("finished: requestCancel = (%v, %v), want (false, false)", cancelled, completed)
+	}
+}
+
+// TestCancelRunningCountsOnce cancels running jobs whose run returns as
+// soon as its context is cancelled, so the worker completes each job
+// while Cancel is still returning. Every cancellation counts once.
+func TestCancelRunningCountsOnce(t *testing.T) {
+	ran := make(chan sweep.Job, 1)
+	d := mustDaemon(t, Options{Workers: 1, QueueDepth: 4, Run: blockingRun(nil, ran)})
+	defer d.Shutdown(context.Background())
+
+	const n = 100
+	for i := 0; i < n; i++ {
+		job := sweep.Job{Workload: "tp", Mechanism: config.Baseline, RefsPerThread: 1000 + i}
+		jobs, err := d.Submit([]sweep.Job{job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-ran
+		if ok, found := d.Cancel(jobs[0].ID); !ok || !found {
+			t.Fatalf("cancel %d = (%v, %v)", i, ok, found)
+		}
+		waitDone(t, jobs[0])
+	}
+	if stats := settledStats(d, func(st Stats) bool { return st.Canceled >= n }); stats.Canceled != n {
+		t.Errorf("Canceled = %d, want %d", stats.Canceled, n)
+	}
+}
+
 // TestJobsCarryProfileLabels: a daemon job's run receives a context
 // labelled with its input, mechanism and effective outstanding limit,
 // so /debug/pprof/profile splits CPU by job.

@@ -232,7 +232,8 @@ func (s *System) results() *Results {
 	if c := s.attached.Latency; c != nil {
 		r.Latency = c.Finish(elapsed)
 	}
-	r.CleanWBFirstTime, r.CleanWBLostL3 = s.cleanWBFirst, s.cleanWBLost
+	// The Reuse snapshot above drained the tracker's log.
+	r.CleanWBFirstTime, r.CleanWBLostL3 = s.reuse.table.cleanWBFirst, s.reuse.table.cleanWBLost
 	r.L3QueueAcquired, r.L3QueueRejected, r.L3QueuePeak = s.l3.QueueStats()
 	r.L3SliceWaited = uint64(s.l3.SliceWaited())
 	for _, c := range s.l2s {

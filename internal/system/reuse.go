@@ -1,6 +1,12 @@
 package system
 
-import "cmpcache/internal/stats"
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+
+	"cmpcache/internal/stats"
+)
 
 // reuseTracker measures write-back reuse (the paper's Table 2): for
 // every line it remembers whether a write back is "pending reuse" and
@@ -10,13 +16,222 @@ import "cmpcache/internal/stats"
 // It also accumulates the per-line re-reference-after-write-back counts
 // behind the paper's Figure 4 discussion ("many lines in Trade2 are
 // written back and then re-referenced more than 300 times"), and
-// whether the line has ever completed an L3 insert (the clean-write-back
-// split of Table 1's diagnostics).
+// whether the line has ever completed an L3 insert, which splits
+// non-redundant clean write backs into first-time writes and lines the
+// L3 has since lost (Table 1's diagnostics).
 //
-// The per-line records live by value in one open-addressed table
-// (linear probing, power-of-two size), so each hook costs a single probe
-// sequence and tracking a line allocates nothing beyond table growth.
+// Nothing in the simulated chip reads the tracker, so its updates leave
+// the event loop: each hook appends one (op, key) update to a fixed
+// batch, and full batches are applied in log order to the reuseTable.
+// When the run's first batch fills, the tracker starts a helper
+// goroutine to apply them if the process has a processor to spare for
+// it (helperFits), and otherwise applies that batch and every later one
+// on the run's goroutine. snapshot hands over the last, partial batch
+// and waits for every batch before it reads the table, so the results
+// are the same bytes either way.
 type reuseTracker struct {
+	cur  *reuseBatch // the batch being filled
+	n    int         // updates in cur
+	mode reuseMode
+
+	// The helper's channels: full batches go out on work in log order
+	// and come back on free once applied; done closes when the helper
+	// exits. failed is the panic the helper recovered, if any, written
+	// before done closes.
+	work   chan *reuseBatch
+	free   chan *reuseBatch
+	done   chan struct{}
+	failed any
+
+	// table is the applied state. While a helper runs, only the helper
+	// touches it, and the run's goroutine reads it after drain.
+	table reuseTable
+	first reuseBatch // cur's backing until a helper starts
+}
+
+// reuseBatchLen is the number of updates in a full batch.
+const reuseBatchLen = 4096
+
+// reuseBatch is one batch of the update log.
+type reuseBatch struct {
+	keys   [reuseBatchLen]uint64
+	ops    [reuseBatchLen]reuseOp
+	n      int  // updates in the batch, set when it is handed over
+	failed bool // set by the helper: this or an earlier batch panicked
+}
+
+// reuseOp is one kind of update in the log.
+type reuseOp uint8
+
+const (
+	opAttempt    reuseOp = iota // a write back entered an L2 write-back queue
+	opAccepted                  // the L3 accepted a write back
+	opDemandMiss                // a demand miss reached the bus
+	opL3Insert                  // a line completed an L3 insert
+	opCleanWB                   // the L3 took a clean write back it did not hold
+)
+
+type reuseMode uint8
+
+const (
+	reuseUndecided reuseMode = iota // no batch has filled yet
+	reuseInline                     // batches apply on the run's goroutine
+	reuseHelper                     // a helper goroutine applies batches
+)
+
+// runsInFlight counts the RunContext calls in progress in the process:
+// the processor rule weighs every run in the process, so the count is
+// process-wide.
+var runsInFlight atomic.Int32
+
+// helperFits is the processor rule: a run may start a helper only while
+// every run in flight could have two processors, its own and its
+// helper's. A sweep or daemon pool that already keeps every processor
+// busy with runs therefore applies its runs' updates inline.
+func helperFits() bool {
+	return 2*int(runsInFlight.Load()) <= runtime.GOMAXPROCS(0)
+}
+
+func newReuseTracker() *reuseTracker {
+	r := &reuseTracker{table: newReuseTable()}
+	r.cur = &r.first
+	return r
+}
+
+// recordAttempt notes a write back entering an L2 write-back queue.
+func (r *reuseTracker) recordAttempt(key uint64) { r.push(opAttempt, key) }
+
+// recordAccepted notes a write back absorbed by the L3.
+func (r *reuseTracker) recordAccepted(key uint64) { r.push(opAccepted, key) }
+
+// recordDemandMiss scores a demand miss against pending write backs.
+func (r *reuseTracker) recordDemandMiss(key uint64) { r.push(opDemandMiss, key) }
+
+// recordL3Insert notes that key completed an insert into the L3 array.
+func (r *reuseTracker) recordL3Insert(key uint64) { r.push(opL3Insert, key) }
+
+// recordCleanWB counts a clean write back the L3 snooped without
+// holding the line, as a first-time write or a line the L3 has lost,
+// by whether key completed an L3 insert before it.
+func (r *reuseTracker) recordCleanWB(key uint64) { r.push(opCleanWB, key) }
+
+// push appends one update to the log.
+func (r *reuseTracker) push(op reuseOp, key uint64) {
+	i := r.n & (reuseBatchLen - 1)
+	r.cur.keys[i] = key
+	r.cur.ops[i] = op
+	if r.n = i + 1; r.n == reuseBatchLen {
+		r.handOff()
+	}
+}
+
+// handOff passes a full batch on. The first one decides whether a
+// helper starts.
+func (r *reuseTracker) handOff() {
+	if r.mode == reuseUndecided {
+		if helperFits() {
+			r.start()
+		} else {
+			r.mode = reuseInline
+		}
+	}
+	r.send()
+}
+
+// send applies cur's updates inline, or queues cur for the helper and
+// takes the other batch back to fill.
+func (r *reuseTracker) send() {
+	r.cur.n, r.n = r.n, 0
+	if r.mode != reuseHelper {
+		r.table.apply(r.cur)
+		return
+	}
+	r.work <- r.cur
+	r.cur = r.take()
+}
+
+// start launches the helper with a second batch for the log to fill
+// while the helper applies the first. The helper inherits the calling
+// goroutine's profiler labels. Each channel holds both batches, so no
+// send on either ever waits.
+func (r *reuseTracker) start() {
+	r.mode = reuseHelper
+	r.work = make(chan *reuseBatch, 2)
+	r.free = make(chan *reuseBatch, 2)
+	r.done = make(chan struct{})
+	r.free <- new(reuseBatch)
+	go r.serve(r.work, r.free, r.done)
+}
+
+// serve is the helper: it applies each batch in order and returns it.
+// After a panic it applies nothing more, but it keeps returning batches,
+// marked failed, so the run's goroutine never waits forever.
+func (r *reuseTracker) serve(work <-chan *reuseBatch, free chan<- *reuseBatch, done chan<- struct{}) {
+	defer close(done)
+	for b := range work {
+		if r.failed == nil {
+			r.applyRecovering(b)
+		}
+		b.failed = r.failed != nil
+		free <- b
+	}
+}
+
+func (r *reuseTracker) applyRecovering(b *reuseBatch) {
+	defer func() { r.failed = recover() }()
+	r.table.apply(b)
+}
+
+// take receives an applied batch back from the helper. A batch marked
+// failed stops the helper, which re-raises its panic here, on the run's
+// goroutine.
+func (r *reuseTracker) take() *reuseBatch {
+	b := <-r.free
+	if b.failed {
+		r.stop()
+	}
+	return b
+}
+
+// drain applies every update logged so far: inline, or by handing the
+// partial batch to the helper and waiting until both batches are back.
+func (r *reuseTracker) drain() {
+	if r.mode != reuseHelper {
+		r.send()
+		return
+	}
+	if r.n > 0 {
+		r.send()
+	}
+	r.free <- r.take()
+}
+
+// stop ends the helper, if one runs, once it has applied every batch
+// handed to it, and re-raises a panic it recovered. Updates logged
+// after stop apply inline. RunContext stops the tracker on every exit.
+func (r *reuseTracker) stop() {
+	if r.mode != reuseHelper {
+		return
+	}
+	r.mode = reuseInline
+	close(r.work)
+	<-r.done
+	if r.failed != nil {
+		panic(r.failed)
+	}
+}
+
+// snapshot drains the log and reads the Table 2 statistics.
+func (r *reuseTracker) snapshot() ReuseStats {
+	r.drain()
+	return r.table.stats()
+}
+
+// reuseTable holds the per-line records, by value, in one open-addressed
+// table (linear probing, power-of-two size), so each update costs a
+// single probe sequence and tracking a line allocates nothing beyond
+// table growth.
+type reuseTable struct {
 	slots []lineReuse
 	used  int
 	shift uint // 64 - log2(len(slots)): the hash keeps the top bits
@@ -25,6 +240,8 @@ type reuseTracker struct {
 	accepted       uint64
 	reusedAttempt  uint64
 	reusedAccepted uint64
+	cleanWBFirst   uint64 // clean write backs of lines never in the L3
+	cleanWBLost    uint64 // clean write backs of lines the L3 has lost
 }
 
 type lineReuse struct {
@@ -44,18 +261,38 @@ const (
 // reuseInitialLog is log2 of the table's starting slot count.
 const reuseInitialLog = 12
 
-func newReuseTracker() *reuseTracker {
-	return &reuseTracker{slots: make([]lineReuse, 1<<reuseInitialLog), shift: 64 - reuseInitialLog}
+func newReuseTable() reuseTable {
+	return reuseTable{slots: make([]lineReuse, 1<<reuseInitialLog), shift: 64 - reuseInitialLog}
+}
+
+// apply applies b's updates in order.
+func (t *reuseTable) apply(b *reuseBatch) {
+	for i, key := range b.keys[:b.n] {
+		switch op := b.ops[i]; op {
+		case opAttempt:
+			t.attempt(key)
+		case opAccepted:
+			t.accept(key)
+		case opDemandMiss:
+			t.demandMiss(key)
+		case opL3Insert:
+			t.l3Insert(key)
+		case opCleanWB:
+			t.cleanWB(key)
+		default:
+			panic(fmt.Sprintf("system: reuse log holds unknown op %d", op))
+		}
+	}
 }
 
 // home is key's first probe slot (Fibonacci hashing).
-func (r *reuseTracker) home(key uint64) uint64 { return (key * 0x9E3779B97F4A7C15) >> r.shift }
+func (t *reuseTable) home(key uint64) uint64 { return (key * 0x9E3779B97F4A7C15) >> t.shift }
 
 // find returns key's record, or nil when the line was never tracked.
-func (r *reuseTracker) find(key uint64) *lineReuse {
-	mask := uint64(len(r.slots) - 1)
-	for i := r.home(key); ; i = (i + 1) & mask {
-		l := &r.slots[i]
+func (t *reuseTable) find(key uint64) *lineReuse {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		l := &t.slots[i]
 		if l.flags == 0 {
 			return nil
 		}
@@ -66,16 +303,16 @@ func (r *reuseTracker) find(key uint64) *lineReuse {
 }
 
 // line returns key's record, inserting an empty one when absent.
-func (r *reuseTracker) line(key uint64) *lineReuse {
-	mask := uint64(len(r.slots) - 1)
-	for i := r.home(key); ; i = (i + 1) & mask {
-		l := &r.slots[i]
+func (t *reuseTable) line(key uint64) *lineReuse {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		l := &t.slots[i]
 		if l.flags == 0 {
-			if 4*(r.used+1) > 3*len(r.slots) {
-				r.grow()
-				return r.line(key)
+			if 4*(t.used+1) > 3*len(t.slots) {
+				t.grow()
+				return t.line(key)
 			}
-			r.used++
+			t.used++
 			*l = lineReuse{key: key, flags: lineUsed}
 			return l
 		}
@@ -86,46 +323,43 @@ func (r *reuseTracker) line(key uint64) *lineReuse {
 }
 
 // grow doubles the table and reinserts every record.
-func (r *reuseTracker) grow() {
-	old := r.slots
-	r.slots = make([]lineReuse, 2*len(old))
-	r.shift--
-	mask := uint64(len(r.slots) - 1)
+func (t *reuseTable) grow() {
+	old := t.slots
+	t.slots = make([]lineReuse, 2*len(old))
+	t.shift--
+	mask := uint64(len(t.slots) - 1)
 	for _, l := range old {
 		if l.flags == 0 {
 			continue
 		}
-		i := r.home(l.key)
-		for r.slots[i].flags != 0 {
+		i := t.home(l.key)
+		for t.slots[i].flags != 0 {
 			i = (i + 1) & mask
 		}
-		r.slots[i] = l
+		t.slots[i] = l
 	}
 }
 
-// recordAttempt notes a write back entering an L2 write-back queue.
-func (r *reuseTracker) recordAttempt(key uint64) {
-	r.attempted++
-	r.line(key).flags |= linePendingAttempt | lineEverWrittenBack
+func (t *reuseTable) attempt(key uint64) {
+	t.attempted++
+	t.line(key).flags |= linePendingAttempt | lineEverWrittenBack
 }
 
-// recordAccepted notes a write back absorbed by the L3.
-func (r *reuseTracker) recordAccepted(key uint64) {
-	r.accepted++
-	r.line(key).flags |= linePendingAccepted
+func (t *reuseTable) accept(key uint64) {
+	t.accepted++
+	t.line(key).flags |= linePendingAccepted
 }
 
-// recordDemandMiss scores a demand miss against pending write backs.
-func (r *reuseTracker) recordDemandMiss(key uint64) {
-	l := r.find(key)
+func (t *reuseTable) demandMiss(key uint64) {
+	l := t.find(key)
 	if l == nil {
 		return
 	}
 	if l.flags&linePendingAttempt != 0 {
-		r.reusedAttempt++
+		t.reusedAttempt++
 	}
 	if l.flags&linePendingAccepted != 0 {
-		r.reusedAccepted++
+		t.reusedAccepted++
 	}
 	l.flags &^= linePendingAttempt | linePendingAccepted
 	if l.flags&lineEverWrittenBack != 0 {
@@ -133,14 +367,21 @@ func (r *reuseTracker) recordDemandMiss(key uint64) {
 	}
 }
 
-// recordL3Insert notes that key completed an insert into the L3 array.
-func (r *reuseTracker) recordL3Insert(key uint64) {
-	r.line(key).flags |= lineEverInL3
+func (t *reuseTable) l3Insert(key uint64) {
+	t.line(key).flags |= lineEverInL3
+}
+
+func (t *reuseTable) cleanWB(key uint64) {
+	if t.everInL3(key) {
+		t.cleanWBLost++
+	} else {
+		t.cleanWBFirst++
+	}
 }
 
 // everInL3 reports whether key has ever completed an L3 insert.
-func (r *reuseTracker) everInL3(key uint64) bool {
-	l := r.find(key)
+func (t *reuseTable) everInL3(key uint64) bool {
+	l := t.find(key)
 	return l != nil && l.flags&lineEverInL3 != 0
 }
 
@@ -153,15 +394,15 @@ type ReuseStats struct {
 	Rerefs         stats.Histogram // per-line misses after first write back
 }
 
-func (r *reuseTracker) snapshot() ReuseStats {
+func (t *reuseTable) stats() ReuseStats {
 	out := ReuseStats{
-		Attempted:      r.attempted,
-		Accepted:       r.accepted,
-		ReusedAttempt:  r.reusedAttempt,
-		ReusedAccepted: r.reusedAccepted,
+		Attempted:      t.attempted,
+		Accepted:       t.accepted,
+		ReusedAttempt:  t.reusedAttempt,
+		ReusedAccepted: t.reusedAccepted,
 	}
-	for i := range r.slots {
-		if l := &r.slots[i]; l.flags&lineEverWrittenBack != 0 {
+	for i := range t.slots {
+		if l := &t.slots[i]; l.flags&lineEverWrittenBack != 0 {
 			out.Rerefs.Observe(uint64(l.rerefs))
 		}
 	}

@@ -63,9 +63,11 @@ func TestReuseTrackerRerefHistogram(t *testing.T) {
 }
 
 // TestReuseTrackerGrowKeepsRecords drives the per-line table through
-// several doublings and checks every record survives rehashing.
+// several doublings and checks every record survives rehashing. Each
+// read of the table drains the update log first.
 func TestReuseTrackerGrowKeepsRecords(t *testing.T) {
 	r := newReuseTracker()
+	defer r.stop()
 	const lines = 20000
 	for k := uint64(0); k < lines; k++ {
 		r.recordAttempt(k * 64)
@@ -75,11 +77,12 @@ func TestReuseTrackerGrowKeepsRecords(t *testing.T) {
 	}
 	for k := uint64(0); k < lines; k++ {
 		r.recordDemandMiss(k * 64)
-		if got := r.everInL3(k * 64); got != (k%2 == 0) {
+		r.drain()
+		if got := r.table.everInL3(k * 64); got != (k%2 == 0) {
 			t.Fatalf("line %d: everInL3 = %v", k, got)
 		}
 	}
-	if r.everInL3(lines * 64) {
+	if r.table.everInL3(lines * 64) {
 		t.Fatal("untracked line reported in L3")
 	}
 	s := r.snapshot()

@@ -83,13 +83,10 @@ type System struct {
 	wbInFlight []bool // one write-back bus transaction at a time per L2
 
 	// reuse is the per-line write-back history: Table 2's reuse scoring
-	// and, for Table 1's diagnostics, whether a line has ever completed
-	// an L3 insert — splitting non-redundant clean write backs into
-	// first-time writes (cleanWBFirst) vs. lines the L3 has since lost
-	// (cleanWBLost).
-	reuse        *reuseTracker
-	cleanWBFirst uint64
-	cleanWBLost  uint64
+	// and, for Table 1's diagnostics, the split of non-redundant clean
+	// write backs into first-time writes and lines the L3 has since
+	// lost. Its updates apply off the event loop (reuse.go).
+	reuse *reuseTracker
 
 	// responses is the reused snoop-response buffer for combine events
 	// (the collector never retains it).
@@ -322,10 +319,11 @@ func (s *System) Attach(a Attachments) {
 // workload property), and with the *cpu.StreamError of a thread stream
 // failing mid-run, which RunContext returns instead.
 func (s *System) Run() *Results {
-	if err := s.runLoop(context.Background()); err != nil {
+	res, err := s.RunContext(context.Background())
+	if err != nil {
 		panic(err) // a stream error: the background context never cancels
 	}
-	return s.finish()
+	return res
 }
 
 // cancelCheckEvery is how many event-loop iterations (global events
@@ -340,8 +338,13 @@ const cancelCheckEvery = 8192
 // it abandons the remaining events and returns ctx's error. A thread
 // stream failing mid-run ends it with that *cpu.StreamError. A
 // completed run is bit-identical to Run() — the context poll observes
-// the engines between events and never perturbs them.
+// the engines between events and never perturbs them. The reuse
+// tracker's helper goroutine, if the run started one, has exited when
+// RunContext returns or panics.
 func (s *System) RunContext(ctx context.Context) (*Results, error) {
+	runsInFlight.Add(1)
+	defer runsInFlight.Add(-1)
+	defer s.reuse.stop()
 	if err := s.runLoop(ctx); err != nil {
 		return nil, err
 	}

@@ -64,11 +64,7 @@ func (s *System) combineWB(cache l2Handle, key uint64, kind coherence.TxnKind, s
 
 	l3resp := s.l3.SnoopWB(key, kind)
 	if kind == coherence.CleanWB && l3resp != coherence.RespWBRedundant {
-		if s.reuse.everInL3(key) {
-			s.cleanWBLost++
-		} else {
-			s.cleanWBFirst++
-		}
+		s.reuse.recordCleanWB(key)
 	}
 	responses := append(s.responses[:0], coherence.AgentResponse{Agent: agentL3, Resp: l3resp})
 	var peerSquasher l2Handle
