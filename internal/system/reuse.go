@@ -46,7 +46,7 @@ type reuseTracker struct {
 	// table is the applied state. While a helper runs, only the helper
 	// touches it, and the run's goroutine reads it after drain.
 	table reuseTable
-	first reuseBatch // cur's backing until a helper starts
+	first reuseBatch // the log's first batch; a helper adds a second
 }
 
 // reuseBatchLen is the number of updates in a full batch.
@@ -54,10 +54,9 @@ const reuseBatchLen = 4096
 
 // reuseBatch is one batch of the update log.
 type reuseBatch struct {
-	keys   [reuseBatchLen]uint64
-	ops    [reuseBatchLen]reuseOp
-	n      int  // updates in the batch, set when it is handed over
-	failed bool // set by the helper: this or an earlier batch panicked
+	keys [reuseBatchLen]uint64
+	ops  [reuseBatchLen]reuseOp
+	n    int // updates in the batch, set when it is handed over
 }
 
 // reuseOp is one kind of update in the log.
@@ -79,17 +78,28 @@ const (
 	reuseHelper                     // a helper goroutine applies batches
 )
 
-// runsInFlight counts the RunContext calls in progress in the process:
-// the processor rule weighs every run in the process, so the count is
-// process-wide.
-var runsInFlight atomic.Int32
+// runsInFlight counts the RunContext calls in progress in the process,
+// and runsPeak is the most there have been at once. The processor rule
+// weighs every run in the process, so both are process-wide.
+var runsInFlight, runsPeak atomic.Int32
+
+// runStarted counts one more run in flight. RunContext calls it, and
+// subtracts the run from runsInFlight when it returns.
+func runStarted() {
+	n := runsInFlight.Add(1)
+	for p := runsPeak.Load(); n > p && !runsPeak.CompareAndSwap(p, n); p = runsPeak.Load() {
+	}
+}
 
 // helperFits is the processor rule: a run may start a helper only while
-// every run in flight could have two processors, its own and its
-// helper's. A sweep or daemon pool that already keeps every processor
-// busy with runs therefore applies its runs' updates inline.
+// the most runs the process has had in flight at once could each have
+// two processors, its own and its helper's. A sweep or daemon pool whose
+// runs have once held every processor therefore applies every later
+// run's updates inline, also a run that finds itself alone: between
+// jobs, a daemon's request handlers need the processor a helper would
+// take.
 func helperFits() bool {
-	return 2*int(runsInFlight.Load()) <= runtime.GOMAXPROCS(0)
+	return 2*int(runsPeak.Load()) <= runtime.GOMAXPROCS(0)
 }
 
 func newReuseTracker() *reuseTracker {
@@ -115,7 +125,8 @@ func (r *reuseTracker) recordL3Insert(key uint64) { r.push(opL3Insert, key) }
 // by whether key completed an L3 insert before it.
 func (r *reuseTracker) recordCleanWB(key uint64) { r.push(opCleanWB, key) }
 
-// push appends one update to the log.
+// push appends one update to the log. The mask changes nothing, since
+// n < reuseBatchLen, but lets the compiler drop the bounds checks.
 func (r *reuseTracker) push(op reuseOp, key uint64) {
 	i := r.n & (reuseBatchLen - 1)
 	r.cur.keys[i] = key
@@ -163,34 +174,29 @@ func (r *reuseTracker) start() {
 	go r.serve(r.work, r.free, r.done)
 }
 
-// serve is the helper: it applies each batch in order and returns it.
-// After a panic it applies nothing more, but it keeps returning batches,
-// marked failed, so the run's goroutine never waits forever.
+// serve is the helper: it applies each batch in order and returns it,
+// until stop closes work or applying a batch panics. It records the
+// panic before done closes.
 func (r *reuseTracker) serve(work <-chan *reuseBatch, free chan<- *reuseBatch, done chan<- struct{}) {
 	defer close(done)
+	defer func() { r.failed = recover() }()
 	for b := range work {
-		if r.failed == nil {
-			r.applyRecovering(b)
-		}
-		b.failed = r.failed != nil
+		r.table.apply(b)
 		free <- b
 	}
 }
 
-func (r *reuseTracker) applyRecovering(b *reuseBatch) {
-	defer func() { r.failed = recover() }()
-	r.table.apply(b)
-}
-
-// take receives an applied batch back from the helper. A batch marked
-// failed stops the helper, which re-raises its panic here, on the run's
-// goroutine.
+// take receives an applied batch back from the helper. A helper that
+// exits before stop has panicked, and take re-raises the panic here, on
+// the run's goroutine, rather than wait for a batch that never comes.
 func (r *reuseTracker) take() *reuseBatch {
-	b := <-r.free
-	if b.failed {
-		r.stop()
+	select {
+	case b := <-r.free:
+		return b
+	case <-r.done:
+		r.mode = reuseInline
+		panic(r.failed)
 	}
-	return b
 }
 
 // drain applies every update logged so far: inline, or by handing the

@@ -79,6 +79,18 @@ func applyDirect(t *reuseTable, updates []reuseUpdate) {
 	}
 }
 
+// trackerIn returns a tracker whose batches apply inline or, for
+// mode "helper", on a helper it has already started.
+func trackerIn(mode string) *reuseTracker {
+	r := newReuseTracker()
+	if mode == "helper" {
+		r.start()
+	} else {
+		r.mode = reuseInline
+	}
+	return r
+}
+
 // TestReuseLogMatchesDirectCalls: a random update sequence spanning
 // several batches gives the same Table 2 statistics and clean-write-back
 // split whether the log applies it inline, on the helper, or the table
@@ -95,12 +107,7 @@ func TestReuseLogMatchesDirectCalls(t *testing.T) {
 		wantStats := want.stats()
 
 		for _, mode := range []string{"inline", "helper"} {
-			r := newReuseTracker()
-			if mode == "helper" {
-				r.start()
-			} else {
-				r.mode = reuseInline
-			}
+			r := trackerIn(mode)
 			for i, u := range updates {
 				if i == mid {
 					r.drain()
@@ -135,10 +142,12 @@ func tpTrace(t testing.TB, refs int) *trace.Trace {
 	return tr
 }
 
-// failingThreadSource fails thread's stream after its first chunk.
+// failingThreadSource fails thread's stream after its first chunk:
+// with errStreamBroke, or by panicking with panicWith when it is set.
 type failingThreadSource struct {
 	trace.Source
-	thread int
+	thread    int
+	panicWith any
 }
 
 var errStreamBroke = errors.New("stream broke")
@@ -148,16 +157,20 @@ func (s failingThreadSource) Stream(tid int) trace.Stream {
 	if tid != s.thread {
 		return st
 	}
-	return &failAfterFirstChunk{Stream: st}
+	return &failAfterFirstChunk{Stream: st, panicWith: s.panicWith}
 }
 
 type failAfterFirstChunk struct {
 	trace.Stream
-	served bool
+	panicWith any
+	served    bool
 }
 
 func (f *failAfterFirstChunk) NextChunk() ([]trace.Record, error) {
 	if f.served {
+		if f.panicWith != nil {
+			panic(f.panicWith)
+		}
 		return nil, errStreamBroke
 	}
 	f.served = true
@@ -180,7 +193,8 @@ func (c *cancelAfterPolls) Err() error {
 
 // TestRunStopsHelper: a run whose helper is running leaves no helper
 // goroutine behind when it completes, when its context is cancelled
-// mid-run, and when a thread's stream fails mid-run.
+// mid-run, when a thread's stream fails mid-run, and when the run
+// panics.
 func TestRunStopsHelper(t *testing.T) {
 	cfg := config.Default().WithMechanism(config.Combined)
 	tr := tpTrace(t, 2000)
@@ -221,6 +235,19 @@ func TestRunStopsHelper(t *testing.T) {
 		s := newSys(failingThreadSource{Source: mem, thread: 13})
 		if _, err := s.RunContext(context.Background()); !errors.Is(err, errStreamBroke) {
 			t.Fatalf("RunContext = %v, want the stream error", err)
+		}
+		waitNoHelper(t)
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		s := newSys(failingThreadSource{Source: mem, thread: 13, panicWith: "simulator bug"})
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			s.RunContext(context.Background())
+			return nil
+		}()
+		if p != "simulator bug" {
+			t.Fatalf("RunContext panicked with %v, want the run's panic", p)
 		}
 		waitNoHelper(t)
 	})
@@ -291,38 +318,45 @@ func TestSubBatchRunStartsNoHelper(t *testing.T) {
 }
 
 // TestHelperFitsProcessorRule: a run starts a helper only while twice
-// the runs in flight fit in GOMAXPROCS, and a run that fills a batch
-// under that rule does start one.
+// the most runs the process has had in flight at once fit in
+// GOMAXPROCS. A lone run starts one; a run beside two others does not,
+// and neither does a lone run after it.
 func TestHelperFitsProcessorRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	inFlight := runsInFlight.Load()
-	defer runsInFlight.Store(inFlight)
+	inFlight, peak := runsInFlight.Load(), runsPeak.Load()
+	defer func() { runsInFlight.Store(inFlight); runsPeak.Store(peak) }()
 	for runs, want := range []bool{true, true, true, false, false} {
-		runsInFlight.Store(int32(runs))
+		runsPeak.Store(int32(runs))
 		if got := helperFits(); got != want {
-			t.Errorf("%d runs in flight on 4 processors: helperFits = %v, want %v", runs, got, want)
+			t.Errorf("at most %d runs in flight on 4 processors: helperFits = %v, want %v", runs, got, want)
 		}
 	}
 
-	runsInFlight.Store(0)
-	s, err := newSystem(config.Default().WithMechanism(config.Combined), tpTrace(t, 2000))
-	if err != nil {
-		t.Fatal(err)
+	run := func() *System {
+		s, err := newSystem(config.Default().WithMechanism(config.Combined), tpTrace(t, 2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		return s
 	}
-	s.Run()
-	if s.reuse.work == nil {
+	runsInFlight.Store(0)
+	runsPeak.Store(0)
+	if s := run(); s.reuse.work == nil {
 		t.Error("a lone run on 4 processors applied its updates inline")
 	}
 	waitNoHelper(t)
+	if got := runsPeak.Load(); got != 1 {
+		t.Errorf("after a lone run, runsPeak = %d, want 1", got)
+	}
 
 	runsInFlight.Store(2) // with this run, 3 runs want 6 processors
-	s, err = newSystem(config.Default().WithMechanism(config.Combined), tpTrace(t, 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if s.reuse.work != nil || s.reuse.mode != reuseInline {
+	if s := run(); s.reuse.work != nil || s.reuse.mode != reuseInline {
 		t.Error("a run started a helper with no processor to spare")
+	}
+	runsInFlight.Store(0)
+	if s := run(); s.reuse.work != nil || s.reuse.mode != reuseInline {
+		t.Error("a lone run started a helper after three runs had been in flight at once")
 	}
 }
 
@@ -390,12 +424,7 @@ func TestReuseLogAllocationFree(t *testing.T) {
 	}
 	stream := recordReuseStream(t)
 	for _, mode := range []string{"inline", "helper"} {
-		r := newReuseTracker()
-		if mode == "helper" {
-			r.start()
-		} else {
-			r.mode = reuseInline
-		}
+		r := trackerIn(mode)
 		replay := func() {
 			for _, u := range stream {
 				r.push(u.op, u.key)
@@ -418,12 +447,7 @@ func BenchmarkReuseTracker(b *testing.B) {
 	stream := recordReuseStream(b)
 	for _, mode := range []string{"inline", "helper"} {
 		b.Run(mode, func(b *testing.B) {
-			r := newReuseTracker()
-			if mode == "helper" {
-				r.start()
-			} else {
-				r.mode = reuseInline
-			}
+			r := trackerIn(mode)
 			defer r.stop()
 			for _, u := range stream {
 				r.push(u.op, u.key)

@@ -342,7 +342,7 @@ const cancelCheckEvery = 8192
 // tracker's helper goroutine, if the run started one, has exited when
 // RunContext returns or panics.
 func (s *System) RunContext(ctx context.Context) (*Results, error) {
-	runsInFlight.Add(1)
+	runStarted()
 	defer runsInFlight.Add(-1)
 	defer s.reuse.stop()
 	if err := s.runLoop(ctx); err != nil {
